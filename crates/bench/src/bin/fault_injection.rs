@@ -8,22 +8,20 @@
 //! `STOS_FAULTS` injection sites, each site a seeded corruption (index
 //! cells, RAM bit flips, wild pointer words, frame-pointer upsets)
 //! applied mid-run and triaged against a golden run. Emits
-//! `BENCH_fault_injection.json` and asserts the headline results: every
-//! cured pipeline with hardened check elimination detects strictly more
-//! injected faults than uncured `gcc` (the interval-domain stacks
+//! `BENCH_fault_injection.json` and self-gates it with the
+//! `fault_injection` contract (`bench::gate`): on the default grid,
+//! every cured pipeline with hardened check elimination detects strictly
+//! more injected faults than uncured `gcc` (the interval-domain stacks
 //! included — the check-elimination fix this grid once pinned as
-//! missing), every detection decodes through the host-side FLID table,
-//! and the classical-policy `noharden` stack detects exactly zero.
+//! missing), and the classical-policy `noharden` stack detects exactly
+//! zero.
 
-use bench::fault::{
-    campaign_grid, default_pipelines, detection_totals, print_table, render_json, NOHARDEN_STACK,
-};
-use bench::{emit_json, ExperimentRunner, Knobs};
+use bench::fault::{campaign_grid, default_pipelines, print_table, render_json};
+use bench::{emit_json, gate, ExperimentRunner, Knobs};
 use safe_tinyos::{pipelines_from_env_or, CampaignConfig};
 
 fn main() {
     let runner = ExperimentRunner::from_env();
-    let default_grid = std::env::var("STOS_PIPELINE").is_err();
     let pipelines = pipelines_from_env_or(default_pipelines);
     let knobs = Knobs::from_env();
     let config = CampaignConfig {
@@ -42,33 +40,7 @@ fn main() {
     let body = render_json(&apps, &pipelines, &config, &grid);
     emit_json("fault_injection", &body).expect("write BENCH_fault_injection.json");
     runner.emit_speed("fault_injection");
-
-    // Self-gating invariants (default grid only — STOS_PIPELINE sweeps
-    // may legitimately include arbitrary stacks).
-    if default_grid {
-        let totals = detection_totals(&grid);
-        let gcc = totals[0];
-        assert_eq!(gcc, 0, "the uncured image has no checks to trap with");
-        for (pipeline, detected) in pipelines.iter().zip(&totals).skip(1) {
-            if pipeline.name() == NOHARDEN_STACK {
-                // The pinned experiment: classical interval-domain check
-                // elimination deletes the checks that provide coverage.
-                assert_eq!(
-                    *detected,
-                    0,
-                    "{} detected {detected} faults — the documented collapse \
-                     should hold under the classical policy",
-                    pipeline.name()
-                );
-                continue;
-            }
-            assert!(
-                *detected > gcc,
-                "{} detected {detected} faults, not strictly more than gcc's {gcc}",
-                pipeline.name()
-            );
-        }
-    }
+    gate::self_gate(&body);
     println!();
     println!("Expected shape (paper §2): the uncured gcc build never detects —");
     println!("corruption is silent or a raw crash. Cured stacks trap the same");

@@ -14,13 +14,15 @@
 //!   fleet-level verdicts (FLID detection at the victim vs. silent
 //!   route poisoning observed at the sink).
 //!
-//! Emits `BENCH_fleet.json` — the `"pinned"` object is byte-pinned by
-//! CI's `fleet_gate` (per-row subset comparison, so CI can sweep fewer
-//! cells than the committed artifact), the `"dynamics"` object carries
-//! wall times.
+//! Emits `BENCH_fleet.json`, gated by the `fleet` contract
+//! (`bench::gate`): CI pins the `"pinned"` object against the committed
+//! baseline (rows matched by `(motes, seed)`, so CI can sweep fewer
+//! cells than the committed artifact), and this harness self-gates the
+//! invariants every run must meet. The `"dynamics"` object carries wall
+//! times.
 
 use bench::fleet::{dynamics_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY};
-use bench::{emit_json, json, row, ExperimentRunner, Knobs};
+use bench::{emit_json, gate, json, row, ExperimentRunner, Knobs};
 use safe_tinyos::fleet::{lockstep_matches_event_driven, FleetSpec};
 use safe_tinyos::Pipeline;
 
@@ -89,38 +91,8 @@ fn main() {
         .build();
     emit_json("fleet", &body).expect("write BENCH_fleet.json");
     runner.emit_speed("fleet");
+    gate::self_gate(&body);
 
-    // Self-gates: the invariants CI relies on, checked at the source.
-    assert!(
-        equivalence_ok,
-        "event-driven fleet diverged from the lockstep reference"
-    );
-    for r in &rows {
-        assert!(
-            r.report.offered > 0,
-            "{} motes: nothing hit the air",
-            r.motes
-        );
-        assert!(
-            r.report.heard > 0,
-            "{} motes: the sink heard no readings",
-            r.motes
-        );
-        assert!(
-            r.stats.dropped > 0,
-            "{} motes: lossy links dropped nothing",
-            r.motes
-        );
-        if r.motes >= 4 {
-            assert!(
-                r.stats.reboots >= 1,
-                "{} motes: the churned mote never rebooted",
-                r.motes
-            );
-        }
-    }
-    assert_eq!(counts.total(), sites, "campaign lost verdicts");
-    assert!(sites > 0, "campaign enumerated no corruption sites");
     println!();
     println!(
         "event-driven engine matched lockstep byte-for-byte; \

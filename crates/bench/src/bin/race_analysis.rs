@@ -14,15 +14,16 @@
 //! * a differential-oracle spot check of the `races(fix)` stack
 //!   (generated seeds + every app vs the cure-only reference).
 //!
-//! Emits `BENCH_races.json` — the `"analysis"` object is byte-pinned by
-//! CI's `race_gate`, the `"dynamics"` object is self-gated here:
-//! every app yields diagnostics, every fix build reaches the
-//! zero-diagnostic fixpoint, hardened builds are torn-update immune
+//! Emits `BENCH_races.json`, gated by the `race_analysis` contract
+//! (`bench::gate`): CI pins the `"analysis"` object against the
+//! committed baseline, and this harness self-gates the invariants every
+//! run must meet — every app yields diagnostics, every fix build reaches
+//! the zero-diagnostic fixpoint, hardened builds are torn-update immune
 //! while unhardened builds measurably diverge, and the oracle sees zero
 //! miscompiles.
 
 use bench::races::{analysis_json, dynamics_json, measure, oracle_check};
-use bench::{emit_json, json, row, ExperimentRunner, Knobs};
+use bench::{emit_json, gate, json, row, ExperimentRunner, Knobs};
 
 fn main() {
     let runner = ExperimentRunner::from_env();
@@ -79,35 +80,9 @@ fn main() {
         .build();
     emit_json("races", &body).expect("write BENCH_races.json");
     runner.emit_speed("race_analysis");
+    gate::self_gate(&body);
 
-    // Self-gates: the invariants CI relies on, checked at the source.
-    for r in &rows {
-        assert!(
-            r.diagnostics > 0,
-            "{}: the races pass reported no per-site diagnostics",
-            r.app
-        );
-        assert_eq!(
-            r.fix_residual, 0,
-            "{}: races(fix) left {} diagnostic(s) standing",
-            r.app, r.fix_residual
-        );
-        assert_eq!(
-            r.hardened_divergences, 0,
-            "{}: torn updates diverged on the hardened build",
-            r.app
-        );
-    }
     let unhardened: usize = rows.iter().map(|r| r.unhardened_divergences).sum();
-    assert!(
-        unhardened > 0,
-        "no unhardened build diverged under torn updates — the fault model lost its teeth"
-    );
-    assert_eq!(
-        oracle.0, 0,
-        "differential oracle found {} miscompile verdict(s) on races(fix) stacks",
-        oracle.0
-    );
     println!();
     println!(
         "races(fix) reached the zero-diagnostic fixpoint on all {} apps;",

@@ -8,8 +8,8 @@
 //!   [`bench::kernels`]. Each runs for `STOS_KERNEL_CYCLES` simulated
 //!   cycles per engine; the aggregate awake-throughput speedup over
 //!   the *gated* kernels (Σ interp wall / Σ bt wall) must reach
-//!   `STOS_SPEEDUP_MIN` (default 10.0). Non-gated kernels are
-//!   published for honesty but excluded from the gate.
+//!   `bench::gate::SPEEDUP_MIN` (10×). Non-gated kernels are published
+//!   for honesty but excluded from the gate.
 //! * **apps** — every Mica2 app built under the paper's full stack and
 //!   simulated for `STOS_SECONDS` per engine. Apps sleep most of the
 //!   time, and the sleep pump is engine-independent, so app speedups
@@ -19,11 +19,13 @@
 //! `awake_cycles`, `instr_count`, final state, and fault message for
 //! every subject (the translation is only legal if it is invisible).
 //!
-//! Emits `BENCH_sim_speed.json`; the `sim_speed_gate` binary re-asserts
-//! both gates from the published bytes in CI.
+//! Emits `BENCH_sim_speed.json` and self-gates it with the `sim_speed`
+//! contract, which the `gate` binary re-checks from the published bytes
+//! in CI.
 
 use std::time::Instant;
 
+use bench::gate::{self, SPEEDUP_MIN};
 use bench::{emit_json, json, kernels, row, Knobs};
 use safe_tinyos::{prepare_machine, BuildSession, Pipeline};
 
@@ -103,7 +105,6 @@ fn main() {
     let knobs = Knobs::from_env();
     let seconds = knobs.sim_seconds;
     let kernel_cycles = knobs.kernel_cycles;
-    let min = knobs.speedup_min;
     let mut identical = true;
 
     // ── Kernel section: the speedup gate ────────────────────────────
@@ -174,7 +175,7 @@ fn main() {
     let kernel_speedup = gated_interp / gated_bt.max(1e-12);
     println!(
         "kernels: interp {gated_interp:.3}s, bt {gated_bt:.3}s over gated set — \
-         aggregate speedup {kernel_speedup:.1}x (gate: >= {min:.1}x)"
+         aggregate speedup {kernel_speedup:.1}x (gate: >= {SPEEDUP_MIN:.1}x)"
     );
     println!();
 
@@ -272,7 +273,7 @@ fn main() {
         .str("pipeline", pipeline.name())
         .num("kernel_speedup", kernel_speedup)
         .num("app_speedup", app_speedup)
-        .num("speedup_min", min)
+        .num("speedup_min", SPEEDUP_MIN)
         .raw(
             "engines_identical",
             if identical { "true" } else { "false" },
@@ -281,15 +282,7 @@ fn main() {
         .raw("apps", &json::arr(app_rows))
         .build();
     emit_json("sim_speed", &body).expect("write BENCH_sim_speed.json");
-
-    assert!(
-        identical,
-        "sim_speed: engines disagreed on at least one subject (see above)"
-    );
-    assert!(
-        kernel_speedup >= min,
-        "sim_speed: gated kernel speedup {kernel_speedup:.2}x below the {min:.1}x gate"
-    );
+    gate::self_gate(&body);
     println!(
         "sim_speed: engines byte-identical on all kernels and {} apps; \
          speedup gate passed",

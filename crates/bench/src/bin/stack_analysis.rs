@@ -10,15 +10,17 @@
 //! * the simulator-observed stack watermark per cell, and the
 //!   bound-vs-watermark tightness under the full safe stack.
 //!
-//! Emits `BENCH_stack.json` — the `"analysis"` object is byte-pinned by
-//! CI's `stack_gate` (identical for any worker count and either
-//! engine), the `"dynamics"` object is self-gated here: every cell's
-//! bound is finite, dominates the observed watermark, and stays inside
-//! the SRAM budget, and every app wires at least one interrupt vector
-//! somewhere in the grid.
+//! Emits `BENCH_stack.json`, gated by the `stack_analysis` contract
+//! (`bench::gate`): CI pins the `"analysis"` object against the
+//! committed baseline (identical for any worker count and either
+//! engine), and this harness self-gates the invariants every run must
+//! meet — every cell's bound is finite, dominates the observed
+//! watermark, and stays inside the SRAM budget with zero S00x findings,
+//! and every app wires at least one interrupt vector somewhere in the
+//! grid.
 
 use bench::stack::{analysis_json, dynamics_json, measure, FULL_STACK};
-use bench::{emit_json, json, row, ExperimentRunner, Knobs};
+use bench::{emit_json, gate, json, row, ExperimentRunner, Knobs};
 
 fn main() {
     let runner = ExperimentRunner::from_env();
@@ -41,10 +43,10 @@ fn main() {
     );
     for r in &rows {
         let full = &r.cells[FULL_STACK];
-        let bound = full
-            .stats
-            .bound_bytes
-            .expect("finite bound (asserted below)");
+        // An unbounded cell fails the contract once the report is out.
+        let Some(bound) = full.stats.bound_bytes else {
+            continue;
+        };
         println!(
             "{}",
             row(
@@ -74,52 +76,8 @@ fn main() {
         .build();
     emit_json("stack", &body).expect("write BENCH_stack.json");
     runner.emit_speed("stack_analysis");
+    gate::self_gate(&body);
 
-    // Self-gates: the invariants CI relies on, checked at the source.
-    for r in &rows {
-        for c in &r.cells {
-            let bound = c.stats.bound_bytes.unwrap_or_else(|| {
-                panic!(
-                    "{} / {}: no finite stack bound (S001×{})",
-                    r.app, c.preset, c.s001
-                )
-            });
-            assert!(
-                u32::from(c.watermark) <= bound,
-                "{} / {}: observed watermark {}B exceeds the certified bound {}B — \
-                 the analysis is unsound",
-                r.app,
-                c.preset,
-                c.watermark,
-                bound
-            );
-            assert_eq!(
-                (c.s001, c.s002, c.s003),
-                (0, 0, 0),
-                "{} / {}: unexpected S00x diagnostics on a stock app",
-                r.app,
-                c.preset
-            );
-            assert!(
-                bound <= c.stats.budget_bytes,
-                "{} / {}: bound {}B blows the {}B SRAM budget",
-                r.app,
-                c.preset,
-                bound,
-                c.stats.budget_bytes
-            );
-        }
-        assert!(
-            r.cells.iter().any(|c| c.stats.wired_vectors > 0),
-            "{}: no preset wired an interrupt vector — the ISR composition went untested",
-            r.app
-        );
-        assert!(
-            r.max_watermark() > 0,
-            "{}: the simulator never observed a stack frame",
-            r.app
-        );
-    }
     let cells = rows.iter().map(|r| r.cells.len()).sum::<usize>();
     println!();
     println!(

@@ -28,8 +28,8 @@ pub fn default_presets() -> Vec<Pipeline> {
 /// hardened check-elimination policy. A `cxprop(noharden)` stack exists
 /// precisely to demonstrate lost coverage, so its CheckStrengthReduction
 /// verdicts are the experiment, not a regression — excluding it here
-/// keeps the harness's self-gate and the artifact-level `difftest_gate`
-/// in agreement on the same report bytes, whatever grid produced them.
+/// keeps it out of the `total_cured_strength_reductions` the `difftest`
+/// contract in [`crate::gate`] requires to be zero.
 pub fn is_cured(p: &Pipeline) -> bool {
     let spec = p.spec();
     spec.contains("cure(") && !spec.contains("noharden")
@@ -263,8 +263,8 @@ mod tests {
     #[test]
     fn noharden_stacks_waive_detection_parity() {
         // The classical-policy collapse exhibit loses detections by
-        // design: it must not count against the parity gate, so the
-        // harness's self-gate and difftest_gate agree on any artifact.
+        // design: it must not count against the `difftest` contract's
+        // parity invariant, whatever grid produced the report.
         let noharden = Pipeline::parse("cure(flid)|cxprop(noharden)|prune").unwrap();
         assert!(!is_cured(&noharden));
         assert!(is_cured(&Pipeline::safe_flid_cxprop()));

@@ -27,8 +27,8 @@ use safe_tinyos::{CampaignConfig, CampaignReport, Pipeline};
 use crate::{json, row, ExperimentRunner};
 
 /// The pinned-collapse stack: interval-domain cXprop with the classical
-/// (pre-fix) check-elimination policy. Exempt from the
-/// detects-more-than-gcc gate; asserted to detect exactly zero.
+/// (pre-fix) check-elimination policy. The `fault_injection` contract
+/// exempts it from detecting more than gcc and requires exactly zero.
 pub const NOHARDEN_STACK: &str = "ccured+cxprop[ival,noharden]+gcc";
 
 /// The default campaign pipelines: the uncured baseline the paper calls
@@ -148,12 +148,4 @@ pub fn print_table(apps: &[&'static str], pipelines: &[Pipeline], grid: &[Vec<Ca
         .map(|t| format!("{:.1}%", t.detection_rate_pct()))
         .collect();
     println!("{}", row("detection rate", &rollup));
-}
-
-/// Per-pipeline detection totals over the grid, in pipeline order.
-pub fn detection_totals(grid: &[Vec<CampaignReport>]) -> Vec<usize> {
-    let pipelines = grid.first().map_or(0, Vec::len);
-    (0..pipelines)
-        .map(|ci| grid.iter().map(|row| row[ci].counts.detected).sum())
-        .collect()
 }

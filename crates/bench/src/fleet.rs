@@ -1,7 +1,7 @@
 //! The fleet harness's data model: the mote-count scaling sweep, the
 //! network-level fault campaign, and the `BENCH_fleet.json` payload
-//! (the `fleet` binary drives it, `fleet_gate` diffs the published
-//! artifact).
+//! (the `fleet` binary drives it, the `fleet` contract in
+//! [`crate::gate`] checks the published artifact).
 //!
 //! The emitted JSON has two top-level objects with different CI
 //! contracts:
@@ -10,10 +10,10 @@
 //!   delivery, traffic and churn tallies), the fleet campaign's verdict
 //!   histogram, and the lockstep-equivalence flag. Every value is a
 //!   pure function of the build and the seeds — wall time never leaks
-//!   in — so CI byte-compares each fresh row against the committed row
-//!   with the same `(motes, seed)` key (see [`crate::gate::fleet_check`]).
-//!   CI sweeps a smaller mote population than the committed artifact;
-//!   the gate compares the subset.
+//!   in — so CI compares the whole object with the committed one,
+//!   matching each fresh row to the committed row with the same
+//!   `(motes, seed)` key. CI sweeps a smaller mote population than the
+//!   committed artifact; the gate compares the subset.
 //! * `"dynamics"` — wall times, scheduler pops per second, thread
 //!   count. Machine-dependent, never pinned.
 

@@ -1,718 +1,851 @@
-//! CI gate logic over published `BENCH_*.json` artifacts.
+//! The gate over published `BENCH_*.json` reports: one [`Contract`] per
+//! `"figure"` value, evaluated on parsed [`Value`]s. A contract has:
 //!
-//! * The **bench-regression gate** compares a freshly produced
-//!   `BENCH_toolchain_speed.json` against the committed baseline and
-//!   fails when the toolchain got more than a configurable factor
-//!   slower (`STOS_REGRESSION_FACTOR`, default 2× — wall times on
-//!   shared runners are noisy; the gate catches order-of-magnitude
-//!   rot, not percent-level drift).
-//! * The **difftest gate** ([`difftest_check`], the `difftest_gate`
-//!   binary) fails on any Miscompile verdict in a published
-//!   `BENCH_difftest.json` — the differential oracle's hard invariant.
-//! * The **race gate** ([`race_check`], the `race_gate` binary)
-//!   byte-compares the time-independent `"analysis"` object of a
-//!   published `BENCH_races.json` against the committed baseline — any
-//!   drift in the diagnostic census, hardening counts, or code-size
-//!   deltas is a behavior change someone must sign off on by
-//!   regenerating the baseline — and checks the fresh `"dynamics"`
-//!   object still shows hardened builds immune to torn updates.
-//! * The **stack gate** ([`stack_check`], the `stack_gate` binary)
-//!   byte-compares the `"analysis"` object of a published
-//!   `BENCH_stack.json` (certified bounds and S00x censuses), requires
-//!   zero `watermark_violations` in the fresh dynamics, and — for
-//!   same-horizon runs — byte-compares the observed watermark tables,
-//!   which is how the `STOS_ENGINE=bt` rerun proves engine invariance.
+//! * **pinned** paths: pure functions of the toolchain and the sources
+//!   (censuses, certified bounds, fleet rows), compared with the
+//!   committed baseline as parsed values. A drift is a behaviour change
+//!   someone must sign off on by regenerating the baseline.
+//! * **invariants**: named rules over one report (zero miscompiles, zero
+//!   watermark violations, kernel speedup ≥ floor, …), checked on the
+//!   committed and the fresh report alike.
+//! * **perf**: a single-sample wall-time regression bound. Wall times on
+//!   shared runners are noisy, so it catches order-of-magnitude rot, not
+//!   percent-level drift.
 //!
-//! CI's `gates` job downloads the harness job's artifacts and runs the
-//! gate binaries over them, so a failure always points at bytes you can
-//! fetch from the run.
+//! The `gate <committed> <fresh>` binary runs [`gate`], and every
+//! self-gating harness runs [`self_gate`] on the report it just emitted,
+//! so each check is written once.
 
-/// Default regression factor: fail when fresh wall time exceeds
-/// baseline × 2.
-pub const DEFAULT_FACTOR: f64 = 2.0;
+use safe_tinyos::PRESET_NAMES;
 
-/// The regression factor in effect: `STOS_REGRESSION_FACTOR` if set and
-/// parseable, else [`DEFAULT_FACTOR`].
-pub fn factor_from_env() -> f64 {
-    std::env::var("STOS_REGRESSION_FACTOR")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|f: &f64| f.is_finite() && *f > 0.0)
-        .unwrap_or(DEFAULT_FACTOR)
+use crate::fault::{default_pipelines, NOHARDEN_STACK};
+use crate::json::{self, Value};
+
+/// Floor for the `sim_speed` gated-kernel aggregate speedup (Σ interp
+/// wall / Σ bt wall).
+pub const SPEEDUP_MIN: f64 = 10.0;
+
+/// A fresh `wall_ms` may be at most this multiple of the committed one.
+const WALL_FACTOR: f64 = 2.0;
+
+/// The warm re-run of the fig3 grid must beat the cold grid by at least
+/// this factor: the acceptance bar for content-addressed pass caching.
+const WARM_FACTOR: f64 = 3.0;
+
+type Check = Result<(), String>;
+
+/// A comparison with the committed baseline.
+#[derive(Debug)]
+enum Pin {
+    /// The value at this path.
+    Whole(&'static str),
+    /// The value at this path, with the arrays of rows inside it matched
+    /// by these key members instead of position; the fresh run may hold
+    /// a subset of the committed rows.
+    Keyed(&'static str, &'static [&'static str]),
+    /// The value at the first path, when the value at the second (the
+    /// simulated horizon) is equal in both reports.
+    When(&'static str, &'static str),
+    /// The timing at this path may grow to at most this multiple of the
+    /// committed one.
+    Slower(&'static str, f64),
 }
 
-/// Extracts the first number stored under `"key":` in a flat JSON body
-/// (the `BENCH_*.json` files are shallow enough that a scan beats
-/// hand-rolling a full parser in an offline build).
-pub fn extract_num(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// What an invariant requires of a report (or of one row of it).
+#[derive(Debug)]
+enum Rule {
+    /// The number at the path is 0.
+    Zero(&'static str),
+    /// The number at the path is at least the bound.
+    AtLeast(&'static str, f64),
+    /// The number at the first path is at most the one at the second.
+    NotAbove(&'static str, &'static str),
+    /// The value at the path is `true`.
+    True(&'static str),
+    /// Every row of the array at the path satisfies the rule.
+    Each(&'static str, &'static Rule),
+    /// Some row of the array at the path satisfies the rule.
+    Any(&'static str, &'static Rule),
+    /// A predicate the rules above cannot state.
+    Custom(fn(&Value) -> Check),
 }
 
-/// The gate's measurement: baseline and fresh wall times and their
-/// ratio.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateOutcome {
-    /// The committed baseline's wall time (ms).
-    pub baseline_ms: f64,
-    /// The fresh run's wall time (ms).
-    pub fresh_ms: f64,
-    /// `fresh / baseline` (0 when the baseline is 0).
-    pub ratio: f64,
+use Rule::{Any, AtLeast, Custom, Each, NotAbove, True, Zero};
+
+/// What one report figure promises: pinned values and named invariants.
+#[derive(Debug)]
+pub struct Contract {
+    /// The `"figure"` value the contract applies to.
+    pub figure: &'static str,
+    pinned: &'static [Pin],
+    invariants: &'static [(&'static str, Rule)],
 }
 
-/// Compares two `BENCH_toolchain_speed.json` bodies on `wall_ms`.
+const APPS: &str = "analysis.apps";
+const ROWS: &str = "pinned.rows";
+
+#[rustfmt::skip]
+const CONTRACTS: &[Contract] = &[
+    Contract {
+        figure: "toolchain_speed",
+        pinned: &[Pin::Slower("wall_ms", WALL_FACTOR)],
+        invariants: &[("warm-cache", Custom(warm_cache))],
+    },
+    Contract {
+        figure: "difftest",
+        pinned: &[],
+        invariants: &[
+            ("zero-miscompiles", Zero("total_miscompiles")),
+            ("cured-detection-parity", Custom(cured_parity)),
+        ],
+    },
+    Contract {
+        figure: "fault_injection",
+        pinned: &[],
+        invariants: &[("detection-on-default-grid", Custom(fault_detection))],
+    },
+    Contract {
+        figure: "race_analysis",
+        pinned: &[Pin::Whole("analysis")],
+        invariants: &[
+            ("every-app-diagnosed", Each(APPS, &AtLeast("diagnostics", 1.0))),
+            ("fix-reaches-fixpoint", Each(APPS, &Zero("fix_residual"))),
+            ("hardened-torn-immune", Zero("dynamics.hardened_divergences")),
+            ("hardened-torn-immune", Each("dynamics.apps", &Zero("hardened_divergences"))),
+            ("unhardened-torn-diverge", AtLeast("dynamics.unhardened_divergences", 1.0)),
+            ("oracle-zero-miscompiles", Zero("dynamics.oracle_miscompiles")),
+        ],
+    },
+    Contract {
+        figure: "stack_analysis",
+        pinned: &[Pin::Whole("analysis"), Pin::When("dynamics.watermarks", "dynamics.seconds")],
+        invariants: &[
+            ("zero-watermark-violations", Zero("dynamics.watermark_violations")),
+            ("every-cell-bounded", Each(APPS, &Each("presets", &AtLeast("bound", 0.0)))),
+            ("bound-within-budget", Each(APPS, &Each("presets", &NotAbove("bound", "budget")))),
+            ("zero-s001", Each(APPS, &Each("presets", &Zero("s001")))),
+            ("zero-s002", Each(APPS, &Each("presets", &Zero("s002")))),
+            ("zero-s003", Each(APPS, &Each("presets", &Zero("s003")))),
+            ("every-app-wires-a-vector", Each(APPS, &Any("presets", &AtLeast("vectors", 1.0)))),
+            ("every-app-observed-a-frame", Each("dynamics.apps", &AtLeast("max_watermark", 1.0))),
+        ],
+    },
+    Contract {
+        figure: "sim_speed",
+        pinned: &[],
+        invariants: &[
+            ("engines-identical", True("engines_identical")),
+            ("kernel-speedup-floor", AtLeast("kernel_speedup", SPEEDUP_MIN)),
+        ],
+    },
+    Contract {
+        figure: "fleet",
+        pinned: &[Pin::Keyed("pinned", &["motes", "seed"])],
+        invariants: &[
+            ("lockstep-equivalence", True("pinned.equivalence_ok")),
+            ("sweep-rows-present", Any(ROWS, &AtLeast("motes", 1.0))),
+            ("traffic-offered", Each(ROWS, &AtLeast("offered", 1.0))),
+            ("sink-heard-readings", Each(ROWS, &AtLeast("heard", 1.0))),
+            ("lossy-links-drop", Each(ROWS, &AtLeast("dropped", 1.0))),
+            ("churned-mote-reboots", Custom(churned_mote_reboots)),
+            ("campaign-verdicts-complete", Custom(campaign_verdicts_complete)),
+        ],
+    },
+];
+
+/// The contract for a `"figure"` value.
+fn contract(figure: &str) -> Option<&'static Contract> {
+    CONTRACTS.iter().find(|c| c.figure == figure)
+}
+
+impl Contract {
+    /// Every invariant `report` violates, as `name: why`.
+    fn violations(&self, report: &Value) -> Vec<String> {
+        self.invariants
+            .iter()
+            .filter_map(|(name, rule)| rule.check(report).err().map(|why| format!("{name}: {why}")))
+            .collect()
+    }
+}
+
+impl Pin {
+    /// How `fresh` drifted from `committed` at this pin, if it did.
+    fn drift(&self, committed: &Value, fresh: &Value) -> Option<String> {
+        let (path, key) = match *self {
+            Pin::Whole(path) => (path, &[][..]),
+            Pin::Keyed(path, key) => (path, key),
+            Pin::When(path, when) => {
+                let horizon = committed.path(when);
+                if horizon.is_none() || horizon != fresh.path(when) {
+                    return None;
+                }
+                (path, &[][..])
+            }
+            Pin::Slower(path, factor) => {
+                let (base, now) = match (num(committed, path), num(fresh, path)) {
+                    (Ok(base), Ok(now)) => (base, now),
+                    (Err(why), _) => return Some(format!("committed report: {why}")),
+                    (_, Err(why)) => return Some(format!("fresh report: {why}")),
+                };
+                return (base > 0.0 && now / base > factor).then(|| {
+                    format!(
+                        "`{path}` regressed: {now:.1} vs committed {base:.1} \
+                         ({:.2}x > allowed {factor:.2}x)",
+                        now / base
+                    )
+                });
+            }
+        };
+        match (committed.path(path), fresh.path(path)) {
+            (Some(want), Some(got)) => first_diff(path, want, got, key)
+                .map(|d| format!("pinned `{path}` drifted from the committed baseline: {d}")),
+            (want, _) => Some(format!(
+                "{} report has no pinned `{path}`",
+                if want.is_none() { "committed" } else { "fresh" }
+            )),
+        }
+    }
+}
+
+impl Rule {
+    fn check(&self, v: &Value) -> Check {
+        let fail =
+            |path: &str, n: f64, want: String| Err(format!("`{path}` is {n}, expected {want}"));
+        match *self {
+            Zero(path) => match num(v, path)? {
+                0.0 => Ok(()),
+                n => fail(path, n, "0".into()),
+            },
+            AtLeast(path, min) => match num(v, path)? {
+                n if n >= min => Ok(()),
+                n => fail(path, n, format!("at least {min}")),
+            },
+            NotAbove(path, max) => match (num(v, path)?, num(v, max)?) {
+                (n, m) if n <= m => Ok(()),
+                (n, m) => fail(path, n, format!("at most `{max}` ({m})")),
+            },
+            True(path) => match at(v, path)? {
+                Value::Bool(true) => Ok(()),
+                other => Err(format!("`{path}` is {}, expected true", show(other))),
+            },
+            Each(path, rule) => rows(v, path)?.iter().enumerate().try_for_each(|(i, row)| {
+                // Rows lead with their name (app, preset) where they have one.
+                let name = match row {
+                    Value::Obj(members) => members.first().and_then(|(_, n)| n.as_str()),
+                    _ => None,
+                };
+                let at = format!(
+                    "{path}[{i}]{}",
+                    name.map(|n| format!(" ({n})")).unwrap_or_default()
+                );
+                rule.check(row).map_err(|e| format!("{at} / {e}"))
+            }),
+            Any(path, rule) if rows(v, path)?.iter().any(|row| rule.check(row).is_ok()) => Ok(()),
+            Any(path, rule) => Err(format!("no row of `{path}` satisfies {rule:?}")),
+            Custom(check) => check(v),
+        }
+    }
+}
+
+/// Why [`gate`] refused a pair of reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GateError {
+    /// Nothing was checked: malformed JSON, no `"figure"`, two different
+    /// figures, or a figure without a contract.
+    Input(String),
+    /// The contract does not hold: one message per violation or drift.
+    Violations(Vec<String>),
+}
+
+/// Checks a fresh report against its committed baseline under the
+/// contract their `"figure"` field names: the invariants on both
+/// reports, then the pinned paths and the perf bound. Returns the
+/// contract that held.
 ///
 /// # Errors
 ///
-/// Returns a description when either body lacks a parseable `wall_ms`,
-/// or when the fresh wall time exceeds `baseline × factor`.
-pub fn check(baseline: &str, fresh: &str, factor: f64) -> Result<GateOutcome, String> {
-    let baseline_ms =
-        extract_num(baseline, "wall_ms").ok_or("baseline JSON has no wall_ms field")?;
-    let fresh_ms = extract_num(fresh, "wall_ms").ok_or("fresh JSON has no wall_ms field")?;
-    let ratio = if baseline_ms > 0.0 {
-        fresh_ms / baseline_ms
+/// [`GateError::Input`] when either text is not a report with a
+/// contract, [`GateError::Violations`] when the contract does not hold.
+pub fn gate(committed: &str, fresh: &str) -> Result<&'static Contract, GateError> {
+    let (want, contract) = parse_report(committed, "committed")?;
+    let (got, fresh_contract) = parse_report(fresh, "fresh")?;
+    if contract.figure != fresh_contract.figure {
+        return Err(GateError::Input(format!(
+            "committed figure {:?} vs fresh figure {:?}",
+            contract.figure, fresh_contract.figure
+        )));
+    }
+    let mut violations: Vec<String> = [("committed", &want), ("fresh", &got)]
+        .into_iter()
+        .flat_map(|(label, report)| {
+            contract
+                .violations(report)
+                .into_iter()
+                .map(move |m| format!("{label} report: {m}"))
+        })
+        .collect();
+    violations.extend(
+        contract
+            .pinned
+            .iter()
+            .filter_map(|pin| pin.drift(&want, &got)),
+    );
+    if violations.is_empty() {
+        Ok(contract)
     } else {
-        0.0
-    };
-    let outcome = GateOutcome {
-        baseline_ms,
-        fresh_ms,
-        ratio,
-    };
-    if ratio > factor {
-        return Err(format!(
-            "bench regression: wall {fresh_ms:.1}ms vs baseline {baseline_ms:.1}ms \
-             ({ratio:.2}x > allowed {factor:.2}x)"
-        ));
+        Err(GateError::Violations(violations))
     }
-    Ok(outcome)
 }
 
-/// Gates a published `BENCH_difftest.json` body: zero Miscompile
-/// verdicts, and (belt and braces with the harness's own self-gate)
-/// zero CheckStrengthReduction verdicts for cured presets. Returns the
-/// `(miscompiles, cured strength reductions)` it found when both are
-/// zero.
+/// A harness's self-gate: the contract's invariants on the report it just
+/// emitted.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns a description when the body lacks the total fields or when
-/// either total is non-zero.
-pub fn difftest_check(body: &str) -> Result<(usize, usize), String> {
-    let miscompiles = extract_num(body, "total_miscompiles")
-        .ok_or("difftest JSON has no total_miscompiles field")? as usize;
-    let csr = extract_num(body, "total_cured_strength_reductions")
-        .ok_or("difftest JSON has no total_cured_strength_reductions field")?
-        as usize;
-    if miscompiles > 0 {
-        return Err(format!(
-            "difftest gate: {miscompiles} miscompile verdict(s) in the published report"
-        ));
-    }
-    if csr > 0 {
-        return Err(format!(
-            "difftest gate: cured presets lost {csr} detection(s) the reference makes"
-        ));
-    }
-    Ok((miscompiles, csr))
+/// When `report` is not a report with a contract, or violates any of its
+/// invariants (every violation is listed).
+pub fn self_gate(report: &str) {
+    let (value, contract) = parse_report(report, "emitted").unwrap_or_else(|e| panic!("{e:?}"));
+    let violations = contract.violations(&value);
+    assert!(
+        violations.is_empty(),
+        "the {} contract does not hold:\n  {}",
+        contract.figure,
+        violations.join("\n  ")
+    );
 }
 
-/// Gates a published `BENCH_sim_speed.json` body: the engines must have
-/// agreed on every subject (`engines_identical`), and the gated kernel
-/// aggregate speedup must reach the published `speedup_min`. Returns
-/// `(kernel_speedup, speedup_min)` on success.
-///
-/// # Errors
-///
-/// Returns a description when the body lacks a field, the engines
-/// diverged, or the speedup is below the floor.
-pub fn sim_speed_check(body: &str) -> Result<(f64, f64), String> {
-    let speedup =
-        extract_num(body, "kernel_speedup").ok_or("sim_speed JSON has no kernel_speedup field")?;
-    let min = extract_num(body, "speedup_min").ok_or("sim_speed JSON has no speedup_min field")?;
-    let needle = "\"engines_identical\":";
-    let ident = body
-        .find(needle)
-        .map(|i| body[i + needle.len()..].trim_start().starts_with("true"))
-        .ok_or("sim_speed JSON has no engines_identical field")?;
-    if !ident {
-        return Err("sim_speed gate: engines diverged on at least one subject".into());
-    }
-    if speedup < min {
-        return Err(format!(
-            "sim_speed gate: gated kernel speedup {speedup:.2}x below the {min:.1}x floor"
-        ));
-    }
-    Ok((speedup, min))
+fn parse_report(text: &str, label: &str) -> Result<(Value, &'static Contract), GateError> {
+    let value = json::parse(text)
+        .map_err(|e| GateError::Input(format!("{label} report is not JSON: {e}")))?;
+    let figure = value
+        .get("figure")
+        .and_then(Value::as_str)
+        .ok_or_else(|| GateError::Input(format!("{label} report has no \"figure\" string")))?;
+    let contract = contract(figure)
+        .ok_or_else(|| GateError::Input(format!("no contract for figure {figure:?}")))?;
+    Ok((value, contract))
 }
 
-/// Extracts the balanced `{...}` object stored under `"key":` in a JSON
-/// body. The `BENCH_*.json` writers never emit `{` or `}` inside string
-/// literals (names are app/pass identifiers), so a brace counter is
-/// exact for them; this is not a general JSON parser.
-pub fn extract_obj<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":{{");
-    let start = body.find(&needle)? + needle.len() - 1;
-    let mut depth = 0usize;
-    for (i, b) in body[start..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&body[start..=start + i]);
+/// The first place `got` differs from `want`, naming its path.
+fn first_diff(path: &str, want: &Value, got: &Value, key: &[&str]) -> Option<String> {
+    match (want, got) {
+        (Value::Obj(members), Value::Obj(fresh)) => members
+            .iter()
+            .find_map(|(k, w)| match got.get(k) {
+                Some(g) => first_diff(&format!("{path}.{k}"), w, g, key),
+                None => Some(format!("`{path}.{k}` is missing from the fresh report")),
+            })
+            .or_else(|| {
+                let (k, _) = fresh.iter().find(|(k, _)| want.get(k).is_none())?;
+                Some(format!("`{path}.{k}` is not in the committed report"))
+            }),
+        (Value::Arr(base), Value::Arr(rows))
+            if !key.is_empty() && base.iter().chain(rows).all(|r| row_key(r, key).is_some()) =>
+        {
+            rows.iter().find_map(|row| {
+                let k = row_key(row, key);
+                let at = format!("{path}[{}]", k.as_deref().unwrap_or_default());
+                match base.iter().find(|b| row_key(b, key) == k) {
+                    Some(b) => first_diff(&at, b, row, key),
+                    None => Some(format!("fresh row `{at}` has no committed counterpart")),
                 }
-            }
-            _ => {}
+            })
         }
+        (Value::Arr(base), Value::Arr(rows)) => base
+            .iter()
+            .zip(rows)
+            .enumerate()
+            .find_map(|(i, (b, r))| first_diff(&format!("{path}[{i}]"), b, r, key))
+            .or_else(|| {
+                let (w, g) = (base.len(), rows.len());
+                (w != g).then(|| format!("`{path}` has {w} elements committed, {g} fresh"))
+            }),
+        _ => (want != got)
+            .then(|| format!("`{path}` is {} committed, {} fresh", show(want), show(got))),
     }
-    None
 }
 
-/// The cache gate's measurement, all read from one published
-/// `BENCH_toolchain_speed.json` body.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheOutcome {
-    /// The cold grid's wall time (ms).
-    pub wall_ms: f64,
-    /// The warm re-run's wall time (ms).
-    pub warm_wall_ms: f64,
-    /// Actual cure-pass executions (cache misses) on the cold grid.
-    pub cure_runs: f64,
-    /// Required cure-pass executions: one per distinct (app, cure spec)
-    /// pair.
-    pub cure_unique: f64,
+/// A row's key as `motes=10,seed=1`, if it has every key member.
+fn row_key(row: &Value, key: &[&str]) -> Option<String> {
+    let parts: Option<Vec<String>> = key
+        .iter()
+        .map(|k| row.get(k).map(|v| format!("{k}={}", show(v))))
+        .collect();
+    parts.map(|p| p.join(","))
 }
 
-/// Gates the pass cache's effectiveness from a published
-/// `BENCH_toolchain_speed.json` body (the canonical fig3 grid):
-/// the `cure` pass must have executed exactly once per distinct
-/// (app, cure spec) input — not once per grid cell — and the warm
-/// re-run of the grid must be at least `factor`× faster than the cold
-/// one.
-///
-/// # Errors
-///
-/// Returns a description when the body lacks the `cache` section or any
-/// of its fields, when cure ran a different number of times than its
-/// distinct inputs demand, or when the warm window isn't `factor`×
-/// faster than the cold wall.
-pub fn cache_check(body: &str, factor: f64) -> Result<CacheOutcome, String> {
-    let wall_ms = extract_num(body, "wall_ms").ok_or("toolchain_speed JSON has no wall_ms")?;
-    let cache = extract_obj(body, "cache")
-        .ok_or("toolchain_speed JSON has no cache section — regenerate it from the fig3 grid")?;
-    let warm_wall_ms =
-        extract_num(cache, "warm_wall_ms").ok_or("cache section has no warm_wall_ms")?;
-    let cure_runs = extract_num(cache, "cure_runs").ok_or("cache section has no cure_runs")?;
-    let cure_unique =
-        extract_num(cache, "cure_unique").ok_or("cache section has no cure_unique")?;
-    let outcome = CacheOutcome {
-        wall_ms,
-        warm_wall_ms,
-        cure_runs,
-        cure_unique,
-    };
-    if cure_runs != cure_unique {
+fn show(v: &Value) -> String {
+    match v {
+        Value::Null => "null".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Num(n) => n.to_string(),
+        Value::Str(s) => format!("{s:?}"),
+        Value::Arr(items) => format!("an array of {}", items.len()),
+        Value::Obj(_) => "an object".into(),
+    }
+}
+
+fn at<'a>(v: &'a Value, path: &str) -> Result<&'a Value, String> {
+    v.path(path).ok_or_else(|| format!("no `{path}`"))
+}
+
+fn num(v: &Value, path: &str) -> Result<f64, String> {
+    let n = at(v, path)?.as_f64();
+    n.ok_or_else(|| format!("`{path}` is not a number"))
+}
+
+fn rows<'a>(v: &'a Value, path: &str) -> Result<&'a [Value], String> {
+    let rows = at(v, path)?.as_arr();
+    rows.ok_or_else(|| format!("`{path}` is not an array"))
+}
+
+/// Whether the rows under `path` are named exactly `want` (member `key`),
+/// in order. The fault and difftest harnesses gate some properties on
+/// their default grid only, and this is how a report says which grid
+/// produced it.
+fn lists<S: AsRef<str>>(v: &Value, path: &str, key: &str, want: &[S]) -> Result<bool, String> {
+    let rows = rows(v, path)?;
+    Ok(rows.len() == want.len()
+        && rows
+            .iter()
+            .zip(want)
+            .all(|(r, w)| r.get(key).and_then(Value::as_str) == Some(w.as_ref())))
+}
+
+/// The fig3 grid's report carries a warm re-run: the pass cache must run
+/// cure once per distinct input, and the warm window must be fast.
+fn warm_cache(v: &Value) -> Check {
+    if v.get("harness").and_then(Value::as_str) != Some("fig3a_code_size") {
+        return Ok(());
+    }
+    let (runs, unique) = (num(v, "cache.cure_runs")?, num(v, "cache.cure_unique")?);
+    if runs != unique {
         return Err(format!(
-            "cache gate: cure ran {cure_runs} times for {cure_unique} distinct inputs — \
-             the pass cache is not deduplicating shared prefixes"
+            "cure ran {runs} times for {unique} distinct inputs — the pass cache is not \
+             deduplicating shared prefixes"
         ));
     }
-    if warm_wall_ms * factor > wall_ms {
+    let (warm, cold) = (num(v, "cache.warm_wall_ms")?, num(v, "wall_ms")?);
+    if warm * WARM_FACTOR > cold {
         return Err(format!(
-            "cache gate: warm grid wall {warm_wall_ms:.1}ms is not {factor:.1}x below the \
-             cold wall {wall_ms:.1}ms"
+            "warm grid wall {warm:.1}ms is not {WARM_FACTOR:.1}x below the cold wall {cold:.1}ms"
         ));
     }
-    Ok(outcome)
+    Ok(())
 }
 
-/// Gates a published `BENCH_races.json` body against the committed
-/// baseline: the `"analysis"` objects must be byte-identical (it holds
-/// only time-independent facts — diagnostic censuses, hardening counts,
-/// code-size deltas), and the published `"dynamics"` object must show
-/// zero divergences for the hardened builds. Returns the matched
-/// `"analysis"` byte length.
-///
-/// # Errors
-///
-/// Returns a description when either body lacks the `"analysis"` object,
-/// the objects differ, the fresh body lacks `hardened_divergences`, or
-/// that count is non-zero.
-pub fn race_check(committed: &str, fresh: &str) -> Result<usize, String> {
-    let want = extract_obj(committed, "analysis")
-        .ok_or("committed BENCH_races.json has no analysis object")?;
-    let got =
-        extract_obj(fresh, "analysis").ok_or("fresh BENCH_races.json has no analysis object")?;
-    if want != got {
-        let at = want
-            .bytes()
-            .zip(got.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| want.len().min(got.len()));
-        let ctx = |s: &str| {
-            let lo = at.saturating_sub(40);
-            s.get(lo..(at + 40).min(s.len())).unwrap_or("").to_string()
+/// Cured presets detect every fault the reference detects — owed by the
+/// default preset grid only, since sweeps may include stacks that lose
+/// coverage by design.
+fn cured_parity(v: &Value) -> Check {
+    if !lists(v, "presets", "preset", &PRESET_NAMES)? {
+        return Ok(());
+    }
+    Zero("total_cured_strength_reductions").check(v)
+}
+
+/// On the default grid (sweeps may include stacks with no coverage): the
+/// uncured `gcc` build and the classical-policy collapse exhibit detect
+/// nothing, and every hardened cured stack detects something — strictly
+/// more than `gcc`.
+fn fault_detection(v: &Value) -> Check {
+    let names: Vec<String> = default_pipelines()
+        .iter()
+        .map(|p| p.name().to_string())
+        .collect();
+    if !lists(v, "pipelines", "pipeline", &names)? {
+        return Ok(());
+    }
+    for (row, name) in rows(v, "pipelines")?.iter().zip(&names) {
+        let rule = match name.as_str() {
+            "gcc" | NOHARDEN_STACK => Zero("detected"),
+            _ => AtLeast("detected", 1.0),
         };
-        return Err(format!(
-            "race gate: analysis object drifted from the committed baseline \
-             (first difference at byte {at}):\n  committed: …{}…\n  fresh:     …{}…\n\
-             regenerate BENCH_races.json if the change is intended",
-            ctx(want),
-            ctx(got)
-        ));
+        rule.check(row).map_err(|e| format!("{name}: {e}"))?;
     }
-    let hardened = extract_num(fresh, "hardened_divergences")
-        .ok_or("fresh BENCH_races.json has no hardened_divergences field")?
-        as usize;
-    if hardened > 0 {
-        return Err(format!(
-            "race gate: {hardened} torn-update divergence(s) on races(fix) builds — \
-             the hardening is no longer airtight"
-        ));
-    }
-    Ok(got.len())
+    Ok(())
 }
 
-/// Gates a published `BENCH_stack.json` body against the committed
-/// baseline: the `"analysis"` objects must be byte-identical (certified
-/// bounds, task/ISR splits, budgets, and S00x censuses are pure
-/// functions of toolchain + sources — and of nothing else, so the bytes
-/// also pin worker-count and engine invariance), and the fresh
-/// `"dynamics"` object must report zero `watermark_violations` (every
-/// observed watermark dominated by a finite certified bound). When both
-/// bodies simulated the same horizon (`seconds` match), their
-/// `"watermarks"` tables must also be byte-identical — the
-/// engine-invariance check CI's interp-vs-bt rerun leans on. Returns
-/// the matched `"analysis"` byte length.
-///
-/// # Errors
-///
-/// Returns a description when either body lacks a required object or
-/// field, the analysis bytes drifted, soundness was violated, or
-/// same-horizon watermarks diverged.
-pub fn stack_check(committed: &str, fresh: &str) -> Result<usize, String> {
-    let want = extract_obj(committed, "analysis")
-        .ok_or("committed BENCH_stack.json has no analysis object")?;
-    let got =
-        extract_obj(fresh, "analysis").ok_or("fresh BENCH_stack.json has no analysis object")?;
-    if want != got {
-        return Err(format!(
-            "stack gate: analysis object drifted from the committed baseline ({})\n\
-             regenerate BENCH_stack.json if the change is intended",
-            first_diff(want, got)
-        ));
-    }
-    let violations = extract_num(fresh, "watermark_violations")
-        .ok_or("fresh BENCH_stack.json has no watermark_violations field")?
-        as usize;
-    if violations > 0 {
-        return Err(format!(
-            "stack gate: {violations} cell(s) observed a stack watermark their certified \
-             bound does not dominate — the analysis is unsound"
-        ));
-    }
-    let same_horizon = match (
-        extract_num(committed, "seconds"),
-        extract_num(fresh, "seconds"),
-    ) {
-        (Some(a), Some(b)) => a == b,
-        _ => false,
-    };
-    if same_horizon {
-        let want_w = extract_obj(committed, "watermarks")
-            .ok_or("committed BENCH_stack.json has no watermarks object")?;
-        let got_w = extract_obj(fresh, "watermarks")
-            .ok_or("fresh BENCH_stack.json has no watermarks object")?;
-        if want_w != got_w {
-            return Err(format!(
-                "stack gate: same-horizon runs observed different watermarks ({})\n\
-                 the execution engines (or worker counts) no longer agree on stack depth",
-                first_diff(want_w, got_w)
-            ));
+/// Fleets of at least 4 motes power-cycle one mote mid-run.
+fn churned_mote_reboots(v: &Value) -> Check {
+    for row in rows(v, "pinned.rows")? {
+        if num(row, "motes")? >= 4.0 {
+            AtLeast("reboots", 1.0).check(row)?;
         }
     }
-    Ok(got.len())
+    Ok(())
 }
 
-/// Extracts the balanced `[...]` array stored under `"key":` in a JSON
-/// body. Same caveats as [`extract_obj`]: the `BENCH_*.json` writers
-/// never emit brackets inside string literals.
-pub fn extract_arr<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":[");
-    let start = body.find(&needle)? + needle.len() - 1;
-    let mut depth = 0usize;
-    for (i, b) in body[start..].bytes().enumerate() {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&body[start..=start + i]);
-                }
-            }
-            _ => {}
-        }
+fn campaign_verdicts_complete(v: &Value) -> Check {
+    let sites = num(v, "pinned.campaign.sites")?;
+    let mut verdicts = 0.0;
+    for key in ["detected", "crashed", "poisoned", "contained", "benign"] {
+        verdicts += num(v, &format!("pinned.campaign.{key}"))?;
     }
-    None
-}
-
-/// Splits a JSON array of objects into its top-level object slices.
-pub fn split_objs(arr: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, b) in arr.bytes().enumerate() {
-        match b {
-            b'{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&arr[start..=i]);
-                }
-            }
-            _ => {}
-        }
+    if sites > 0.0 && verdicts == sites {
+        return Ok(());
     }
-    out
-}
-
-/// Renders the first byte difference between two strings with context,
-/// for gate failure messages.
-fn first_diff(want: &str, got: &str) -> String {
-    let at = want
-        .bytes()
-        .zip(got.bytes())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| want.len().min(got.len()));
-    let ctx = |s: &str| {
-        let lo = at.saturating_sub(40);
-        s.get(lo..(at + 40).min(s.len())).unwrap_or("").to_string()
-    };
-    format!(
-        "first difference at byte {at}:\n  committed: …{}…\n  fresh:     …{}…",
-        ctx(want),
-        ctx(got)
-    )
-}
-
-/// Gates a published `BENCH_fleet.json` body against the committed
-/// baseline. The fresh run may sweep a smaller mote population (CI sets
-/// `STOS_MOTES`/`STOS_FLEET_SEEDS`), so each fresh `"pinned"` row is
-/// byte-compared against the committed row with the same
-/// `(motes, seed)` key; the campaign histogram and the horizon are
-/// compared whole, and the fresh run must report lockstep equivalence.
-/// Returns the number of rows matched.
-///
-/// # Errors
-///
-/// Returns a description when either body lacks the `"pinned"` object,
-/// the horizons differ, equivalence failed, the campaign drifted, a
-/// fresh row has no committed counterpart, or a matched row's bytes
-/// drifted.
-pub fn fleet_check(committed: &str, fresh: &str) -> Result<usize, String> {
-    let want = extract_obj(committed, "pinned")
-        .ok_or("committed BENCH_fleet.json has no pinned object")?;
-    let got = extract_obj(fresh, "pinned").ok_or("fresh BENCH_fleet.json has no pinned object")?;
-    let key = |row: &str| {
-        (
-            extract_num(row, "motes").map(|v| v as u64),
-            extract_num(row, "seed").map(|v| v as u64),
-        )
-    };
-
-    let want_secs =
-        extract_num(want, "fleet_seconds").ok_or("committed pinned object has no fleet_seconds")?;
-    let got_secs =
-        extract_num(got, "fleet_seconds").ok_or("fresh pinned object has no fleet_seconds")?;
-    if want_secs != got_secs {
-        return Err(format!(
-            "fleet gate: horizon mismatch — committed ran {want_secs}s, fresh ran {got_secs}s \
-             (STOS_FLEET_SECONDS must match the committed baseline)"
-        ));
-    }
-    if !got.contains("\"equivalence_ok\":true") {
-        return Err(
-            "fleet gate: the event-driven engine diverged from the lockstep reference \
-             (equivalence_ok is not true)"
-                .into(),
-        );
-    }
-    let want_campaign =
-        extract_obj(want, "campaign").ok_or("committed pinned object has no campaign")?;
-    let got_campaign = extract_obj(got, "campaign").ok_or("fresh pinned object has no campaign")?;
-    if want_campaign != got_campaign {
-        return Err(format!(
-            "fleet gate: campaign verdicts drifted from the committed baseline ({})\n\
-             regenerate BENCH_fleet.json if the change is intended",
-            first_diff(want_campaign, got_campaign)
-        ));
-    }
-
-    let want_rows = split_objs(extract_arr(want, "rows").ok_or("committed pinned has no rows")?);
-    let got_rows = split_objs(extract_arr(got, "rows").ok_or("fresh pinned has no rows")?);
-    if got_rows.is_empty() {
-        return Err("fleet gate: fresh run produced no sweep rows".into());
-    }
-    for row in &got_rows {
-        let k = key(row);
-        let Some(base) = want_rows.iter().find(|w| key(w) == k) else {
-            return Err(format!(
-                "fleet gate: fresh row {k:?} has no committed counterpart — \
-                 regenerate BENCH_fleet.json with the new sweep"
-            ));
-        };
-        if base != row {
-            return Err(format!(
-                "fleet gate: row {k:?} drifted from the committed baseline ({})\n\
-                 regenerate BENCH_fleet.json if the change is intended",
-                first_diff(base, row)
-            ));
-        }
-    }
-    Ok(got_rows.len())
+    Err(format!("{verdicts} verdicts for {sites} corruption sites"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const BASE: &str =
-        r#"{"figure":"toolchain_speed","wall_ms":100.0,"stage_ms":{"frontend":5.0}}"#;
+    fn fails(committed: &str, fresh: &str) -> String {
+        match gate(committed, fresh) {
+            Err(GateError::Violations(v)) => v.join("\n"),
+            other => panic!("expected violations, got {other:?}"),
+        }
+    }
+
+    fn input_error(committed: &str, fresh: &str) -> String {
+        match gate(committed, fresh) {
+            Err(GateError::Input(msg)) => msg,
+            other => panic!("expected an input error, got {other:?}"),
+        }
+    }
+
+    const BASE: &str = r#"{"figure":"toolchain_speed","harness":"fig2_checks","wall_ms":100.0,"stage_ms":{"frontend":5.0}}"#;
 
     #[test]
     fn extracts_top_level_numbers() {
-        assert_eq!(extract_num(BASE, "wall_ms"), Some(100.0));
-        assert_eq!(extract_num(BASE, "frontend"), Some(5.0));
-        assert_eq!(extract_num(BASE, "missing"), None);
+        let v = json::parse(BASE).unwrap();
+        assert_eq!(v.path("wall_ms").and_then(Value::as_f64), Some(100.0));
+        assert_eq!(
+            v.path("stage_ms.frontend").and_then(Value::as_f64),
+            Some(5.0)
+        );
+        assert_eq!(v.path("missing"), None);
+        assert_eq!(v.path("wall_ms.deeper"), None);
     }
 
     #[test]
     fn within_factor_passes() {
-        let fresh = r#"{"wall_ms":180.0}"#;
-        let out = check(BASE, fresh, 2.0).unwrap();
-        assert_eq!(out.baseline_ms, 100.0);
-        assert_eq!(out.fresh_ms, 180.0);
-        assert!((out.ratio - 1.8).abs() < 1e-9);
+        let fresh = BASE.replace("100.0", "180.0");
+        assert_eq!(gate(BASE, &fresh).map(|c| c.figure), Ok("toolchain_speed"));
     }
 
     #[test]
     fn beyond_factor_fails() {
-        let fresh = r#"{"wall_ms":250.0}"#;
-        let err = check(BASE, fresh, 2.0).unwrap_err();
+        let fresh = BASE.replace("100.0", "250.0");
+        let err = fails(BASE, &fresh);
         assert!(err.contains("2.50x"), "{err}");
     }
 
     #[test]
     fn missing_fields_fail() {
-        assert!(check("{}", r#"{"wall_ms":1.0}"#, 2.0).is_err());
-        assert!(check(BASE, "{}", 2.0).is_err());
+        let gutted = BASE.replace(r#""wall_ms":100.0,"#, "");
+        assert!(fails(&gutted, BASE).contains("no `wall_ms`"));
+        assert!(fails(BASE, &gutted).contains("no `wall_ms`"));
     }
 
     #[test]
     fn zero_baseline_never_regresses() {
-        let base = r#"{"wall_ms":0.0}"#;
-        let fresh = r#"{"wall_ms":50.0}"#;
-        assert!(check(base, fresh, 2.0).is_ok());
+        let base = BASE.replace("100.0", "0.0");
+        let fresh = BASE.replace("100.0", "50.0");
+        assert!(gate(&base, &fresh).is_ok());
     }
 
-    #[test]
-    fn env_factor_defaults_sanely() {
-        // The env var is unset in the test environment.
-        assert_eq!(factor_from_env(), DEFAULT_FACTOR);
+    fn difftest(presets: &[&str], miscompiles: u32, csr: u32) -> String {
+        let rows: Vec<String> = presets
+            .iter()
+            .map(|p| format!(r#"{{"preset":"{p}"}}"#))
+            .collect();
+        format!(
+            r#"{{"figure":"difftest","total_miscompiles":{miscompiles},"total_cured_strength_reductions":{csr},"presets":[{}]}}"#,
+            rows.join(",")
+        )
     }
 
     #[test]
     fn difftest_gate_passes_clean_reports() {
-        let body =
-            r#"{"figure":"difftest","total_miscompiles":0,"total_cured_strength_reductions":0}"#;
-        assert_eq!(difftest_check(body), Ok((0, 0)));
+        let clean = difftest(&PRESET_NAMES, 0, 0);
+        assert!(gate(&clean, &clean).is_ok());
     }
 
     #[test]
     fn difftest_gate_fails_on_miscompiles_and_cured_csr() {
-        let bad = r#"{"total_miscompiles":2,"total_cured_strength_reductions":0}"#;
-        assert!(difftest_check(bad).unwrap_err().contains("2 miscompile"));
-        let lost = r#"{"total_miscompiles":0,"total_cured_strength_reductions":3}"#;
-        assert!(difftest_check(lost).unwrap_err().contains("3 detection"));
-        assert!(difftest_check("{}").is_err());
+        let clean = difftest(&PRESET_NAMES, 0, 0);
+        let bad = fails(&clean, &difftest(&PRESET_NAMES, 2, 0));
+        assert!(bad.contains("`total_miscompiles` is 2"), "{bad}");
+        let lost = fails(&clean, &difftest(&PRESET_NAMES, 0, 3));
+        assert!(lost.contains("cured-detection-parity"), "{lost}");
+        // Parity is owed by the default grid only; miscompiles never pass.
+        let sweep = difftest(&PRESET_NAMES[1..], 0, 3);
+        assert!(gate(&clean, &sweep).is_ok());
+        assert!(fails(&clean, &difftest(&PRESET_NAMES[1..], 1, 0)).contains("zero-miscompiles"));
+        assert!(fails(&clean, r#"{"figure":"difftest"}"#).contains("no `total_miscompiles`"));
     }
 
-    const SPEED: &str = r#"{"figure":"toolchain_speed","wall_ms":150.0,"stage_ms":{"frontend":5.0},"cache":{"warm_wall_ms":20.0,"warm_compile_ms":4.0,"cure_runs":48,"cure_unique":48,"passes":{"cure":{"hits":24,"misses":48,"bytes":100}}}}"#;
+    const SPEED: &str = r#"{"figure":"toolchain_speed","harness":"fig3a_code_size","wall_ms":150.0,"stage_ms":{"frontend":5.0},"cache":{"warm_wall_ms":20.0,"warm_compile_ms":4.0,"cure_runs":48,"cure_unique":48,"passes":{"cure":{"hits":24,"misses":48,"bytes":100}}}}"#;
 
     #[test]
     fn cache_gate_passes_effective_cache() {
-        let out = cache_check(SPEED, 3.0).unwrap();
-        assert_eq!(out.wall_ms, 150.0);
-        assert_eq!(out.warm_wall_ms, 20.0);
-        assert_eq!(out.cure_runs, 48.0);
+        assert!(gate(SPEED, SPEED).is_ok());
     }
 
     #[test]
     fn cache_gate_fails_on_duplicate_cure_runs() {
         let dup = SPEED.replace(r#""cure_runs":48"#, r#""cure_runs":72"#);
-        let err = cache_check(&dup, 3.0).unwrap_err();
+        let err = fails(SPEED, &dup);
         assert!(err.contains("not deduplicating"), "{err}");
     }
 
     #[test]
     fn cache_gate_fails_on_slow_warm_window() {
         let slow = SPEED.replace(r#""warm_wall_ms":20.0"#, r#""warm_wall_ms":80.0"#);
-        let err = cache_check(&slow, 3.0).unwrap_err();
+        let err = fails(SPEED, &slow);
         assert!(err.contains("warm grid wall"), "{err}");
     }
 
     #[test]
     fn cache_gate_requires_the_cache_section() {
-        assert!(cache_check(BASE, 3.0).is_err());
+        let no_cache = BASE.replace("fig2_checks", "fig3a_code_size");
+        assert!(fails(SPEED, &no_cache).contains("no `cache.cure_runs`"));
         let gutted = SPEED.replace(r#""warm_wall_ms":20.0,"#, "");
-        assert!(cache_check(&gutted, 3.0).is_err());
+        assert!(fails(SPEED, &gutted).contains("no `cache.warm_wall_ms`"));
     }
 
-    const RACES: &str = r#"{"figure":"race_analysis","analysis":{"apps":[{"app":"A","r001":2}],"totals":{"r001":2}},"dynamics":{"hardened_divergences":0,"unhardened_divergences":5}}"#;
+    const RACES: &str = r#"{"figure":"race_analysis","analysis":{"apps":[{"app":"A","r001":2,"diagnostics":2,"fix_residual":0}],"totals":{"r001":2}},"dynamics":{"hardened_divergences":0,"unhardened_divergences":5,"oracle_miscompiles":0,"apps":[{"app":"A","hardened_divergences":0}]}}"#;
 
     #[test]
-    fn extract_obj_returns_balanced_objects() {
-        assert_eq!(
-            extract_obj(RACES, "analysis"),
-            Some(r#"{"apps":[{"app":"A","r001":2}],"totals":{"r001":2}}"#)
-        );
-        assert_eq!(extract_obj(RACES, "totals"), Some(r#"{"r001":2}"#));
-        assert_eq!(extract_obj(RACES, "missing"), None);
-        assert_eq!(extract_obj(r#"{"analysis":{"#, "analysis"), None);
+    fn path_lookup_returns_nested_objects() {
+        let v = json::parse(RACES).unwrap();
+        let totals = v.path("analysis.totals").unwrap();
+        assert_eq!(totals, &Value::Obj(vec![("r001".into(), Value::Num(2.0))]));
+        assert_eq!(v.path("analysis.missing"), None);
+        assert!(json::parse(r#"{"analysis":{"#).is_err());
     }
 
     #[test]
     fn race_gate_passes_identical_analysis() {
-        let n = race_check(RACES, RACES).unwrap();
-        assert_eq!(n, extract_obj(RACES, "analysis").unwrap().len());
+        assert!(gate(RACES, RACES).is_ok());
     }
 
     #[test]
     fn race_gate_fails_on_analysis_drift() {
         let fresh = RACES.replace(r#""r001":2"#, r#""r001":3"#);
-        let err = race_check(RACES, &fresh).unwrap_err();
-        assert!(err.contains("drifted"), "{err}");
+        let err = fails(RACES, &fresh);
+        assert!(
+            err.contains("`analysis.apps[0].r001` is 2 committed, 3 fresh"),
+            "{err}"
+        );
     }
 
     #[test]
     fn race_gate_fails_on_hardened_divergences() {
         let fresh = RACES.replace(r#""hardened_divergences":0"#, r#""hardened_divergences":1"#);
-        let err = race_check(RACES, &fresh).unwrap_err();
-        assert!(err.contains("airtight"), "{err}");
+        let err = fails(RACES, &fresh);
+        assert!(err.contains("hardened-torn-immune"), "{err}");
     }
 
     #[test]
     fn race_gate_requires_both_objects() {
-        assert!(race_check("{}", RACES).is_err());
-        assert!(race_check(RACES, "{}").is_err());
+        let bare = r#"{"figure":"race_analysis"}"#;
+        assert!(fails(bare, RACES).contains("committed report has no pinned `analysis`"));
+        assert!(fails(RACES, bare).contains("fresh report has no pinned `analysis`"));
     }
 
-    const STACK: &str = r#"{"figure":"stack_analysis","analysis":{"apps":[{"app":"A","presets":[{"preset":"unsafe","bound":56,"s001":0}]}],"totals":{"s001":0,"bounded_cells":1}},"dynamics":{"seconds":10,"watermark_violations":0,"watermarks":{"A":[44]},"apps":[{"app":"A","bound":56,"watermark":44}]}}"#;
+    const STACK: &str = r#"{"figure":"stack_analysis","analysis":{"apps":[{"app":"A","presets":[{"preset":"unsafe","bound":56,"budget":4000,"vectors":1,"s001":0,"s002":0,"s003":0}]}],"totals":{"s001":0,"bounded_cells":1}},"dynamics":{"seconds":10,"watermark_violations":0,"watermarks":{"A":[44]},"apps":[{"app":"A","bound":56,"watermark":44,"max_watermark":44}]}}"#;
 
     #[test]
     fn stack_gate_passes_identical_bodies() {
-        let n = stack_check(STACK, STACK).unwrap();
-        assert_eq!(n, extract_obj(STACK, "analysis").unwrap().len());
+        assert!(gate(STACK, STACK).is_ok());
     }
 
     #[test]
     fn stack_gate_fails_on_analysis_drift() {
-        let fresh = STACK.replace(r#""bound":56,"s001":0"#, r#""bound":64,"s001":0"#);
-        let err = stack_check(STACK, &fresh).unwrap_err();
-        assert!(err.contains("drifted"), "{err}");
+        let fresh = STACK.replace(r#""bound":56,"budget""#, r#""bound":64,"budget""#);
+        let err = fails(STACK, &fresh);
+        assert!(err.contains("`analysis.apps[0].presets[0].bound`"), "{err}");
     }
 
     #[test]
     fn stack_gate_fails_on_watermark_violations() {
         let fresh = STACK.replace(r#""watermark_violations":0"#, r#""watermark_violations":2"#);
-        let err = stack_check(STACK, &fresh).unwrap_err();
-        assert!(err.contains("unsound"), "{err}");
+        let err = fails(STACK, &fresh);
+        assert!(err.contains("zero-watermark-violations"), "{err}");
     }
 
     #[test]
     fn stack_gate_compares_watermarks_only_on_matching_horizons() {
         // Same horizon, different watermarks: the engines disagreed.
         let diverged = STACK.replace(r#""watermarks":{"A":[44]}"#, r#""watermarks":{"A":[45]}"#);
-        let err = stack_check(STACK, &diverged).unwrap_err();
-        assert!(err.contains("no longer agree"), "{err}");
+        let err = fails(STACK, &diverged);
+        assert!(err.contains("`dynamics.watermarks.A[0]`"), "{err}");
         // Different horizon: watermarks legitimately differ — only the
-        // pinned analysis and the soundness field are checked.
+        // pinned analysis and the invariants are checked.
         let short = diverged.replace(r#""seconds":10"#, r#""seconds":2"#);
-        assert!(stack_check(STACK, &short).is_ok());
+        assert!(gate(STACK, &short).is_ok());
     }
 
     #[test]
     fn stack_gate_requires_both_objects() {
-        assert!(stack_check("{}", STACK).is_err());
-        assert!(stack_check(STACK, "{}").is_err());
+        let bare = r#"{"figure":"stack_analysis"}"#;
+        assert!(fails(bare, STACK).contains("committed report has no pinned `analysis`"));
+        assert!(fails(STACK, bare).contains("fresh report has no pinned `analysis`"));
         let gutted = STACK.replace(r#""watermark_violations":0,"#, "");
-        assert!(stack_check(STACK, &gutted).is_err());
+        assert!(fails(STACK, &gutted).contains("no `dynamics.watermark_violations`"));
+        let unbounded = STACK.replace(r#""bound":56,"budget""#, r#""bound":-1,"budget""#);
+        assert!(fails(&unbounded, &unbounded).contains("every-cell-bounded"));
     }
 
-    const FLEET: &str = r#"{"figure":"fleet","pinned":{"fleet_seconds":4,"quality":{"loss_ppm":30000},"rows":[{"motes":10,"seed":1,"heard":5},{"motes":10,"seed":2,"heard":6},{"motes":100,"seed":1,"heard":50}],"campaign":{"motes":9,"victim":4,"sites":6,"detected":3,"benign":1},"equivalence_ok":true},"dynamics":{"threads":4}}"#;
+    const FLEET: &str = r#"{"figure":"fleet","pinned":{"fleet_seconds":4,"quality":{"loss_ppm":30000},"rows":[{"motes":10,"seed":1,"heard":5,"offered":9,"dropped":2,"reboots":1},{"motes":10,"seed":2,"heard":6,"offered":9,"dropped":3,"reboots":1},{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}],"campaign":{"motes":9,"victim":4,"sites":6,"detected":3,"crashed":1,"poisoned":1,"contained":0,"benign":1},"equivalence_ok":true},"dynamics":{"threads":4}}"#;
 
     fn fleet_subset() -> String {
         FLEET
-            .replace(r#"{"motes":10,"seed":2,"heard":6},"#, "")
-            .replace(r#",{"motes":100,"seed":1,"heard":50}"#, "")
+            .replace(
+                r#"{"motes":10,"seed":2,"heard":6,"offered":9,"dropped":3,"reboots":1},"#,
+                "",
+            )
+            .replace(
+                r#",{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}"#,
+                "",
+            )
     }
 
     #[test]
-    fn extract_arr_and_split_objs_round_trip() {
-        let rows = extract_arr(FLEET, "rows").unwrap();
-        let objs = split_objs(rows);
-        assert_eq!(objs.len(), 3);
-        assert_eq!(objs[0], r#"{"motes":10,"seed":1,"heard":5}"#);
-        assert_eq!(extract_arr(FLEET, "missing"), None);
-        assert!(split_objs("[]").is_empty());
+    fn path_lookup_returns_row_arrays() {
+        let v = json::parse(FLEET).unwrap();
+        let rows = v.path("pinned.rows").and_then(Value::as_arr).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].path("motes").and_then(Value::as_f64), Some(10.0));
+        assert_eq!(v.path("pinned.missing"), None);
+        assert_eq!(json::parse("[]").unwrap().as_arr(), Some(&[][..]));
     }
 
     #[test]
     fn fleet_gate_passes_identical_and_subset_runs() {
-        assert_eq!(fleet_check(FLEET, FLEET), Ok(3));
+        assert!(gate(FLEET, FLEET).is_ok());
         // CI runs a smaller sweep: only the surviving row is compared.
-        assert_eq!(fleet_check(FLEET, &fleet_subset()), Ok(1));
+        assert!(gate(FLEET, &fleet_subset()).is_ok());
     }
 
     #[test]
     fn fleet_gate_fails_on_row_drift_and_unknown_rows() {
         let drift = FLEET.replace(r#""seed":1,"heard":5"#, r#""seed":1,"heard":4"#);
-        assert!(fleet_check(FLEET, &drift).unwrap_err().contains("drifted"));
+        let err = fails(FLEET, &drift);
+        assert!(
+            err.contains("`pinned.rows[motes=10,seed=1].heard`"),
+            "{err}"
+        );
         let unknown = FLEET.replace(r#""motes":100,"seed":1"#, r#""motes":200,"seed":1"#);
-        assert!(fleet_check(FLEET, &unknown)
-            .unwrap_err()
-            .contains("no committed counterpart"));
+        assert!(fails(FLEET, &unknown).contains("no committed counterpart"));
+        let empty = fleet_subset().replace(
+            r#"{"motes":10,"seed":1,"heard":5,"offered":9,"dropped":2,"reboots":1}"#,
+            "",
+        );
+        assert!(fails(FLEET, &empty).contains("sweep-rows-present"));
     }
 
     #[test]
     fn fleet_gate_fails_on_campaign_drift() {
-        let drift = FLEET.replace(r#""detected":3"#, r#""detected":2"#);
-        let err = fleet_check(FLEET, &drift).unwrap_err();
-        assert!(err.contains("campaign"), "{err}");
+        let drift = FLEET
+            .replace(r#""detected":3"#, r#""detected":2"#)
+            .replace(r#""benign":1"#, r#""benign":2"#);
+        let err = fails(FLEET, &drift);
+        assert!(err.contains("`pinned.campaign.detected`"), "{err}");
+        assert!(!err.contains("campaign-verdicts-complete"), "{err}");
     }
 
     #[test]
     fn fleet_gate_fails_on_broken_equivalence_or_horizon() {
         let diverged = FLEET.replace(r#""equivalence_ok":true"#, r#""equivalence_ok":false"#);
-        assert!(fleet_check(FLEET, &diverged)
-            .unwrap_err()
-            .contains("lockstep"));
+        assert!(fails(FLEET, &diverged).contains("lockstep"));
         let horizon = FLEET.replace(r#""fleet_seconds":4"#, r#""fleet_seconds":2"#);
-        assert!(fleet_check(FLEET, &horizon)
-            .unwrap_err()
-            .contains("horizon"));
-        assert!(fleet_check("{}", FLEET).is_err());
-        assert!(fleet_check(FLEET, "{}").is_err());
+        assert!(fails(FLEET, &horizon).contains("`pinned.fleet_seconds` is 4 committed, 2 fresh"));
+        let bare = r#"{"figure":"fleet"}"#;
+        assert!(fails(bare, FLEET).contains("committed report has no pinned `pinned`"));
+        assert!(fails(FLEET, bare).contains("fresh report has no pinned `pinned`"));
+    }
+
+    #[test]
+    fn fleet_gate_pins_link_quality() {
+        let lossier = FLEET.replace(r#""loss_ppm":30000"#, r#""loss_ppm":20000"#);
+        let err = fails(FLEET, &lossier);
+        assert!(
+            err.contains("`pinned.quality.loss_ppm` is 30000 committed, 20000 fresh"),
+            "{err}"
+        );
+    }
+
+    const SIM: &str = r#"{"figure":"sim_speed","kernel_speedup":11.7959,"speedup_min":10.0000,"engines_identical":true}"#;
+
+    #[test]
+    fn sim_speed_gate_fails_below_the_floor_and_on_divergence() {
+        assert!(gate(SIM, SIM).is_ok());
+        let slow = SIM.replace("11.7959", "9.5000");
+        assert!(fails(SIM, &slow).contains("`kernel_speedup` is 9.5, expected at least 10"));
+        // The floor is the contract's: a report declaring a lower one
+        // does not lower it.
+        let lowered = slow.replace(r#""speedup_min":10.0000"#, r#""speedup_min":0.1000"#);
+        assert!(fails(SIM, &lowered).contains("kernel-speedup-floor"));
+        let diverged = SIM.replace("true", "false");
+        assert!(fails(SIM, &diverged).contains("engines-identical"));
+    }
+
+    fn fault_report(detected: &[u32]) -> String {
+        let rows: Vec<String> = default_pipelines()
+            .iter()
+            .zip(detected)
+            .map(|(p, d)| format!(r#"{{"pipeline":"{}","detected":{d}}}"#, p.name()))
+            .collect();
+        format!(
+            r#"{{"figure":"fault_injection","pipelines":[{}]}}"#,
+            rows.join(",")
+        )
+    }
+
+    #[test]
+    fn fault_gate_checks_detection_on_the_default_grid_only() {
+        let good = fault_report(&[0, 40, 40, 40, 40, 40, 0]);
+        assert!(gate(&good, &good).is_ok());
+        let gcc = fails(&good, &fault_report(&[1, 40, 40, 40, 40, 40, 0]));
+        assert!(gcc.contains("gcc: `detected` is 1, expected 0"), "{gcc}");
+        let blind = fails(&good, &fault_report(&[0, 40, 0, 40, 40, 40, 0]));
+        assert!(
+            blind.contains("`detected` is 0, expected at least 1"),
+            "{blind}"
+        );
+        let noharden = fails(&good, &fault_report(&[0, 40, 40, 40, 40, 40, 3]));
+        assert!(noharden.contains(NOHARDEN_STACK), "{noharden}");
+        // A swept subset (STOS_PIPELINE) may hold zero-coverage stacks.
+        assert!(gate(&good, &fault_report(&[0, 0, 0])).is_ok());
+    }
+
+    #[test]
+    fn malformed_or_truncated_input_is_an_input_error() {
+        assert!(input_error("{", FLEET).contains("committed report is not JSON"));
+        for cut in 0..FLEET.len() {
+            let msg = input_error(FLEET, &FLEET[..cut]);
+            assert!(msg.contains("fresh report is not JSON"), "{cut}: {msg}");
+        }
+        assert!(input_error(FLEET, r#"{"figure":"fig2_checks"}"#).contains("no contract"));
+        assert!(input_error(FLEET, RACES).contains("committed figure \"fleet\""));
+        assert!(input_error(FLEET, "[1]").contains("no \"figure\""));
+    }
+
+    #[test]
+    fn committed_reports_pass_their_own_contracts() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut gated = Vec::new();
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(file.starts_with("BENCH_") && file.ends_with(".json")) {
+                continue;
+            }
+            let body = std::fs::read_to_string(&path).unwrap();
+            match gate(&body, &body) {
+                Ok(_) => gated.push(file),
+                Err(GateError::Input(msg)) if msg.contains("no contract") => {}
+                Err(e) => panic!("{file}: {e:?}"),
+            }
+        }
+        // 13 toolchain-speed reports plus races, stack, fleet, sim_speed,
+        // difftest and fault_injection.
+        assert_eq!(gated.len(), 19, "{gated:?}");
     }
 }

@@ -22,26 +22,16 @@ pub mod diff;
 pub mod fault;
 pub mod fleet;
 pub mod gate;
+pub mod json;
 pub mod kernels;
 pub mod races;
 pub mod runner;
 pub mod stack;
 
-use safe_tinyos::{Build, BuildSession, Pipeline};
-use tosapps::AppSpec;
+use std::path::{Path, PathBuf};
 
 pub use knobs::Knobs;
 pub use runner::{ExperimentRunner, GridJob, SpeedReport, WarmCache};
-
-/// Builds one app under one pipeline with a throwaway session,
-/// panicking with context on failure. Grid-shaped experiments should use
-/// [`ExperimentRunner`] instead, which shares the frontend and pass
-/// caches across cells and parallelizes.
-pub fn must_build(spec: &AppSpec, pipeline: &Pipeline) -> Build {
-    BuildSession::new()
-        .build(spec, pipeline)
-        .unwrap_or_else(|e| panic!("{} / {}: {e}", spec.name, pipeline.name()))
-}
 
 /// Percent change of `new` relative to `base`.
 pub fn pct_change(base: u64, new: u64) -> f64 {
@@ -100,9 +90,6 @@ pub mod knobs {
         /// Simulated cycles each `sim_speed` compute kernel runs per
         /// engine. `STOS_KERNEL_CYCLES`, default 200M.
         pub kernel_cycles: u64,
-        /// Aggregate kernel speedup the `sim_speed` harness gates on.
-        /// `STOS_SPEEDUP_MIN`, default 10×.
-        pub speedup_min: f64,
         /// Fleet sizes the `fleet` harness sweeps. The committed
         /// `BENCH_fleet.json` carries the full `10,100,1000` sweep; CI
         /// overrides with a smaller population via `STOS_MOTES`
@@ -148,11 +135,6 @@ pub mod knobs {
                 diff_base: parse_u64("STOS_DIFF_BASE", 1),
                 torn_sites: parse_u64("STOS_TORN", 4) as usize,
                 kernel_cycles: parse_u64("STOS_KERNEL_CYCLES", 200_000_000),
-                speedup_min: std::env::var("STOS_SPEEDUP_MIN")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|f: &f64| f.is_finite() && *f > 0.0)
-                    .unwrap_or(10.0),
                 fleet_motes,
                 fleet_seeds: parse_u64("STOS_FLEET_SEEDS", 2),
                 fleet_seconds: parse_u64("STOS_FLEET_SECONDS", 4),
@@ -162,88 +144,37 @@ pub mod knobs {
 }
 
 /// Writes `body` to `BENCH_<name>.json` in `STOS_BENCH_DIR` (default:
-/// the current directory) so each figure leaves a machine-readable
-/// trace alongside its printed table. Returns the path written.
+/// the current directory, created if missing) so each figure leaves a
+/// machine-readable trace alongside its printed table. Returns the path
+/// written.
 ///
 /// # Errors
 ///
-/// Propagates the I/O error if the file cannot be written.
-pub fn emit_json(name: &str, body: &str) -> std::io::Result<std::path::PathBuf> {
+/// Propagates the I/O error if the directory cannot be created or the
+/// file cannot be written.
+pub fn emit_json(name: &str, body: &str) -> std::io::Result<PathBuf> {
     let dir = std::env::var("STOS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
+    write_report(Path::new(&dir), name, body)
+}
+
+fn write_report(dir: &Path, name: &str, body: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, body)?;
     println!("[wrote {}]", path.display());
     Ok(path)
 }
 
-/// Minimal JSON construction helpers (the build environment is offline,
-/// so no serde; the figures' payloads are shallow and small).
-pub mod json {
-    /// Escapes a string for use inside a JSON string literal.
-    pub fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// A JSON object builder preserving insertion order.
-    #[derive(Debug, Default)]
-    pub struct Obj {
-        parts: Vec<String>,
-    }
-
-    impl Obj {
-        /// An empty object.
-        pub fn new() -> Obj {
-            Obj::default()
-        }
-
-        /// Adds a string field.
-        pub fn str(mut self, key: &str, value: &str) -> Obj {
-            self.parts
-                .push(format!("\"{}\":\"{}\"", esc(key), esc(value)));
-            self
-        }
-
-        /// Adds an integer field.
-        pub fn int(mut self, key: &str, value: i64) -> Obj {
-            self.parts.push(format!("\"{}\":{value}", esc(key)));
-            self
-        }
-
-        /// Adds a number field (non-finite values become `null`).
-        pub fn num(mut self, key: &str, value: f64) -> Obj {
-            let rendered = if value.is_finite() {
-                format!("{value:.4}")
-            } else {
-                "null".to_string()
-            };
-            self.parts.push(format!("\"{}\":{rendered}", esc(key)));
-            self
-        }
-
-        /// Adds an already-serialized JSON value.
-        pub fn raw(mut self, key: &str, value: &str) -> Obj {
-            self.parts.push(format!("\"{}\":{value}", esc(key)));
-            self
-        }
-
-        /// Serializes the object.
-        pub fn build(self) -> String {
-            format!("{{{}}}", self.parts.join(","))
-        }
-    }
-
-    /// Serializes an array from already-serialized elements.
-    pub fn arr<I: IntoIterator<Item = String>>(items: I) -> String {
-        format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn reports_land_in_a_directory_that_did_not_exist() {
+        let root = std::env::temp_dir().join(format!("bench-emit-{}", std::process::id()));
+        let dir = root.join("nested").join("bench-json");
+        assert!(!dir.exists());
+        let path = super::write_report(&dir, "probe", "{}").unwrap();
+        assert_eq!(path, dir.join("BENCH_probe.json"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -1,20 +1,19 @@
 //! The race-analysis harness's data model: per-app static analysis
 //! results, hardening costs, and the torn-update atomicity campaign
-//! (the `race_analysis` binary drives it, `race_gate` diffs the
-//! published artifact).
+//! (the `race_analysis` binary drives it, the `race_analysis` contract
+//! in [`crate::gate`] checks the published artifact).
 //!
 //! The emitted `BENCH_races.json` has two top-level objects with
 //! different CI contracts:
 //!
 //! * `"analysis"` — diagnostic censuses, hardening counts, and code-size
 //!   deltas. Pure functions of the toolchain and the app sources, so CI
-//!   byte-compares the published object against the committed baseline
-//!   (see [`crate::gate::race_check`]).
+//!   compares the published object against the committed baseline.
 //! * `"dynamics"` — duty-cycle deltas, torn-campaign divergence tallies,
 //!   and the differential-oracle spot check. These depend on run-length
-//!   knobs (`STOS_SECONDS`, `STOS_TORN`), so the harness self-gates them
-//!   (hardened builds immune, unhardened builds strictly worse, zero
-//!   miscompiles) instead of pinning bytes.
+//!   knobs (`STOS_SECONDS`, `STOS_TORN`), so the contract checks
+//!   invariants on them (hardened builds immune, unhardened builds
+//!   strictly worse, zero miscompiles) instead of pinning them.
 
 use safe_tinyos::{run_torn_campaign, simulate, torn_target_names, Diagnostic, Pipeline};
 

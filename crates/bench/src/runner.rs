@@ -326,26 +326,12 @@ impl SpeedReport {
         self.stages.total()
     }
 
-    /// Estimated compile time of the pre-pipeline harness: the same
-    /// stage work with the frontend re-run for every job instead of
-    /// once per app. Comparing this against [`SpeedReport::compile_time`]
-    /// is apples-to-apples — both exclude non-compile work (simulation,
-    /// printing), which `wall` includes.
-    pub fn serial_compile_estimate(&self) -> Duration {
-        let frontend = self.stages.get(Stage::Frontend);
-        let rest = self.stages.total() - frontend;
-        if self.frontend_compiles == 0 {
-            return rest;
-        }
-        rest + frontend * (self.jobs as u32) / (self.frontend_compiles as u32)
-    }
-
     /// Serializes the report (times in milliseconds). `wall_ms` covers
-    /// everything the grid ran, including simulation; the
-    /// `compile_ms` / `serial_compile_est_ms` pair isolates the
-    /// toolchain cost with and without the frontend cache; the `cache`
-    /// object carries the pass-cache counters (and, for the canonical
-    /// fig3 grid, the warm-window numbers the cache gate enforces).
+    /// everything the grid ran, including simulation; `compile_ms`
+    /// isolates the toolchain cost; the `cache` object carries the
+    /// pass-cache counters (and, for the canonical fig3 grid, the
+    /// warm-window numbers the `toolchain_speed` contract in
+    /// [`crate::gate`] enforces).
     pub fn to_json(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut stage_obj = json::Obj::new();
@@ -378,7 +364,6 @@ impl SpeedReport {
             .int("frontend_compiles", self.frontend_compiles as i64)
             .num("wall_ms", ms(self.wall))
             .num("compile_ms", ms(self.compile_time()))
-            .num("serial_compile_est_ms", ms(self.serial_compile_estimate()))
             .raw("stage_ms", &stage_obj.build())
             .raw("cache", &cache_obj.build())
             .build()

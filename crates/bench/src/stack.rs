@@ -1,7 +1,7 @@
 //! The stack-bound harness's data model: per-app × per-preset certified
 //! bounds, diagnostic censuses, and simulator-observed watermarks (the
-//! `stack_analysis` binary drives it, `stack_gate` diffs the published
-//! artifact).
+//! `stack_analysis` binary drives it, the `stack_analysis` contract in
+//! [`crate::gate`] checks the published artifact).
 //!
 //! The emitted `BENCH_stack.json` has two top-level objects with
 //! different CI contracts:
@@ -9,17 +9,17 @@
 //! * `"analysis"` — the certified bound, its task/ISR decomposition,
 //!   the SRAM budget, and the S00x census for every app × preset cell.
 //!   Pure functions of the toolchain and the app sources, so CI
-//!   byte-compares the published object against the committed baseline
-//!   (see [`crate::gate::stack_check`]) — and because the analyzer runs
+//!   compares the published object against the committed baseline —
+//!   and because the analyzer runs
 //!   over the linked image, the bytes are identical for any worker
 //!   count and either execution engine.
 //! * `"dynamics"` — the simulator's stack watermarks and
 //!   bound-vs-watermark tightness. These depend on the run length
 //!   (`STOS_SECONDS`), so they are not pinned against the committed
-//!   baseline; instead the harness self-gates soundness (`watermark ≤
+//!   baseline; instead the contract requires soundness (`watermark ≤
 //!   bound` in every cell, surfaced as the `watermark_violations`
-//!   field the gate checks), and when two runs share a horizon the gate
-//!   byte-compares their `"watermarks"` object — that is how CI proves
+//!   field), and when two runs share a horizon the gate compares their
+//!   `"watermarks"` object — that is how CI proves
 //!   the interpreter and the translating engine observe identical
 //!   watermarks.
 
@@ -186,10 +186,10 @@ pub fn analysis_json(rows: &[AppStackRow]) -> String {
 /// Serializes the `"dynamics"` object: watermarks and tightness, which
 /// depend on the simulated horizon. `watermark_violations` counts cells
 /// whose observed watermark is not dominated by a finite certified
-/// bound — the soundness field [`crate::gate::stack_check`] requires to
+/// bound — the soundness field the [`crate::gate`] contract requires to
 /// be zero — and the `"watermarks"` object (app → per-preset watermark
-/// array) is what the gate byte-compares across same-horizon runs to
-/// prove engine invariance.
+/// array) is what the gate compares across same-horizon runs to prove
+/// engine invariance.
 pub fn dynamics_json(rows: &[AppStackRow], seconds: u64) -> String {
     let violations: usize = rows
         .iter()

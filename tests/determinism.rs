@@ -8,7 +8,7 @@
 //! still be byte-identical for the same seed.
 
 use bench::{fault, ExperimentRunner};
-use safe_tinyos::{CampaignConfig, Metrics, Pipeline};
+use safe_tinyos::{BuildSession, CampaignConfig, Metrics, Pipeline};
 use safe_tinyos_suite as _;
 
 /// Every deterministic field of the metrics (stage wall times are
@@ -160,7 +160,9 @@ fn fleet_json_matches_serial_under_8_threads() {
     // seeds, so the rendered "pinned" object must be byte-identical
     // whatever the thread count or shard order.
     let spec = tosapps::spec("Surge_Mica2").expect("known app");
-    let build = bench::must_build(&spec, &safe_tinyos::Pipeline::safe_flid_inline_cxprop());
+    let build = BuildSession::new()
+        .build(&spec, &Pipeline::safe_flid_inline_cxprop())
+        .expect("Surge builds");
     let cells = bench::fleet::sweep_cells(&[5, 12], 2);
     let body_with = |threads: usize| {
         let runner = ExperimentRunner::with_threads(threads);
@@ -207,7 +209,9 @@ fn campaigns_trigger_identically_under_both_engines() {
         let mut torn_lines = Vec::new();
         for app in ["RfmToLeds_Mica2", "Surge_Mica2", "SenseToRfm_Mica2"] {
             let spec = tosapps::spec(app).expect("known app");
-            let build = bench::must_build(&spec, &torn_stack);
+            let build = BuildSession::new()
+                .build(&spec, &torn_stack)
+                .expect("torn stack builds");
             let names = safe_tinyos::torn_target_names(&build);
             if names.is_empty() {
                 continue;
