@@ -7,11 +7,11 @@
 //!
 //! Each ablation arm is just a [`Pipeline`] — the composite
 //! `cxprop(inline,...)` pass with one knob turned — so the whole grid
-//! goes through [`ExperimentRunner`] like every other figure.
+//! goes through [`bench::grid`] like every other figure.
 
-use bench::{emit_json, json, pct_change, ExperimentRunner};
+use bench::{emit_json, emit_speed, grid, json, pct_change, Knobs};
 use cxprop::CxpropOptions;
-use safe_tinyos::{Metrics, Pipeline};
+use safe_tinyos::{BuildService, Metrics, Pipeline};
 
 /// An ablation arm: the full safe stack with `options` swapped into the
 /// composite cXprop pass (which runs the inliner inside the fixpoint,
@@ -25,7 +25,7 @@ fn ablated(name: &str, options: CxpropOptions) -> Pipeline {
 }
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
+    let service = BuildService::with_threads(Knobs::from_env().threads);
     let variants = [
         Pipeline::safe_flid_inline_cxprop(),
         Pipeline::safe_flid_cxprop(),
@@ -51,7 +51,12 @@ fn main() {
             },
         ),
     ];
-    let grid: Vec<Vec<Metrics>> = runner.metrics_grid(tosapps::APP_NAMES, &variants);
+    let grid: Vec<Vec<Metrics>> = grid(&service, tosapps::APP_NAMES, &variants, |spec, p| {
+        service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()))
+            .metrics
+    });
 
     println!("§2.1 ablations (totals over all twelve applications)\n");
 
@@ -119,5 +124,5 @@ fn main() {
         .raw("domain_surviving_checks", &domain_obj.build())
         .build();
     emit_json("ablations", &body).expect("write BENCH_ablations.json");
-    runner.emit_speed("ablations");
+    emit_speed(&service, "ablations");
 }

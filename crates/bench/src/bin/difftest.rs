@@ -20,14 +20,14 @@
 //! experiment.)
 
 use bench::diff::{app_reports, default_presets, print_table, render_json, seed_reports, tally};
-use bench::{emit_json, gate, ExperimentRunner, Knobs};
-use safe_tinyos::{pipelines_from_env_or, DiffConfig};
+use bench::{emit_json, emit_speed, gate, Knobs};
+use safe_tinyos::{pipelines_from_env_or, BuildService, DiffConfig};
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
+    let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
     let presets = pipelines_from_env_or(default_presets);
     let cfg = DiffConfig::default();
-    let knobs = Knobs::from_env();
     let seconds = knobs.sim_seconds;
     let seeds: Vec<u64> = (0..knobs.diff_seeds).map(|i| knobs.diff_base + i).collect();
     let apps = tosapps::mica2_apps();
@@ -40,14 +40,14 @@ fn main() {
         presets.len()
     );
 
-    let mut reports = seed_reports(&runner, &seeds, &presets, &cfg);
-    reports.extend(app_reports(&runner, &apps, &presets, seconds, &cfg));
+    let mut reports = seed_reports(&service, &seeds, &presets, &cfg);
+    reports.extend(app_reports(&service, &apps, &presets, seconds, &cfg));
     let tallies = tally(&presets, &reports);
 
     print_table(&tallies);
     let body = render_json(&seeds, &apps, &presets, &cfg, seconds, &tallies);
     emit_json("difftest", &body).expect("write BENCH_difftest.json");
-    runner.emit_speed("difftest");
+    emit_speed(&service, "difftest");
 
     for t in &tallies {
         for d in &t.divergences {

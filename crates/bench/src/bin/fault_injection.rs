@@ -17,20 +17,20 @@
 //! zero.
 
 use bench::fault::{campaign_grid, default_pipelines, print_table, render_json};
-use bench::{emit_json, gate, ExperimentRunner, Knobs};
-use safe_tinyos::{pipelines_from_env_or, CampaignConfig};
+use bench::{emit_json, emit_speed, gate, Knobs};
+use safe_tinyos::{pipelines_from_env_or, BuildService, CampaignConfig};
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
-    let pipelines = pipelines_from_env_or(default_pipelines);
     let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
+    let pipelines = pipelines_from_env_or(default_pipelines);
     let config = CampaignConfig {
         seconds: knobs.sim_seconds,
         sites: knobs.fault_sites,
         ..CampaignConfig::default()
     };
     let apps = tosapps::mica2_apps();
-    let grid = campaign_grid(&runner, &apps, &pipelines, &config);
+    let grid = campaign_grid(&service, &apps, &pipelines, &config);
 
     println!(
         "Fault injection — detection rates over {} sites/cell, {}s simulated",
@@ -39,7 +39,7 @@ fn main() {
     print_table(&apps, &pipelines, &grid);
     let body = render_json(&apps, &pipelines, &config, &grid);
     emit_json("fault_injection", &body).expect("write BENCH_fault_injection.json");
-    runner.emit_speed("fault_injection");
+    emit_speed(&service, "fault_injection");
     gate::self_gate(&body);
     println!();
     println!("Expected shape (paper §2): the uncured gcc build never detects —");

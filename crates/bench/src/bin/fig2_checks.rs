@@ -1,15 +1,20 @@
 //! Figure 2: percentage of CCured-inserted checks eliminated by four
 //! optimizer stacks, per application, plus the original check counts.
 
-use bench::{emit_json, json, row, ExperimentRunner};
-use safe_tinyos::{pipelines_from_env_or, Pipeline};
+use bench::{emit_json, emit_speed, grid, json, row, Knobs};
+use safe_tinyos::{pipelines_from_env_or, BuildService, Pipeline};
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
+    let service = BuildService::with_threads(Knobs::from_env().threads);
     // The four paper stacks by default; STOS_PIPELINE sweeps any other
     // composition through the same harness.
     let stacks = pipelines_from_env_or(Pipeline::fig2_stacks);
-    let grid = runner.metrics_grid(tosapps::APP_NAMES, &stacks);
+    let grid = grid(&service, tosapps::APP_NAMES, &stacks, |spec, p| {
+        service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()))
+            .metrics
+    });
     let labels: Vec<String> = stacks.iter().map(|c| c.name().to_string()).collect();
     println!("Figure 2 — checks removed by optimizer stack (higher is better)");
     println!(
@@ -61,7 +66,7 @@ fn main() {
         .raw("total", &total_obj.build())
         .build();
     emit_json("fig2_checks", &body).expect("write BENCH_fig2_checks.json");
-    runner.emit_speed("fig2_checks");
+    emit_speed(&service, "fig2_checks");
     println!();
     println!("Expected shape (paper): gcc alone removes a surprising share of easy");
     println!("checks; the CCured optimizer adds little beyond it; cXprop without");

@@ -3,15 +3,18 @@
 //!
 //! The fig3 grid is also the canonical toolchain-speed benchmark: after
 //! the cold grid is measured and emitted, the same grid runs a second
-//! time against the warm frontend and pass caches, and the speed report
-//! gains the `cache` section (warm wall/compile times plus the
-//! cure-run census) that the `toolchain_speed` contract (`bench::gate`)
-//! checks here and, from the published bytes, in CI.
+//! time against the warm frontend and pass caches. The speed report is
+//! the cold window's service snapshot, and its `cache` section gains
+//! the warm window (the difference between the snapshots after and
+//! before the re-run) plus the cure-run census, which the
+//! `toolchain_speed` contract (`bench::gate`) checks here and, from the
+//! published bytes, in CI.
 
 use std::collections::BTreeSet;
 
-use bench::{emit_json, gate, json, pct_change, row, ExperimentRunner, WarmCache};
-use safe_tinyos::{pipelines_from_env_or, Metrics, Pipeline};
+use bench::speed::Snapshot;
+use bench::{emit_json, gate, grid, json, pct_change, row, Knobs};
+use safe_tinyos::{pipelines_from_env_or, BuildService, Metrics, Pipeline};
 
 /// Renders the figure from a measured grid: the printable table rows
 /// and the machine-readable body. Pure, so the warm re-run can be
@@ -45,13 +48,23 @@ fn render(bars: &[Pipeline], grid: &[Vec<Metrics>]) -> (Vec<String>, String) {
     (lines, body)
 }
 
+/// Builds every app under every configuration and returns the metrics.
+fn measure(service: &BuildService, configs: &[Pipeline]) -> Vec<Vec<Metrics>> {
+    grid(service, tosapps::APP_NAMES, configs, |spec, p| {
+        service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()))
+            .metrics
+    })
+}
+
 fn main() {
-    let runner = ExperimentRunner::from_env();
+    let service = BuildService::with_threads(Knobs::from_env().threads);
     let bars = pipelines_from_env_or(Pipeline::fig3_bars);
     // Column 0 of the grid is the baseline every bar is compared to.
     let mut configs = vec![Pipeline::unsafe_baseline()];
     configs.extend(bars.iter().cloned());
-    let grid = runner.metrics_grid(tosapps::APP_NAMES, &configs);
+    let grid = measure(&service, &configs);
     let labels: Vec<String> = bars.iter().map(|c| c.name().to_string()).collect();
     println!("Figure 3(a) — Δ code size vs. unsafe baseline (flash bytes)");
     println!(
@@ -63,7 +76,7 @@ fn main() {
         println!("{line}");
     }
     emit_json("fig3a_code_size", &body).expect("write BENCH_fig3a_code_size.json");
-    let mut report = runner.take_speed("fig3a_code_size");
+    let cold = Snapshot::of(&service);
 
     // Cache-effectiveness census on the cold window: the contract
     // requires the cure pass to have executed once per distinct
@@ -77,29 +90,21 @@ fn main() {
                 .map(str::to_string)
         })
         .collect();
-    let cure_runs = report.cache.get("cure").misses;
     let cure_unique = (tosapps::APP_NAMES.len() * cure_specs.len()) as u64;
 
     // Warm window: the same grid against the now-warm caches must
     // reproduce the figure byte-for-byte without re-running any pass.
-    let warm_grid = runner.metrics_grid(tosapps::APP_NAMES, &configs);
-    let (_, warm_body) = render(&bars, &warm_grid);
+    let (_, warm_body) = render(&bars, &measure(&service, &configs));
     assert_eq!(warm_body, body, "warm-cache grid drifted from the cold one");
-    let warm = runner.take_speed("fig3a_code_size");
+    let warm = Snapshot::of(&service);
     assert_eq!(
         warm.cache.get("cure").misses,
-        cure_runs,
+        cold.cache.get("cure").misses,
         "the warm grid re-executed the cure pass"
     );
-    report.warm = Some(WarmCache {
-        wall: warm.wall,
-        compile: warm.compile_time(),
-        cure_runs,
-        cure_unique,
-    });
 
     // The fig3 grid is the canonical toolchain-speed benchmark.
-    let speed = report.to_json();
+    let speed = cold.to_json("fig3a_code_size", Some((&warm, cure_unique)));
     emit_json("toolchain_speed_fig3a_code_size", &speed)
         .expect("write BENCH_toolchain_speed_fig3a_code_size.json");
     emit_json("toolchain_speed", &speed).expect("write BENCH_toolchain_speed.json");

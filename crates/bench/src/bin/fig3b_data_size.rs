@@ -2,16 +2,21 @@
 //! baseline. The paper clips this graph at +100% because the verbose
 //! configurations are "outrageously high — thousands of percent".
 
-use bench::{emit_json, json, pct_change, row, ExperimentRunner};
-use safe_tinyos::{pipelines_from_env_or, Pipeline};
+use bench::{emit_json, emit_speed, grid, json, pct_change, row, Knobs};
+use safe_tinyos::{pipelines_from_env_or, BuildService, Pipeline};
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
+    let service = BuildService::with_threads(Knobs::from_env().threads);
     let bars = pipelines_from_env_or(Pipeline::fig3_bars);
     // Column 0 of the grid is the baseline every bar is compared to.
     let mut configs = vec![Pipeline::unsafe_baseline()];
     configs.extend(bars.iter().cloned());
-    let grid = runner.metrics_grid(tosapps::APP_NAMES, &configs);
+    let grid = grid(&service, tosapps::APP_NAMES, &configs, |spec, p| {
+        service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()))
+            .metrics
+    });
     let labels: Vec<String> = bars.iter().map(|c| c.name().to_string()).collect();
     println!("Figure 3(b) — Δ static data size vs. unsafe baseline (SRAM bytes)");
     println!(
@@ -48,7 +53,7 @@ fn main() {
         .raw("apps", &json::arr(app_rows))
         .build();
     emit_json("fig3b_data_size", &body).expect("write BENCH_fig3b_data_size.json");
-    runner.emit_speed("fig3b_data_size");
+    emit_speed(&service, "fig3b_data_size");
     println!();
     println!("Expected shape (paper): verbose error strings make RAM overhead");
     println!("catastrophic (clipped at 100%); FLIDs reduce it substantially; cXprop");

@@ -2,12 +2,13 @@
 //! unsafe baseline, for the eleven Mica2 applications, each run in its
 //! workload context.
 
-use bench::{emit_json, json, row, ExperimentRunner, Knobs};
-use safe_tinyos::{pipelines_from_env_or, simulate, Pipeline};
+use bench::{emit_json, emit_speed, grid, json, row, Knobs};
+use safe_tinyos::{pipelines_from_env_or, simulate, BuildService, Pipeline};
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
-    let seconds = Knobs::from_env().sim_seconds;
+    let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
+    let seconds = knobs.sim_seconds;
     // The four duty-cycle-relevant configurations: safe unoptimized,
     // safe fully optimized, unsafe optimized — compared to the baseline
     // in grid column 0.
@@ -23,9 +24,11 @@ fn main() {
     configs.extend(bars.iter().cloned());
     let apps = tosapps::mica2_apps();
     // Each job builds and simulates one cell, returning its duty cycle.
-    let grid = runner.run_grid(&apps, &configs, |job| {
-        let build = job.build(job.item);
-        simulate(&build, &job.spec, seconds).duty_cycle_percent
+    let grid = grid(&service, &apps, &configs, |spec, p| {
+        let build = service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        simulate(&build, spec, seconds).duty_cycle_percent
     });
     let labels: Vec<String> = bars.iter().map(|c| c.name().to_string()).collect();
     println!("Figure 3(c) — Δ duty cycle vs. unsafe baseline ({seconds}s simulated)");
@@ -64,7 +67,7 @@ fn main() {
         .raw("apps", &json::arr(app_rows))
         .build();
     emit_json("fig3c_duty_cycle", &body).expect("write BENCH_fig3c_duty_cycle.json");
-    runner.emit_speed("fig3c_duty_cycle");
+    emit_speed(&service, "fig3c_duty_cycle");
     println!();
     println!("Expected shape (paper): CCured alone slows apps by a few percent;");
     println!("cXprop alone speeds the unsafe apps by 3–10%; safe + cXprop lands");

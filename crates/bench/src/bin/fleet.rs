@@ -22,13 +22,13 @@
 //! times.
 
 use bench::fleet::{dynamics_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY};
-use bench::{emit_json, gate, json, row, ExperimentRunner, Knobs};
+use bench::{emit_json, emit_speed, gate, grid, json, row, Knobs};
 use safe_tinyos::fleet::{lockstep_matches_event_driven, FleetSpec};
-use safe_tinyos::Pipeline;
+use safe_tinyos::{BuildService, Pipeline};
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
     let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
     let seconds = knobs.fleet_seconds;
     let motes = &knobs.fleet_motes;
     let cells = sweep_cells(motes, knobs.fleet_seeds);
@@ -40,12 +40,15 @@ fn main() {
         SWEEP_QUALITY.loss_ppm
     );
 
-    let spec = tosapps::spec("Surge_Mica2").expect("Surge app");
-    let pipelines = vec![Pipeline::safe_flid_inline_cxprop()];
-    let grid = runner.run_grid(&[spec.name], &pipelines, |job| job.build(job.item));
-    let build = &grid[0][0];
+    let pipelines = [Pipeline::safe_flid_inline_cxprop()];
+    let builds = grid(&service, &["Surge_Mica2"], &pipelines, |spec, p| {
+        service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()))
+    });
+    let build = &builds[0][0];
 
-    let rows = measure(&runner, build, &cells, seconds);
+    let rows = measure(&service, build, &cells, seconds);
     println!(
         "{}",
         row(
@@ -73,7 +76,7 @@ fn main() {
 
     let equivalence_ok =
         lockstep_matches_event_driven(build, &FleetSpec::lossless_mesh(3, 2, 0x5EED));
-    let campaign = run_campaign(&runner, build);
+    let campaign = run_campaign(&service, build);
     let (counts, sites) = campaign;
     println!(
         "campaign: {sites} sites on the 9-mote grid — {} detected, {} crashed, \
@@ -87,10 +90,10 @@ fn main() {
             "pinned",
             &pinned_json(&rows, seconds, campaign, equivalence_ok),
         )
-        .raw("dynamics", &dynamics_json(&rows, runner.threads()))
+        .raw("dynamics", &dynamics_json(&rows, service.threads()))
         .build();
     emit_json("fleet", &body).expect("write BENCH_fleet.json");
-    runner.emit_speed("fleet");
+    emit_speed(&service, "fleet");
     gate::self_gate(&body);
 
     println!();

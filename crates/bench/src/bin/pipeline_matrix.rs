@@ -4,8 +4,8 @@
 //! Figure 2 compares four hand-picked optimizer stacks and Figure 3
 //! seven; this harness sweeps a 15-stack matrix of pass subsets, orders,
 //! options, and error modes — every stack a one-line pipeline spec —
-//! over three representative applications, through the shared
-//! [`ExperimentRunner`]. Per cell it records the full size/check census,
+//! over three representative applications, through one shared
+//! [`BuildService`]. Per cell it records the full size/check census,
 //! the per-pass wall-time breakdown, and a short simulation health
 //! check, and emits everything to `BENCH_pipeline_matrix.json`.
 //!
@@ -13,8 +13,8 @@
 //! replaces the default stack list, so any composition question is a
 //! shell variable away.
 
-use bench::{emit_json, json, ExperimentRunner, Knobs};
-use safe_tinyos::{pipelines_from_env_or, simulate, Pipeline};
+use bench::{emit_json, emit_speed, grid, json, Knobs};
+use safe_tinyos::{pipelines_from_env_or, simulate, BuildService, Pipeline};
 
 /// Three apps spanning the size range: the smallest, a mid-size sensing
 /// app, and the largest (multihop routing).
@@ -60,12 +60,15 @@ struct Cell {
 }
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
-    let seconds = Knobs::from_env().sim_seconds;
+    let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
+    let seconds = knobs.sim_seconds;
     let stacks = pipelines_from_env_or(default_stacks);
-    let grid = runner.run_grid(&APPS, &stacks, |job| {
-        let build = job.build(job.item);
-        let run = simulate(&build, &job.spec, seconds);
+    let grid = grid(&service, &APPS, &stacks, |spec, p| {
+        let build = service
+            .build(spec, p)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        let run = simulate(&build, spec, seconds);
         Cell {
             metrics: build.metrics,
             duty_pct: run.duty_cycle_percent,
@@ -141,7 +144,7 @@ fn main() {
         .raw("cells", &json::arr(cells))
         .build();
     emit_json("pipeline_matrix", &body).expect("write BENCH_pipeline_matrix.json");
-    runner.emit_speed("pipeline_matrix");
+    emit_speed(&service, "pipeline_matrix");
     println!();
     println!("Expected shape: safety alone adds 20-90% code; each optimizer pass");
     println!("claws some back; inline-then-cxprop beats cxprop-then-inline (context");

@@ -23,11 +23,12 @@
 //! miscompiles.
 
 use bench::races::{analysis_json, dynamics_json, measure, oracle_check};
-use bench::{emit_json, gate, json, row, ExperimentRunner, Knobs};
+use bench::{emit_json, emit_speed, gate, json, row, Knobs};
+use safe_tinyos::BuildService;
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
     let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
     let seconds = knobs.sim_seconds;
     let apps = tosapps::mica2_apps();
     // The oracle spot check is a sanity pass, not the difftest sweep:
@@ -42,8 +43,8 @@ fn main() {
         apps.len(),
         knobs.torn_sites
     );
-    let rows = measure(&runner, &apps, seconds, knobs.torn_sites);
-    let oracle = oracle_check(&runner, &seeds, &apps, seconds);
+    let rows = measure(&service, &apps, seconds, knobs.torn_sites);
+    let oracle = oracle_check(&service, &seeds, &apps, seconds);
 
     println!(
         "{}",
@@ -79,7 +80,7 @@ fn main() {
         )
         .build();
     emit_json("races", &body).expect("write BENCH_races.json");
-    runner.emit_speed("race_analysis");
+    emit_speed(&service, "race_analysis");
     gate::self_gate(&body);
 
     let unhardened: usize = rows.iter().map(|r| r.unhardened_divergences).sum();

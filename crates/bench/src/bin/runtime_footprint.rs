@@ -2,10 +2,10 @@
 //! 1.6 KB RAM / 33 KB ROM port down to 2 B / 314 B, staged as the paper
 //! describes, plus the measured effect on a minimal application.
 
-use bench::{emit_json, json, ExperimentRunner};
+use bench::{emit_json, emit_speed, grid, json, Knobs};
 use ccured::runtime::{footprint_at, RuntimeStage, NAIVE_COMPONENTS};
 use ccured::CureOptions;
-use safe_tinyos::Pipeline;
+use safe_tinyos::{BuildService, Pipeline};
 
 fn main() {
     println!("§2.3 — CCured runtime library footprint (modeled components)");
@@ -32,7 +32,7 @@ fn main() {
     // and naive configurations share one cached frontend artifact; the
     // naive build is *expected* to fail to link, so the job returns a
     // Result instead of panicking.
-    let runner = ExperimentRunner::from_env();
+    let service = BuildService::with_threads(Knobs::from_env().threads);
     let configs = [
         Pipeline::safe_flid_inline_cxprop(),
         Pipeline::builder("safe-flid-inline-cxprop-naive")
@@ -45,8 +45,9 @@ fn main() {
             .prune()
             .build(),
     ];
-    let grid = runner.run_grid(&["BlinkTask_Mica2"], &configs, |job| {
-        job.try_build(job.item)
+    let grid = grid(&service, &["BlinkTask_Mica2"], &configs, |spec, p| {
+        service
+            .build(spec, p)
             .map(|b| b.metrics)
             .map_err(|e| e.to_string())
     });
@@ -113,5 +114,5 @@ fn main() {
         .raw("measured_blinktask", &measured.build())
         .build();
     emit_json("runtime_footprint", &body).expect("write BENCH_runtime_footprint.json");
-    runner.emit_speed("runtime_footprint");
+    emit_speed(&service, "runtime_footprint");
 }

@@ -20,11 +20,12 @@
 //! grid.
 
 use bench::stack::{analysis_json, dynamics_json, measure, FULL_STACK};
-use bench::{emit_json, gate, json, row, ExperimentRunner, Knobs};
+use bench::{emit_json, emit_speed, gate, json, row, Knobs};
+use safe_tinyos::BuildService;
 
 fn main() {
-    let runner = ExperimentRunner::from_env();
     let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
     let seconds = knobs.sim_seconds;
     let apps = tosapps::mica2_apps();
 
@@ -32,7 +33,7 @@ fn main() {
         "Stack-bound analysis — {} apps × 12 presets, {seconds}s workloads",
         apps.len()
     );
-    let rows = measure(&runner, &apps, seconds);
+    let rows = measure(&service, &apps, seconds);
 
     println!(
         "{}",
@@ -75,7 +76,7 @@ fn main() {
         .raw("dynamics", &dynamics_json(&rows, seconds))
         .build();
     emit_json("stack", &body).expect("write BENCH_stack.json");
-    runner.emit_speed("stack_analysis");
+    emit_speed(&service, "stack_analysis");
     gate::self_gate(&body);
 
     let cells = rows.iter().map(|r| r.cells.len()).sum::<usize>();

@@ -3,15 +3,15 @@
 //! pipeline and rendered as `BENCH_difftest.json`.
 //!
 //! Thin driver over [`safe_tinyos::difftest`]: this module owns the
-//! grid shape (seeds through [`ExperimentRunner::run_items`], apps
-//! through [`ExperimentRunner::run_grid`]), the verdict roll-ups, and
+//! grid shape (seeds through [`BuildService::run_jobs`], apps
+//! through [`crate::grid`]), the verdict roll-ups, and
 //! the JSON/table rendering. Everything downstream of the seeds is a
 //! pure function, so serial and parallel runs emit identical bytes.
 
 use safe_tinyos::difftest::{self, DiffCase, DiffConfig, DiffPhase, DiffVerdict, SubjectReport};
-use safe_tinyos::{Pipeline, PRESET_NAMES};
+use safe_tinyos::{BuildService, Pipeline, PRESET_NAMES};
 
-use crate::{json, row, ExperimentRunner};
+use crate::{grid, json, row};
 
 /// The default comparison set: every registry preset. The reference
 /// (`cure` alone) rides along under its own name as a self-check — it
@@ -38,12 +38,13 @@ pub fn is_cured(p: &Pipeline) -> bool {
 /// Runs the generated-program population: one [`SubjectReport`] per
 /// seed, in seed order.
 pub fn seed_reports(
-    runner: &ExperimentRunner,
+    service: &BuildService,
     seeds: &[u64],
     presets: &[Pipeline],
     cfg: &DiffConfig,
 ) -> Vec<SubjectReport> {
-    runner.run_items(seeds, |_, &seed| {
+    service.run_jobs(seeds.len(), |i| {
+        let seed = seeds[i];
         difftest::diff_seed(seed, presets, cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", difftest::generate_source(seed)))
     })
@@ -52,18 +53,18 @@ pub fn seed_reports(
 /// Runs the benchmark-app population: one [`SubjectReport`] per app,
 /// in app order, workloads `seconds` long.
 pub fn app_reports(
-    runner: &ExperimentRunner,
+    service: &BuildService,
     apps: &[&'static str],
     presets: &[Pipeline],
     seconds: u64,
     cfg: &DiffConfig,
 ) -> Vec<SubjectReport> {
-    let grid = runner.run_grid(apps, presets, |job| {
-        difftest::diff_app(runner.session(), &job.spec, job.item, seconds, cfg)
-            .unwrap_or_else(|e| panic!("{} / {}: {e}", job.spec.name, job.item.name()))
+    let rows = grid(service, apps, presets, |spec, preset| {
+        difftest::diff_app(service.session(), spec, preset, seconds, cfg)
+            .unwrap_or_else(|e| panic!("{}: {e}", preset.name()))
     });
     apps.iter()
-        .zip(grid)
+        .zip(rows)
         .map(|(app, rows)| SubjectReport {
             subject: app.to_string(),
             cases: rows.into_iter().flatten().collect(),

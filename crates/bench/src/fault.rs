@@ -1,5 +1,5 @@
 //! The fault-injection campaign harness: app × pipeline × injection-site
-//! grids through the [`ExperimentRunner`], rendered as the
+//! grids on a [`BuildService`], rendered as the
 //! `BENCH_fault_injection.json` detection-rate report.
 //!
 //! This is the evaluation axis the paper claims but never plots: cured
@@ -22,9 +22,9 @@
 //! to be exactly zero, so the collapse stays measurable instead of
 //! becoming folklore.
 
-use safe_tinyos::{CampaignConfig, CampaignReport, Pipeline};
+use safe_tinyos::{run_campaign, BuildService, CampaignConfig, CampaignReport, Pipeline};
 
-use crate::{json, row, ExperimentRunner};
+use crate::{grid, json, row};
 
 /// The pinned-collapse stack: interval-domain cXprop with the classical
 /// (pre-fix) check-elimination policy. The `fault_injection` contract
@@ -60,12 +60,17 @@ pub fn default_pipelines() -> Vec<Pipeline> {
 /// Runs the campaign grid: one [`CampaignReport`] per app × pipeline
 /// cell, in deterministic grid order.
 pub fn campaign_grid(
-    runner: &ExperimentRunner,
+    service: &BuildService,
     apps: &[&'static str],
     pipelines: &[Pipeline],
     config: &CampaignConfig,
 ) -> Vec<Vec<CampaignReport>> {
-    runner.run_grid(apps, pipelines, |job| job.campaign(job.item, config))
+    grid(service, apps, pipelines, |spec, pipeline| {
+        let build = service
+            .build(spec, pipeline)
+            .unwrap_or_else(|e| panic!("{}: {e}", pipeline.name()));
+        run_campaign(&build, spec, config)
+    })
 }
 
 /// Renders the campaign grid as the `BENCH_fault_injection.json` body:

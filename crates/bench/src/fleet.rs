@@ -25,9 +25,9 @@ use safe_tinyos::fleet::{
     build_fleet, fleet_campaign_plans, fleet_golden, horizon_cycles, run_fleet_site, sink_report,
     FleetCampaignConfig, FleetSpec, FleetVerdictCounts, SinkReport,
 };
-use safe_tinyos::Build;
+use safe_tinyos::{Build, BuildService};
 
-use crate::{json, ExperimentRunner};
+use crate::json;
 
 /// Per-link quality of the sweep's unit-disk grid: 1% loss, 0.4%
 /// reordering, 0.2% duplication per byte — lossy enough that multihop
@@ -98,16 +98,17 @@ pub fn measure_cell(build: &Build, motes: usize, seed: u64, seconds: u64) -> Fle
     }
 }
 
-/// Runs every sweep cell across the runner's worker threads. Results
+/// Runs every sweep cell across the service's worker threads. Results
 /// come back in cell order, and every pinned field is independent of
 /// the thread count.
 pub fn measure(
-    runner: &ExperimentRunner,
+    service: &BuildService,
     build: &Build,
     cells: &[(usize, u64)],
     seconds: u64,
 ) -> Vec<FleetRow> {
-    runner.run_items(cells, |_, &(motes, seed)| {
+    service.run_jobs(cells.len(), |i| {
+        let (motes, seed) = cells[i];
         measure_cell(build, motes, seed, seconds)
     })
 }
@@ -125,13 +126,15 @@ pub fn campaign_config() -> FleetCampaignConfig {
     }
 }
 
-/// Runs the fleet campaign sharded site-by-site across the runner's
+/// Runs the fleet campaign sharded site-by-site across the service's
 /// threads. Returns the verdict histogram and the number of sites run.
-pub fn run_campaign(runner: &ExperimentRunner, build: &Build) -> (FleetVerdictCounts, usize) {
+pub fn run_campaign(service: &BuildService, build: &Build) -> (FleetVerdictCounts, usize) {
     let cfg = campaign_config();
     let golden = fleet_golden(build, &cfg);
     let plans = fleet_campaign_plans(build, &cfg);
-    let results = runner.run_items(&plans, |_, plan| run_fleet_site(build, &cfg, plan, &golden));
+    let results = service.run_jobs(plans.len(), |i| {
+        run_fleet_site(build, &cfg, &plans[i], &golden)
+    });
     let mut counts = FleetVerdictCounts::default();
     for r in &results {
         counts.record(&r.verdict);

@@ -2,9 +2,11 @@
 //! `"figure"` value, evaluated on parsed [`Value`]s. A contract has:
 //!
 //! * **pinned** paths: pure functions of the toolchain and the sources
-//!   (censuses, certified bounds, fleet rows), compared with the
-//!   committed baseline as parsed values. A drift is a behaviour change
-//!   someone must sign off on by regenerating the baseline.
+//!   (censuses, certified bounds, fleet rows, work counters), compared
+//!   with the committed baseline as parsed values. A drift is a behaviour
+//!   change someone must sign off on by regenerating the baseline. A path
+//!   neither report has is no drift; a contract that needs it says so
+//!   with an invariant.
 //! * **invariants**: named rules over one report (zero miscompiles, zero
 //!   watermark violations, kernel speedup ≥ floor, …), checked on the
 //!   committed and the fresh report alike.
@@ -88,7 +90,14 @@ const ROWS: &str = "pinned.rows";
 const CONTRACTS: &[Contract] = &[
     Contract {
         figure: "toolchain_speed",
-        pinned: &[Pin::Slower("wall_ms", WALL_FACTOR)],
+        pinned: &[
+            Pin::Whole("jobs"),
+            Pin::Whole("frontend_compiles"),
+            Pin::Whole("cache.passes"),
+            Pin::Whole("cache.cure_runs"),
+            Pin::Whole("cache.cure_unique"),
+            Pin::Slower("wall_ms", WALL_FACTOR),
+        ],
         invariants: &[("warm-cache", Custom(warm_cache))],
     },
     Contract {
@@ -199,6 +208,7 @@ impl Pin {
         match (committed.path(path), fresh.path(path)) {
             (Some(want), Some(got)) => first_diff(path, want, got, key)
                 .map(|d| format!("pinned `{path}` drifted from the committed baseline: {d}")),
+            (None, None) => None,
             (want, _) => Some(format!(
                 "{} report has no pinned `{path}`",
                 if want.is_none() { "committed" } else { "fresh" }
@@ -579,7 +589,7 @@ mod tests {
         assert!(fails(&clean, r#"{"figure":"difftest"}"#).contains("no `total_miscompiles`"));
     }
 
-    const SPEED: &str = r#"{"figure":"toolchain_speed","harness":"fig3a_code_size","wall_ms":150.0,"stage_ms":{"frontend":5.0},"cache":{"warm_wall_ms":20.0,"warm_compile_ms":4.0,"cure_runs":48,"cure_unique":48,"passes":{"cure":{"hits":24,"misses":48,"bytes":100}}}}"#;
+    const SPEED: &str = r#"{"figure":"toolchain_speed","harness":"fig3a_code_size","threads":1,"jobs":96,"frontend_compiles":12,"wall_ms":150.0,"stage_ms":{"frontend":5.0},"cache":{"warm_wall_ms":20.0,"warm_compile_ms":4.0,"cure_runs":48,"cure_unique":48,"passes":{"cure":{"hits":24,"misses":48,"bytes":100}}}}"#;
 
     #[test]
     fn cache_gate_passes_effective_cache() {
@@ -598,6 +608,24 @@ mod tests {
         let slow = SPEED.replace(r#""warm_wall_ms":20.0"#, r#""warm_wall_ms":80.0"#);
         let err = fails(SPEED, &slow);
         assert!(err.contains("warm grid wall"), "{err}");
+    }
+
+    #[test]
+    fn speed_gate_pins_work_counters() {
+        let jobs = SPEED.replace(r#""jobs":96"#, r#""jobs":97"#);
+        let err = fails(SPEED, &jobs);
+        assert!(err.contains("`jobs` is 96 committed, 97 fresh"), "{err}");
+        let misses = SPEED.replace(r#""misses":48"#, r#""misses":49"#);
+        let err = fails(SPEED, &misses);
+        assert!(
+            err.contains("`cache.passes.cure.misses` is 48 committed, 49 fresh"),
+            "{err}"
+        );
+        let compiles = SPEED.replace(r#""frontend_compiles":12"#, r#""frontend_compiles":11"#);
+        assert!(fails(SPEED, &compiles).contains("`frontend_compiles`"));
+        // Timings are not pinned: only the 2x wall bound applies.
+        let slower = SPEED.replace(r#""warm_compile_ms":4.0"#, r#""warm_compile_ms":9.0"#);
+        assert!(gate(SPEED, &slower).is_ok());
     }
 
     #[test]

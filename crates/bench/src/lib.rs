@@ -12,11 +12,12 @@
 //! | `pipeline_matrix` | pass subsets/orders/options × 3 apps — the composition sweep the paper couldn't afford |
 //! | `fault_injection` | §2's detection claim: injected-corruption campaigns per pipeline, detection rates and FLID triage |
 //!
-//! All of them drive their app × configuration grids through
-//! [`runner::ExperimentRunner`], which shares one frontend artifact
-//! cache per session and fans jobs out across `STOS_THREADS` workers,
-//! and each emits `BENCH_toolchain_speed.json` describing what the
-//! toolchain itself cost.
+//! Each harness holds one [`BuildService`] with `STOS_THREADS` workers
+//! (one frontend compile per app, shared pass cache), expands its app ×
+//! configuration grid with [`grid`], and ends by writing
+//! `BENCH_toolchain_speed_<harness>.json` ([`speed::emit_speed`]) from
+//! what the service did. fig3a's grid is the canonical one: its report
+//! is also written as `BENCH_toolchain_speed.json`.
 
 pub mod diff;
 pub mod fault;
@@ -25,13 +26,46 @@ pub mod gate;
 pub mod json;
 pub mod kernels;
 pub mod races;
-pub mod runner;
+pub mod speed;
 pub mod stack;
 
 use std::path::{Path, PathBuf};
 
+use safe_tinyos::BuildService;
+use tosapps::AppSpec;
+
 pub use knobs::Knobs;
-pub use runner::{ExperimentRunner, GridJob, SpeedReport, WarmCache};
+pub use speed::emit_speed;
+
+/// Runs `f` over every cell of the `apps` × `items` grid on `service`'s
+/// worker pool and returns the results as `result[app_index][item_index]`.
+///
+/// Jobs run app-major (all of one app's items first, so its frontend
+/// artifact is hot), but each result lands in its grid slot: the output
+/// is byte-for-byte independent of scheduling. A panicking cell panics
+/// the whole grid, with its app × item label prepended to the message.
+pub fn grid<C, R, F>(service: &BuildService, apps: &[&str], items: &[C], f: F) -> Vec<Vec<R>>
+where
+    C: Sync,
+    R: Send,
+    F: Fn(&AppSpec, &C) -> R + Sync,
+{
+    let n = items.len();
+    let mut flat = service
+        .run_jobs_labeled(
+            apps.len() * n,
+            |j| {
+                let app = apps[j / n];
+                let spec = tosapps::spec(app).unwrap_or_else(|| panic!("unknown app {app}"));
+                f(&spec, &items[j % n])
+            },
+            |j| format!("{} / item {}", apps[j / n], j % n),
+        )
+        .into_iter();
+    apps.iter()
+        .map(|_| flat.by_ref().take(n).collect())
+        .collect()
+}
 
 /// Percent change of `new` relative to `base`.
 pub fn pct_change(base: u64, new: u64) -> f64 {
@@ -59,16 +93,14 @@ pub fn row(label: &str, cells: &[String]) -> String {
 pub mod knobs {
     use std::sync::OnceLock;
 
-    fn parse_u64(name: &str, default: u64) -> u64 {
-        std::env::var(name)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-
     /// The typed view of every `STOS_*` run-shaping variable.
     #[derive(Debug, Clone)]
     pub struct Knobs {
+        /// Worker threads of each harness's `BuildService` (`1` = serial
+        /// on the calling thread; `0` counts as 1). Outputs other than
+        /// the toolchain-speed reports are byte-identical for every
+        /// value. `STOS_THREADS`, default the available parallelism.
+        pub threads: usize,
         /// Simulated seconds for duty-cycle and fault-campaign runs:
         /// the paper uses 3 minutes; a smaller default keeps the
         /// harnesses quick. `STOS_SECONDS`, default 10.
@@ -110,34 +142,87 @@ pub mod knobs {
     impl Knobs {
         /// The process-wide knob set, parsed from the environment on
         /// first use and frozen thereafter.
+        ///
+        /// # Panics
+        ///
+        /// On a set variable that does not parse, naming it and its
+        /// value (`STOS_FAULTS=abc`).
         pub fn from_env() -> &'static Knobs {
             static CELL: OnceLock<Knobs> = OnceLock::new();
-            CELL.get_or_init(Knobs::parse)
+            CELL.get_or_init(|| Knobs::parse(|name| std::env::var(name).ok()))
         }
 
-        fn parse() -> Knobs {
-            let fleet_motes = {
-                let parsed: Option<Vec<usize>> = std::env::var("STOS_MOTES").ok().map(|s| {
-                    s.split(',')
-                        .filter(|t| !t.trim().is_empty())
-                        .filter_map(|t| t.trim().parse().ok())
-                        .collect()
-                });
-                match parsed {
-                    Some(v) if !v.is_empty() => v,
-                    _ => vec![10, 100, 1000],
-                }
+        /// Parses the knobs from `var` (variable name → value, `None`
+        /// when unset).
+        fn parse(var: impl Fn(&str) -> Option<String>) -> Knobs {
+            let num = |name: &str, default: u64| match var(name) {
+                Some(s) => s
+                    .parse()
+                    .unwrap_or_else(|_| panic!("{name}={s} is not a number")),
+                None => default,
             };
+            let fleet_motes = var("STOS_MOTES")
+                .map(|s| {
+                    s.split(',')
+                        .map(str::trim)
+                        .filter(|t| !t.is_empty())
+                        .map(|t| {
+                            t.parse().unwrap_or_else(|_| {
+                                panic!("STOS_MOTES={s} is not a comma-separated list of numbers")
+                            })
+                        })
+                        .collect::<Vec<usize>>()
+                })
+                .filter(|v| !v.is_empty())
+                .unwrap_or_else(|| vec![10, 100, 1000]);
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             Knobs {
-                sim_seconds: parse_u64("STOS_SECONDS", 10),
-                fault_sites: parse_u64("STOS_FAULTS", 16) as usize,
-                diff_seeds: parse_u64("STOS_DIFF_SEEDS", 50),
-                diff_base: parse_u64("STOS_DIFF_BASE", 1),
-                torn_sites: parse_u64("STOS_TORN", 4) as usize,
-                kernel_cycles: parse_u64("STOS_KERNEL_CYCLES", 200_000_000),
+                threads: (num("STOS_THREADS", cores as u64) as usize).max(1),
+                sim_seconds: num("STOS_SECONDS", 10),
+                fault_sites: num("STOS_FAULTS", 16) as usize,
+                diff_seeds: num("STOS_DIFF_SEEDS", 50),
+                diff_base: num("STOS_DIFF_BASE", 1),
+                torn_sites: num("STOS_TORN", 4) as usize,
+                kernel_cycles: num("STOS_KERNEL_CYCLES", 200_000_000),
                 fleet_motes,
-                fleet_seeds: parse_u64("STOS_FLEET_SEEDS", 2),
-                fleet_seconds: parse_u64("STOS_FLEET_SECONDS", 4),
+                fleet_seeds: num("STOS_FLEET_SEEDS", 2),
+                fleet_seconds: num("STOS_FLEET_SECONDS", 4),
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::Knobs;
+
+        fn with(vars: &[(&str, &str)]) -> Knobs {
+            Knobs::parse(|name| {
+                vars.iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| v.to_string())
+            })
+        }
+
+        #[test]
+        fn unset_knobs_take_their_defaults() {
+            let k = with(&[]);
+            assert_eq!((k.sim_seconds, k.fault_sites, k.diff_seeds), (10, 16, 50));
+            assert_eq!(k.fleet_motes, [10, 100, 1000]);
+            assert!(k.threads >= 1);
+            let k = with(&[("STOS_THREADS", "0"), ("STOS_MOTES", "10, 100,")]);
+            assert_eq!((k.threads, k.fleet_motes), (1, vec![10, 100]));
+        }
+
+        #[test]
+        fn unparsable_knobs_are_rejected_by_name() {
+            for (vars, want) in [
+                (&[("STOS_FAULTS", "abc")][..], "STOS_FAULTS=abc"),
+                (&[("STOS_THREADS", "four")][..], "STOS_THREADS=four"),
+                (&[("STOS_MOTES", "10,x")][..], "STOS_MOTES=10,x"),
+            ] {
+                let err = std::panic::catch_unwind(|| with(vars)).unwrap_err();
+                let msg = err.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.starts_with(want), "{msg}");
             }
         }
     }
@@ -167,6 +252,44 @@ fn write_report(dir: &Path, name: &str, body: &str) -> std::io::Result<PathBuf> 
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use safe_tinyos::{BuildService, Pipeline};
+
+    use crate::speed::{stages, Snapshot, STAGES};
+
+    #[test]
+    fn pass_times_roll_up_into_stages() {
+        // Every pass but frontend/cure/backend/link lands in `opt`.
+        let service = BuildService::with_threads(1);
+        let pipeline = Pipeline::parse("cure(flid)|races|inline|cxprop|prune|stackbound").unwrap();
+        let build = crate::grid(&service, &["BlinkTask_Mica2"], &[pipeline], |spec, p| {
+            service.build(spec, p).unwrap()
+        });
+        let t = &build[0][0].metrics.pass_times;
+        let opt = ["races", "inline", "cxprop", "prune", "stackbound"];
+        for pass in ["frontend", "cure", "backend", "link"].iter().chain(&opt) {
+            assert!(t.get(pass) > Duration::ZERO, "pass {pass} untimed");
+        }
+        let rolled = stages(t);
+        assert_eq!(rolled[2], opt.iter().map(|p| t.get(p)).sum::<Duration>());
+        assert_eq!(rolled[4], t.get("link"));
+        assert_eq!(rolled.iter().sum::<Duration>(), t.total());
+
+        // The report: five stage keys in order, compile_ms = Σ stage_ms.
+        let report = crate::json::parse(&Snapshot::of(&service).to_json("probe", None)).unwrap();
+        let ms = |path: &str| report.path(path).and_then(|v| v.as_f64()).unwrap();
+        let keys: Vec<&str> = match report.path("stage_ms") {
+            Some(crate::json::Value::Obj(members)) => members.iter().map(|(k, _)| &k[..]).collect(),
+            other => panic!("stage_ms: {other:?}"),
+        };
+        assert_eq!(keys, STAGES);
+        let sum: f64 = STAGES.iter().map(|s| ms(&format!("stage_ms.{s}"))).sum();
+        assert!((ms("compile_ms") - sum).abs() < 1e-3, "{report:?}");
+        assert!(ms("stage_ms.opt") > 0.0);
+        assert_eq!(ms("jobs"), 1.0);
+    }
+
     #[test]
     fn reports_land_in_a_directory_that_did_not_exist() {
         let root = std::env::temp_dir().join(format!("bench-emit-{}", std::process::id()));

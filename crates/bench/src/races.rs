@@ -15,10 +15,12 @@
 //!   invariants on them (hardened builds immune, unhardened builds
 //!   strictly worse, zero miscompiles) instead of pinning them.
 
-use safe_tinyos::{run_torn_campaign, simulate, torn_target_names, Diagnostic, Pipeline};
+use safe_tinyos::{
+    run_torn_campaign, simulate, torn_target_names, BuildService, Diagnostic, Pipeline,
+};
 
 use crate::diff::{tally, total_miscompiles};
-use crate::{json, pct_change, ExperimentRunner};
+use crate::{grid, json, pct_change};
 
 /// The three stacks every app is built under, in grid-column order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,17 +136,21 @@ pub struct AppRaceRow {
 /// enumerated by name from each app's *baseline* build, so hardened and
 /// unhardened builds face the same logical faults).
 pub fn measure(
-    runner: &ExperimentRunner,
+    service: &BuildService,
     apps: &[&'static str],
     seconds: u64,
     per_target: usize,
 ) -> Vec<AppRaceRow> {
-    let pipelines = stacks();
-    let grid = runner.run_grid(apps, &pipelines, |job| job.build(job.item));
-    runner.run_items(apps, |i, app| {
-        let [baseline, analysis, fix] = &grid[i][..] else {
+    let builds = grid(service, apps, &stacks(), |spec, pipeline| {
+        service
+            .build(spec, pipeline)
+            .unwrap_or_else(|e| panic!("{}: {e}", pipeline.name()))
+    });
+    service.run_jobs(apps.len(), |i| {
+        let [baseline, analysis, fix] = &builds[i][..] else {
             unreachable!("three stacks per app");
         };
+        let app = apps[i];
         let spec = tosapps::spec(app).expect("known app");
         let names = torn_target_names(baseline);
         let plans = safe_tinyos::torn_plans(baseline, &names, per_target).len();
@@ -179,16 +185,16 @@ pub fn measure(
 /// seeds plus every app, all compared against the cure-only reference.
 /// Returns `(miscompiles, cases)`.
 pub fn oracle_check(
-    runner: &ExperimentRunner,
+    service: &BuildService,
     seeds: &[u64],
     apps: &[&'static str],
     seconds: u64,
 ) -> (usize, usize) {
     let presets = vec![Pipeline::parse(Stack::Fix.spec()).expect("fix spec")];
     let cfg = safe_tinyos::DiffConfig::default();
-    let mut reports = crate::diff::seed_reports(runner, seeds, &presets, &cfg);
+    let mut reports = crate::diff::seed_reports(service, seeds, &presets, &cfg);
     reports.extend(crate::diff::app_reports(
-        runner, apps, &presets, seconds, &cfg,
+        service, apps, &presets, seconds, &cfg,
     ));
     let tallies = tally(&presets, &reports);
     let cases = reports.iter().map(|r| r.cases.len()).sum();

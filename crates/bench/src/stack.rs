@@ -23,9 +23,9 @@
 //!   the interpreter and the translating engine observe identical
 //!   watermarks.
 
-use safe_tinyos::{simulate, Pipeline, StackStats, PRESET_NAMES};
+use safe_tinyos::{simulate, BuildService, Pipeline, StackStats, PRESET_NAMES};
 
-use crate::{json, ExperimentRunner};
+use crate::{grid, json};
 
 /// Index of the paper's full safe stack in [`PRESET_NAMES`] — the
 /// headline preset for per-app tightness reporting.
@@ -92,10 +92,11 @@ impl AppStackRow {
 /// Builds every app under every preset (each with `stackbound`
 /// appended), simulates each build for `seconds`, and returns the grid
 /// rows in app order.
-pub fn measure(runner: &ExperimentRunner, apps: &[&'static str], seconds: u64) -> Vec<AppStackRow> {
-    let presets = stack_presets();
-    let grid = runner.run_grid(apps, &presets, |job| {
-        let build = job.build(job.item);
+pub fn measure(service: &BuildService, apps: &[&'static str], seconds: u64) -> Vec<AppStackRow> {
+    let rows = grid(service, apps, &stack_presets(), |spec, preset| {
+        let build = service
+            .build(spec, preset)
+            .unwrap_or_else(|e| panic!("{}: {e}", preset.name()));
         let stats = build
             .metrics
             .stack
@@ -109,9 +110,9 @@ pub fn measure(runner: &ExperimentRunner, apps: &[&'static str], seconds: u64) -
                 _ => {}
             }
         }
-        let sim = simulate(&build, &job.spec, seconds);
+        let sim = simulate(&build, spec, seconds);
         StackCell {
-            preset: job.item.name().to_string(),
+            preset: preset.name().to_string(),
             stats,
             s001,
             s002,
@@ -120,7 +121,7 @@ pub fn measure(runner: &ExperimentRunner, apps: &[&'static str], seconds: u64) -
         }
     });
     apps.iter()
-        .zip(grid)
+        .zip(rows)
         .map(|(app, cells)| AppStackRow {
             app: app.to_string(),
             cells,

@@ -509,7 +509,7 @@ impl CacheStats {
 /// The sharded, `Arc`-shared pass-output cache.
 ///
 /// Sixteen `RwLock` shards keyed by digest bits keep contention low
-/// across experiment-runner workers; each entry is an
+/// across `BuildService` workers; each entry is an
 /// `Arc<OnceLock<…>>` slot, so the shard lock is held only to find the
 /// slot and the (possibly expensive) pass computation runs outside it,
 /// exactly once per key.

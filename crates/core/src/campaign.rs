@@ -20,12 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use safe_tinyos::{BuildSession, CampaignConfig, Pipeline};
+//! use safe_tinyos::{run_campaign, BuildSession, CampaignConfig, Pipeline};
 //!
-//! let session = BuildSession::new();
 //! let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
+//! let build = BuildSession::new().build(&spec, &Pipeline::unsafe_baseline()).unwrap();
 //! let cfg = CampaignConfig { seconds: 2, sites: 8, seed: 1 };
-//! let unsafe_report = session.campaign(&spec, &Pipeline::unsafe_baseline(), &cfg).unwrap();
+//! let unsafe_report = run_campaign(&build, &spec, &cfg);
 //! // An uncured image has no checks: it can crash or corrupt, never detect.
 //! assert_eq!(unsafe_report.counts.detected, 0);
 //! assert_eq!(unsafe_report.results.len(), 8);
@@ -335,9 +335,9 @@ mod tests {
     use crate::{BuildSession, Pipeline};
 
     fn campaign(pipeline: &Pipeline, cfg: &CampaignConfig) -> CampaignReport {
-        let session = BuildSession::new();
         let spec = tosapps::spec("SenseToRfm_Mica2").unwrap();
-        session.campaign(&spec, pipeline, cfg).unwrap()
+        let build = BuildSession::new().build(&spec, pipeline).unwrap();
+        run_campaign(&build, &spec, cfg)
     }
 
     #[test]

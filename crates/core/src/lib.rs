@@ -12,11 +12,12 @@
 //! # Example
 //!
 //! ```
-//! use safe_tinyos::{build_app, Pipeline};
+//! use safe_tinyos::{BuildSession, Pipeline};
 //!
+//! let session = BuildSession::new();
 //! let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
-//! let unsafe_build = build_app(&spec, &Pipeline::unsafe_baseline()).unwrap();
-//! let safe_build = build_app(&spec, &Pipeline::safe_flid_inline_cxprop()).unwrap();
+//! let unsafe_build = session.build(&spec, &Pipeline::unsafe_baseline()).unwrap();
+//! let safe_build = session.build(&spec, &Pipeline::safe_flid_inline_cxprop()).unwrap();
 //! assert!(safe_build.metrics.checks_inserted > 0);
 //! assert!(safe_build.metrics.checks_surviving < safe_build.metrics.checks_inserted);
 //! // Optimized safe code lands near the unsafe baseline (Figure 3a).
@@ -32,7 +33,7 @@
 //!
 //! let custom = Pipeline::parse("cure(terse)|cxprop(domain=constants,rounds=1)|prune").unwrap();
 //! let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
-//! let build = safe_tinyos::build_app(&spec, &custom).unwrap();
+//! let build = safe_tinyos::BuildSession::new().build(&spec, &custom).unwrap();
 //! assert!(build.metrics.checks_inserted > 0);
 //! ```
 
@@ -76,82 +77,6 @@ pub use pipeline::{
 pub use service::{BuildRequest, BuildResult, BuildService};
 pub use spec::{parse_pipeline_list, pipelines_from_env_or, SpecError};
 pub use stackbound::{StackReport, StackStats};
-
-/// A coarse, fixed-slot rollup of pipeline timing: every [`Pass`] maps
-/// onto one of these five buckets (see [`Pass::stage`]), keeping the
-/// `BENCH_toolchain_speed*.json` schema stable while pipelines grow
-/// arbitrary pass lists (whose exact per-pass times live in
-/// [`PassTimes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// nesC-lite parse, wiring resolution, and lowering to tcil.
-    Frontend,
-    /// CCured: pointer-kind inference, check insertion, local optimizer.
-    Cure,
-    /// Middle-end optimizers: inliner, cXprop, error-message pruning.
-    Opt,
-    /// The weak GCC-class backend optimizer.
-    Backend,
-    /// Data layout, code generation, and image emission.
-    Link,
-}
-
-impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Frontend,
-        Stage::Cure,
-        Stage::Opt,
-        Stage::Backend,
-        Stage::Link,
-    ];
-
-    /// The stage's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Frontend => "frontend",
-            Stage::Cure => "cure",
-            Stage::Opt => "opt",
-            Stage::Backend => "backend",
-            Stage::Link => "link",
-        }
-    }
-}
-
-/// Per-stage wall times for one or more builds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimes {
-    nanos: [u64; Stage::ALL.len()],
-}
-
-impl StageTimes {
-    /// Adds `elapsed` to `stage`'s bucket.
-    pub fn record(&mut self, stage: Stage, elapsed: Duration) {
-        self.nanos[stage as usize] += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-    }
-
-    /// Accumulated time in `stage`.
-    pub fn get(&self, stage: Stage) -> Duration {
-        Duration::from_nanos(self.nanos[stage as usize])
-    }
-
-    /// Sum over all stages.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.nanos.iter().sum())
-    }
-
-    /// Accumulates another set of stage times into this one.
-    pub fn add(&mut self, other: &StageTimes) {
-        for (a, b) in self.nanos.iter_mut().zip(&other.nanos) {
-            *a += b;
-        }
-    }
-
-    /// Iterates `(stage, accumulated time)` in pipeline order.
-    pub fn iter(&self) -> impl Iterator<Item = (Stage, Duration)> + '_ {
-        Stage::ALL.into_iter().map(|s| (s, self.get(s)))
-    }
-}
 
 /// Concurrency-analysis rollup for one build: what the race analyses
 /// found and what the atomic-section transforms did. Filled by the
@@ -206,12 +131,9 @@ pub struct Metrics {
     /// Structured diagnostics emitted by analysis passes, in emission
     /// order (see [`diag`]).
     pub diagnostics: Vec<Diagnostic>,
-    /// Coarse per-stage wall times for this build. The frontend bucket
-    /// is non-zero only on the build that actually ran the frontend — a
+    /// Per-pass wall times, keyed by pass name. A `frontend` entry
+    /// appears only on the build that actually ran the frontend — a
     /// cache hit in a [`BuildSession`] costs (and records) nothing.
-    pub stage_times: StageTimes,
-    /// Per-pass wall times, keyed by pass name (dynamic buckets; the
-    /// fine-grained view [`Metrics::stage_times`] rolls up).
     pub pass_times: PassTimes,
 }
 
@@ -283,8 +205,8 @@ impl FrontendArtifact {
 /// An evaluation grid builds each app under many pipelines; the
 /// frontend's work (parse, wiring, lowering) is identical across
 /// pipelines, so a session compiles it once per app and hands every
-/// build a cheap clone. Sessions are `Sync`: the experiment runner shares
-/// one across worker threads.
+/// build a cheap clone. Sessions are `Sync`: a [`BuildService`] shares
+/// one across its worker threads.
 ///
 /// ```
 /// use safe_tinyos::{BuildSession, Pipeline};
@@ -305,6 +227,8 @@ pub struct BuildSession {
     /// cacheable pass, so pipeline prefixes shared across the session's
     /// builds are computed once.
     pass_cache: Option<Arc<PassCache>>,
+    /// Every successful build's [`Metrics::pass_times`], summed.
+    pass_times: Mutex<PassTimes>,
 }
 
 /// The lazily-parsed frontend and the per-app artifact cache, under one
@@ -319,16 +243,12 @@ impl BuildSession {
     /// A session over the stock TinyOS-lite source set, with the pass
     /// cache enabled.
     pub fn new() -> BuildSession {
-        Self::with_sources(tosapps::source_set())
-    }
-
-    /// A session over a custom source set, with the pass cache enabled.
-    pub fn with_sources(sources: nesc::SourceSet) -> BuildSession {
         BuildSession {
-            sources,
+            sources: tosapps::source_set(),
             state: Mutex::new(SessionState::default()),
             frontend_compiles: AtomicUsize::new(0),
             pass_cache: Some(Arc::new(PassCache::new())),
+            pass_times: Mutex::default(),
         }
     }
 
@@ -365,11 +285,21 @@ impl BuildSession {
         self.frontend_compiles.load(Ordering::Relaxed)
     }
 
+    /// The pass times of every successful [`BuildSession::build`] so
+    /// far, summed per pass — `frontend` included, counted on the build
+    /// that compiled each app.
+    pub fn pass_times(&self) -> PassTimes {
+        self.pass_times
+            .lock()
+            .expect("no build panics while adding to the total")
+            .clone()
+    }
+
     /// The cached frontend artifact for `spec`, compiling it on first
     /// use. The cache lock is held across the compile, so the frontend
     /// runs at most once per app even under concurrent callers. (This
     /// serializes first-touch frontend compiles of *different* apps
-    /// too — an accepted tradeoff: the runner claims jobs app-major so
+    /// too — an accepted tradeoff: grids claim jobs app-major so
     /// contention is mostly same-app, and the frontend is a few percent
     /// of grid compile time.)
     ///
@@ -414,7 +344,8 @@ impl BuildSession {
 
     /// Builds `spec` under `pipeline`, reusing the cached frontend
     /// artifact. The frontend's wall time lands in the metrics of the
-    /// one build that compiled it.
+    /// one build that compiled it, and the build's pass times are added
+    /// to the session total ([`BuildSession::pass_times`]).
     ///
     /// # Errors
     ///
@@ -429,32 +360,14 @@ impl BuildSession {
         if fresh {
             build
                 .metrics
-                .stage_times
-                .record(Stage::Frontend, artifact.elapsed);
-            build
-                .metrics
                 .pass_times
-                .record(Stage::Frontend.name(), artifact.elapsed);
+                .record("frontend", artifact.elapsed);
         }
+        self.pass_times
+            .lock()
+            .expect("no build panics while adding to the total")
+            .add(&build.metrics.pass_times);
         Ok(build)
-    }
-
-    /// Builds `spec` under `pipeline` (through the frontend cache) and
-    /// runs a fault-injection campaign against the result — the hook an
-    /// experiment grid uses to measure detection rates per pipeline
-    /// preset (see [`campaign`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile errors from any pass.
-    pub fn campaign(
-        &self,
-        spec: &AppSpec,
-        pipeline: &Pipeline,
-        config: &CampaignConfig,
-    ) -> Result<CampaignReport, CompileError> {
-        let build = self.build(spec, pipeline)?;
-        Ok(campaign::run_campaign(&build, spec, config))
     }
 }
 
@@ -462,19 +375,6 @@ impl Default for BuildSession {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Compiles `spec` under `pipeline` with a throwaway one-shot
-/// [`BuildSession`] — a convenience for doctests and true one-offs.
-/// Anything building more than once should hold a [`BuildSession`],
-/// and anything batch-shaped should go through [`BuildService`], so the
-/// frontend and pass caches actually pay off.
-///
-/// # Errors
-///
-/// Propagates compile errors from any pass.
-pub fn build_app(spec: &AppSpec, pipeline: &Pipeline) -> Result<Build, CompileError> {
-    BuildSession::new().build(spec, pipeline)
 }
 
 /// Result of a duty-cycle simulation.
@@ -613,19 +513,5 @@ mod tests {
             assert_eq!(p.name(), name);
         }
         assert!(Pipeline::preset("no-such-preset").is_none());
-    }
-
-    #[test]
-    fn pass_times_roll_up_into_stages() {
-        let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
-        let b = build_app(&spec, &Pipeline::safe_flid_inline_cxprop()).unwrap();
-        let t = &b.metrics.pass_times;
-        for pass in ["cure", "inline", "cxprop", "prune", "backend", "link"] {
-            assert!(t.get(pass) > Duration::ZERO, "pass {pass} untimed");
-        }
-        // Opt rollup = inline + cxprop + prune, to the nanosecond.
-        let opt = t.get("inline") + t.get("cxprop") + t.get("prune");
-        assert_eq!(b.metrics.stage_times.get(Stage::Opt), opt);
-        assert_eq!(t.total(), b.metrics.stage_times.total());
     }
 }

@@ -6,10 +6,9 @@
 //! unit of configuration is an ordered, named list of passes rather than
 //! a closed struct of booleans. Each pass mutates the lowered
 //! [`tcil::Program`] in place and deposits its statistics into a
-//! [`PassCx`]; the pipeline times every pass individually (dynamic
-//! [`PassTimes`] buckets keyed by pass name) and rolls each one up into
-//! the coarse [`Stage`] enum so the `BENCH_toolchain_speed*.json` schema
-//! is unchanged.
+//! [`PassCx`]; the pipeline times every pass individually, into
+//! [`PassTimes`] buckets keyed by pass name — the one per-build timing
+//! record ([`Metrics::pass_times`]).
 //!
 //! Pipelines come from three places:
 //!
@@ -31,7 +30,7 @@ use tcil::{CompileError, Program};
 
 use crate::cache::{ir_digest, CacheKey, PassCache, PassOutput};
 use crate::diag::{Diagnostic, Severity};
-use crate::{Build, Metrics, Stage};
+use crate::{Build, Metrics};
 
 /// Mutable context threaded through a pipeline run: the metrics being
 /// collected, the target platform, and the backend's prepared program
@@ -73,16 +72,13 @@ impl PassCx {
 /// the lowered program.
 ///
 /// Implementations must be `Send + Sync` (pipelines are shared across
-/// experiment-runner worker threads) and are held behind an [`Arc`], so
+/// [`crate::BuildService`] worker threads) and are held behind an [`Arc`], so
 /// a pass carries its options but no per-run state — per-run results go
 /// through the [`PassCx`].
 pub trait Pass: Send + Sync {
     /// The pass's name: its spec-language keyword and its bucket in
     /// [`PassTimes`].
     fn name(&self) -> &str;
-
-    /// The coarse [`Stage`] this pass's wall time rolls up into.
-    fn stage(&self) -> Stage;
 
     /// The pass's canonical spec-language rendering, including any
     /// non-default options (e.g. `cxprop(domain=constants,rounds=1)`).
@@ -133,9 +129,8 @@ pub trait Pass: Send + Sync {
 }
 
 /// Per-pass wall times: dynamic buckets keyed by pass name, in first-run
-/// order. The dynamic generalization of [`crate::StageTimes`] — a
-/// pipeline can contain any number of passes, including the same pass
-/// twice (times accumulate into one bucket).
+/// order. A pipeline can contain any number of passes, including the
+/// same pass twice (times accumulate into one bucket).
 #[derive(Debug, Clone, Default)]
 pub struct PassTimes {
     entries: Vec<(String, Duration)>,
@@ -215,10 +210,6 @@ impl Pass for CurePass {
         "cure"
     }
 
-    fn stage(&self) -> Stage {
-        Stage::Cure
-    }
-
     fn spec(&self) -> String {
         crate::spec::render_cure(&self.options)
     }
@@ -252,10 +243,6 @@ pub struct InlinePass {
 impl Pass for InlinePass {
     fn name(&self) -> &str {
         "inline"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Opt
     }
 
     fn spec(&self) -> String {
@@ -345,10 +332,6 @@ impl Pass for CxpropPass {
         "cxprop"
     }
 
-    fn stage(&self) -> Stage {
-        Stage::Opt
-    }
-
     fn spec(&self) -> String {
         crate::spec::render_cxprop(&self.options)
     }
@@ -379,10 +362,6 @@ pub struct PruneErrmsgPass;
 impl Pass for PruneErrmsgPass {
     fn name(&self) -> &str {
         "prune"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Opt
     }
 
     fn cacheable(&self) -> bool {
@@ -420,10 +399,6 @@ pub struct RacesPass {
 impl Pass for RacesPass {
     fn name(&self) -> &str {
         "races"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Opt
     }
 
     fn spec(&self) -> String {
@@ -512,10 +487,6 @@ impl Pass for StackboundPass {
         "stackbound"
     }
 
-    fn stage(&self) -> Stage {
-        Stage::Opt
-    }
-
     fn spec(&self) -> String {
         crate::spec::render_stackbound(self.budget)
     }
@@ -549,10 +520,6 @@ pub struct BackendPass {
 impl Pass for BackendPass {
     fn name(&self) -> &str {
         "backend"
-    }
-
-    fn stage(&self) -> Stage {
-        Stage::Backend
     }
 
     fn spec(&self) -> String {
@@ -665,9 +632,8 @@ impl Pipeline {
     /// `…|cxprop|backend` share one entry.
     ///
     /// Timing buckets record what *this* build spent: a hit charges its
-    /// (cheap) lookup to the pass's bucket, so stage/pass rollup
-    /// invariants hold with or without a cache while warm wall times
-    /// collapse.
+    /// (cheap) lookup to the pass's bucket, so every pass that ran has a
+    /// bucket with or without a cache while warm wall times collapse.
     ///
     /// # Errors
     ///
@@ -756,9 +722,7 @@ impl Pipeline {
                     }
                 }
             }
-            let elapsed = start.elapsed();
-            cx.metrics.stage_times.record(pass.stage(), elapsed);
-            cx.metrics.pass_times.record(pass.name(), elapsed);
+            cx.metrics.pass_times.record(pass.name(), start.elapsed());
         }
         let prepared = match prepared {
             Some(prepared) => prepared,
@@ -800,18 +764,14 @@ impl Pipeline {
                     }
                     None => Arc::new(backend::prepare(&state, &options)),
                 };
-                let elapsed = start.elapsed();
-                cx.metrics.stage_times.record(Stage::Backend, elapsed);
-                cx.metrics.pass_times.record("backend", elapsed);
+                cx.metrics.pass_times.record("backend", start.elapsed());
                 prepared
             }
         };
         let start = Instant::now();
         let image = backend::link(&prepared, cx.platform)?;
-        let elapsed = start.elapsed();
         let mut metrics = cx.metrics;
-        metrics.stage_times.record(Stage::Link, elapsed);
-        metrics.pass_times.record("link", elapsed);
+        metrics.pass_times.record("link", start.elapsed());
         metrics.code_bytes = image.code_bytes();
         metrics.flash_bytes = image.flash_bytes();
         metrics.sram_bytes = image.sram_bytes();
@@ -822,17 +782,14 @@ impl Pipeline {
         // never cached and the analyzer is a pure function of the
         // image, so the results — diagnostics included — are identical
         // with or without the pass cache and for any worker count. The
-        // time lands in the requesting pass's own buckets, preserving
-        // the stage/pass rollup invariant.
+        // time lands in the requesting pass's own bucket.
         for pass in &self.passes {
             if let Some(budget) = pass.stackbound_request() {
                 let start = Instant::now();
                 let report = crate::stackbound::analyze(&image, budget);
                 metrics.diagnostics.extend(report.diagnostics);
                 metrics.stack = Some(report.stats);
-                let elapsed = start.elapsed();
-                metrics.stage_times.record(pass.stage(), elapsed);
-                metrics.pass_times.record(pass.name(), elapsed);
+                metrics.pass_times.record(pass.name(), start.elapsed());
             }
         }
         let program = Arc::try_unwrap(state).unwrap_or_else(|shared| (*shared).clone());

@@ -26,8 +26,9 @@
 //! assert_eq!(service.cache_stats().get("cure").hits, 2);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use tcil::CompileError;
 use tosapps::AppSpec;
@@ -57,16 +58,22 @@ pub type BuildResult = Result<Build, CompileError>;
 /// plus a worker pool. The one blessed entry point for anything that
 /// builds more than one configuration; one-off callers can use
 /// [`BuildService::build`] or a bare session.
+///
+/// The service keeps its own books: how many jobs its batches ran and
+/// how long they took ([`BuildService::jobs`], [`BuildService::wall`]);
+/// the session sums every build's pass times.
 pub struct BuildService {
     session: BuildSession,
     threads: usize,
+    jobs: AtomicUsize,
+    wall_nanos: AtomicU64,
 }
 
 impl BuildService {
     /// A service over a fresh cached session, with one worker per
     /// available core.
     pub fn new() -> BuildService {
-        Self::with_session(BuildSession::new())
+        Self::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// A service with an explicit worker count (1 = fully serial; the
@@ -75,13 +82,9 @@ impl BuildService {
         BuildService {
             session: BuildSession::new(),
             threads: threads.max(1),
+            jobs: AtomicUsize::new(0),
+            wall_nanos: AtomicU64::new(0),
         }
-    }
-
-    /// Wraps an existing session (cached or not).
-    pub fn with_session(session: BuildSession) -> BuildService {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        BuildService { session, threads }
     }
 
     /// The underlying session.
@@ -92,6 +95,19 @@ impl BuildService {
     /// The worker-pool width.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Jobs run by every batch so far ([`BuildService::submit`],
+    /// [`BuildService::run_jobs`] and [`BuildService::run_jobs_labeled`]
+    /// alike). A pure function of the batches, whatever the worker count.
+    pub fn jobs(&self) -> usize {
+        self.jobs.load(Ordering::Relaxed)
+    }
+
+    /// Wall time spent inside batches so far — simulation and any other
+    /// work the jobs did included, not just compiles.
+    pub fn wall(&self) -> Duration {
+        Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed))
     }
 
     /// A snapshot of the session's pass-cache counters.
@@ -172,8 +188,23 @@ impl BuildService {
     /// job panics, the pool re-raises the *first* panic (by job index)
     /// on the caller's thread with the label prepended — `label(i):
     /// original message` — so a grid failure names the app × spec that
-    /// died instead of surfacing as a bare worker-thread panic.
+    /// died instead of surfacing as a bare worker-thread panic. The batch
+    /// counts toward [`BuildService::jobs`] and [`BuildService::wall`].
     pub fn run_jobs_labeled<R, F, L>(&self, n: usize, f: F, label: L) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+        L: Fn(usize) -> String + Sync,
+    {
+        let start = Instant::now();
+        let out = self.fan_out(n, f, label);
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.wall_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.jobs.fetch_add(n, Ordering::Relaxed);
+        out
+    }
+
+    fn fan_out<R, F, L>(&self, n: usize, f: F, label: L) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -293,6 +324,43 @@ mod tests {
         // cxprop forks: same input after cure in stacks 2–4? Stack 4
         // inlines first, so cxprop sees two distinct inputs.
         assert_eq!(stats.get("cxprop").misses, 2);
+    }
+
+    #[test]
+    fn session_total_is_the_sum_of_every_build_for_any_worker_count() {
+        let spec = |app| tosapps::spec(app).unwrap();
+        let requests: Vec<_> = ["BlinkTask_Mica2", "Surge_Mica2"]
+            .into_iter()
+            .flat_map(|app| {
+                ["unsafe", "safe-flid", "safe-flid-inline-cxprop"]
+                    .map(|p| BuildRequest::new(spec(app), Pipeline::preset(p).unwrap()))
+            })
+            .collect();
+        let mut jobs = Vec::new();
+        for threads in [1, 8] {
+            let service = BuildService::with_threads(threads);
+            let mut sum = crate::PassTimes::default();
+            let mut frontends = 0;
+            for result in service.submit(requests.clone()) {
+                let times = &result.unwrap().metrics.pass_times;
+                frontends += usize::from(times.iter().any(|(pass, _)| pass == "frontend"));
+                sum.add(times);
+            }
+            // Each app's frontend is charged to exactly one build.
+            assert_eq!(frontends, 2, "{threads} workers");
+            // Bucket order follows completion order; the sums may not.
+            let sorted = |t: &crate::PassTimes| {
+                let mut v: Vec<_> = t.iter().map(|(p, d)| (p.to_string(), d)).collect();
+                v.sort();
+                v
+            };
+            let total = service.session().pass_times();
+            assert_eq!(sorted(&total), sorted(&sum), "{threads} workers");
+            assert!(total.get("frontend") > Duration::ZERO);
+            assert!(service.wall() > Duration::ZERO);
+            jobs.push(service.jobs());
+        }
+        assert_eq!(jobs, [6, 6]);
     }
 
     #[test]

@@ -1,25 +1,35 @@
 //! Whole-toolchain integration: every benchmark app must build and run
 //! under the key pipeline configurations without faulting, and the
 //! paper's qualitative relationships must hold per app. The app ×
-//! config sweeps run through the shared [`ExperimentRunner`] so the
-//! frontend compiles each app once and the grid parallelizes.
+//! config sweeps run on one shared [`BuildService`] so the frontend
+//! compiles each app once and the grid parallelizes.
 
-use bench::ExperimentRunner;
-use safe_tinyos::{simulate, BuildSession, Pipeline};
+use bench::grid;
+use safe_tinyos::{simulate, BuildService, BuildSession, Pipeline, SimResult};
 use safe_tinyos_suite as _;
+
+/// Builds and simulates every app × config cell for `seconds`.
+fn simulate_grid(apps: &[&str], configs: &[Pipeline], seconds: u64) -> Vec<Vec<SimResult>> {
+    let service = BuildService::new();
+    grid(&service, apps, configs, |spec, p| {
+        simulate(&service.build(spec, p).unwrap(), spec, seconds)
+    })
+}
 
 #[test]
 fn all_apps_build_under_all_fig3_bars() {
-    let runner = ExperimentRunner::from_env();
+    let service = BuildService::new();
     let bars = Pipeline::fig3_bars();
-    let grid = runner.metrics_grid(tosapps::APP_NAMES, &bars);
+    let grid = grid(&service, tosapps::APP_NAMES, &bars, |spec, p| {
+        service.build(spec, p).unwrap().metrics
+    });
     for (name, row) in tosapps::APP_NAMES.iter().zip(&grid) {
         for (config, metrics) in bars.iter().zip(row) {
             assert!(metrics.code_bytes > 0, "{name} / {}", config.name());
         }
     }
     assert_eq!(
-        runner.session().frontend_compiles(),
+        service.session().frontend_compiles(),
         tosapps::APP_NAMES.len(),
         "one frontend compile per app, reused across all bars"
     );
@@ -27,11 +37,7 @@ fn all_apps_build_under_all_fig3_bars() {
 
 #[test]
 fn all_apps_run_unsafe_without_faulting() {
-    let runner = ExperimentRunner::from_env();
-    let configs = [Pipeline::unsafe_baseline()];
-    let grid = runner.run_grid(tosapps::APP_NAMES, &configs, |job| {
-        simulate(&job.build(job.item), &job.spec, 2)
-    });
+    let grid = simulate_grid(tosapps::APP_NAMES, &[Pipeline::unsafe_baseline()], 2);
     for (name, row) in tosapps::APP_NAMES.iter().zip(&grid) {
         let r = &row[0];
         // Sleeping or mid-burst Running are both healthy end states;
@@ -49,11 +55,11 @@ fn all_apps_run_unsafe_without_faulting() {
 fn all_apps_run_fully_safe_without_traps() {
     // The core soundness claim: correct programs keep working after the
     // full safe pipeline — no false-positive traps.
-    let runner = ExperimentRunner::from_env();
-    let configs = [Pipeline::safe_flid_inline_cxprop()];
-    let grid = runner.run_grid(tosapps::APP_NAMES, &configs, |job| {
-        simulate(&job.build(job.item), &job.spec, 2)
-    });
+    let grid = simulate_grid(
+        tosapps::APP_NAMES,
+        &[Pipeline::safe_flid_inline_cxprop()],
+        2,
+    );
     for (name, row) in tosapps::APP_NAMES.iter().zip(&grid) {
         let r = &row[0];
         assert!(
@@ -69,7 +75,6 @@ fn all_apps_run_fully_safe_without_traps() {
 fn safe_and_unsafe_builds_behave_equivalently() {
     // Device-level observable behaviour must match between the unsafe
     // baseline and the fully optimized safe build.
-    let runner = ExperimentRunner::from_env();
     let configs = [
         Pipeline::unsafe_baseline(),
         Pipeline::safe_flid_inline_cxprop(),
@@ -79,9 +84,7 @@ fn safe_and_unsafe_builds_behave_equivalently() {
         "CntToLedsAndRfm_Mica2",
         "RfmToLeds_Mica2",
     ];
-    let grid = runner.run_grid(&apps, &configs, |job| {
-        simulate(&job.build(job.item), &job.spec, 3)
-    });
+    let grid = simulate_grid(&apps, &configs, 3);
     for (name, row) in apps.iter().zip(&grid) {
         let (ru, rs) = (&row[0], &row[1]);
         assert_eq!(

@@ -1,17 +1,17 @@
-//! The parallel experiment runner must be a pure speedup: for the full
-//! Figure 2 + Figure 3 grids, an 8-worker runner has to produce
-//! byte-identical metrics (and therefore byte-identical `BENCH_*.json`
-//! payloads) to a serial runner, and the frontend must compile each app
-//! exactly once per runner however many configurations the grid spans.
+//! The worker count must be invisible: for the full Figure 2 + Figure 3
+//! grids, an 8-worker `BuildService` has to produce byte-identical
+//! metrics (and therefore byte-identical `BENCH_*.json` payloads) to a
+//! serial one, and the frontend must compile each app exactly once per
+//! service however many configurations the grid spans.
 //! The fault-injection campaign adds a stronger case: hundreds of
 //! simulated corruption runs per grid cell, whose rendered JSON must
 //! still be byte-identical for the same seed.
 
-use bench::{fault, ExperimentRunner};
-use safe_tinyos::{BuildSession, CampaignConfig, Metrics, Pipeline};
+use bench::{fault, grid};
+use safe_tinyos::{BuildService, BuildSession, CampaignConfig, Metrics, Pipeline};
 use safe_tinyos_suite as _;
 
-/// Every deterministic field of the metrics (stage wall times are
+/// Every deterministic field of the metrics (pass wall times are
 /// timing-dependent by nature and excluded).
 fn fingerprint(app: &str, config: &str, m: &Metrics) -> String {
     format!(
@@ -27,13 +27,19 @@ fn fingerprint(app: &str, config: &str, m: &Metrics) -> String {
     )
 }
 
-fn full_grid(threads: usize, configs: &[Pipeline]) -> (String, usize) {
-    let runner = ExperimentRunner::with_threads(threads);
-    let grid = runner.run_grid(tosapps::APP_NAMES, configs, |job| {
-        fingerprint(job.spec.name, job.item.name(), &job.build(job.item).metrics)
+/// A grid's fingerprints, its frontend compiles and its job count.
+fn full_grid(threads: usize, configs: &[Pipeline]) -> (String, usize, usize) {
+    let service = BuildService::with_threads(threads);
+    let grid = grid(&service, tosapps::APP_NAMES, configs, |spec, p| {
+        fingerprint(
+            spec.name,
+            p.name(),
+            &service.build(spec, p).unwrap().metrics,
+        )
     });
     let lines: Vec<String> = grid.into_iter().flatten().collect();
-    (lines.join("\n"), runner.session().frontend_compiles())
+    let compiles = service.session().frontend_compiles();
+    (lines.join("\n"), compiles, service.jobs())
 }
 
 #[test]
@@ -42,17 +48,19 @@ fn parallel_runner_matches_serial_on_fig2_and_fig3_grids() {
     configs.extend(Pipeline::fig3_bars());
     configs.push(Pipeline::unsafe_baseline());
 
-    let (serial, serial_compiles) = full_grid(1, &configs);
-    let (parallel, parallel_compiles) = full_grid(8, &configs);
+    let (serial, serial_compiles, serial_jobs) = full_grid(1, &configs);
+    let (parallel, parallel_compiles, parallel_jobs) = full_grid(8, &configs);
 
     assert_eq!(
         serial, parallel,
-        "parallel runner diverged from serial baseline"
+        "8-worker grid diverged from the serial baseline"
     );
     // The frontend artifact cache: one nesc compile per app per harness
     // invocation, never one per grid cell.
     assert_eq!(serial_compiles, tosapps::APP_NAMES.len());
     assert_eq!(parallel_compiles, tosapps::APP_NAMES.len());
+    assert_eq!(serial_jobs, tosapps::APP_NAMES.len() * configs.len());
+    assert_eq!(parallel_jobs, serial_jobs);
 }
 
 #[test]
@@ -68,8 +76,8 @@ fn fault_campaign_json_matches_serial_under_8_threads() {
         seed: 0xC0DE,
     };
     let body_with = |threads: usize| {
-        let runner = ExperimentRunner::with_threads(threads);
-        let grid = fault::campaign_grid(&runner, &apps, &pipelines, &config);
+        let service = BuildService::with_threads(threads);
+        let grid = fault::campaign_grid(&service, &apps, &pipelines, &config);
         fault::render_json(&apps, &pipelines, &config, &grid)
     };
     let serial = body_with(1);
@@ -99,9 +107,9 @@ fn difftest_json_matches_serial_under_8_threads() {
     ];
     let cfg = safe_tinyos::DiffConfig::default();
     let body_with = |threads: usize| {
-        let runner = ExperimentRunner::with_threads(threads);
-        let mut reports = bench::diff::seed_reports(&runner, &seeds, &presets, &cfg);
-        reports.extend(bench::diff::app_reports(&runner, &apps, &presets, 2, &cfg));
+        let service = BuildService::with_threads(threads);
+        let mut reports = bench::diff::seed_reports(&service, &seeds, &presets, &cfg);
+        reports.extend(bench::diff::app_reports(&service, &apps, &presets, 2, &cfg));
         let tallies = bench::diff::tally(&presets, &reports);
         bench::diff::render_json(&seeds, &apps, &presets, &cfg, 2, &tallies)
     };
@@ -119,13 +127,15 @@ fn race_analysis_matches_serial_under_8_threads() {
     // The race analyzer and auto-hardener over every app: the rendered
     // analysis object of BENCH_races.json (diagnostic censuses, section
     // counts, code-size deltas) plus every per-site diagnostic string
-    // must be byte-identical between a serial and an 8-worker runner,
+    // must be byte-identical between a serial and an 8-worker service,
     // and every races(fix) build must reach the zero-diagnostic
     // fixpoint.
     let stacks = bench::races::stacks();
     let body_with = |threads: usize| {
-        let runner = ExperimentRunner::with_threads(threads);
-        let grid = runner.metrics_grid(tosapps::APP_NAMES, &stacks);
+        let service = BuildService::with_threads(threads);
+        let grid = grid(&service, tosapps::APP_NAMES, &stacks, |spec, p| {
+            service.build(spec, p).unwrap().metrics
+        });
         let mut lines = Vec::new();
         for (app, row) in tosapps::APP_NAMES.iter().zip(&grid) {
             for (stack, m) in stacks.iter().zip(row) {
@@ -165,9 +175,9 @@ fn fleet_json_matches_serial_under_8_threads() {
         .expect("Surge builds");
     let cells = bench::fleet::sweep_cells(&[5, 12], 2);
     let body_with = |threads: usize| {
-        let runner = ExperimentRunner::with_threads(threads);
-        let rows = bench::fleet::measure(&runner, &build, &cells, 2);
-        let campaign = bench::fleet::run_campaign(&runner, &build);
+        let service = BuildService::with_threads(threads);
+        let rows = bench::fleet::measure(&service, &build, &cells, 2);
+        let campaign = bench::fleet::run_campaign(&service, &build);
         bench::fleet::pinned_json(&rows, 2, campaign, true)
     };
     let serial = body_with(1);
@@ -201,8 +211,8 @@ fn campaigns_trigger_identically_under_both_engines() {
     let body_with = |engine: mcu::Engine| {
         mcu::Engine::set_global_override(Some(engine));
         assert_eq!(mcu::Engine::from_env(), engine);
-        let runner = ExperimentRunner::with_threads(4);
-        let grid = fault::campaign_grid(&runner, &apps, &pipelines, &config);
+        let service = BuildService::with_threads(4);
+        let grid = fault::campaign_grid(&service, &apps, &pipelines, &config);
         let fault_json = fault::render_json(&apps, &pipelines, &config, &grid);
         // The torn campaign targets the first app whose baseline build
         // flags multi-byte globals (enumeration is deterministic).
@@ -257,7 +267,7 @@ fn shared_pass_cache_is_schedule_independent() {
     let mut configs = Pipeline::fig2_stacks();
     configs.extend(Pipeline::fig3_bars());
     let batch_with = |threads: usize| {
-        let service = safe_tinyos::BuildService::with_threads(threads);
+        let service = BuildService::with_threads(threads);
         let requests: Vec<safe_tinyos::BuildRequest> = tosapps::APP_NAMES
             .iter()
             .flat_map(|app| {
@@ -300,15 +310,17 @@ fn shared_pass_cache_is_schedule_independent() {
 #[test]
 fn grid_results_land_in_grid_order() {
     let configs = [Pipeline::unsafe_baseline(), Pipeline::safe_flid()];
-    let runner = ExperimentRunner::with_threads(4);
-    let grid = runner.run_grid(tosapps::APP_NAMES, &configs, |job| {
-        (job.app_index, job.item_index, job.spec.name)
+    let service = BuildService::with_threads(4);
+    let grid = grid(&service, tosapps::APP_NAMES, &configs, |spec, p| {
+        (spec.name, p.name().to_string())
     });
+    assert_eq!(grid.len(), tosapps::APP_NAMES.len());
     for (ai, row) in grid.iter().enumerate() {
         assert_eq!(row.len(), configs.len());
-        for (ci, &(got_ai, got_ci, name)) in row.iter().enumerate() {
-            assert_eq!((got_ai, got_ci), (ai, ci));
-            assert_eq!(name, tosapps::APP_NAMES[ai]);
+        for (ci, (app, config)) in row.iter().enumerate() {
+            assert_eq!(*app, tosapps::APP_NAMES[ai]);
+            assert_eq!(config, configs[ci].name());
         }
     }
+    assert_eq!(service.jobs(), tosapps::APP_NAMES.len() * configs.len());
 }

@@ -30,8 +30,8 @@ fn corpus_replays_clean_across_all_presets() {
     assert!(seeds.len() >= 10, "corpus shrank to {}", seeds.len());
     let presets = bench::diff::default_presets();
     let cfg = DiffConfig::default();
-    let runner = bench::ExperimentRunner::from_env();
-    let reports = bench::diff::seed_reports(&runner, &seeds, &presets, &cfg);
+    let service = safe_tinyos::BuildService::new();
+    let reports = bench::diff::seed_reports(&service, &seeds, &presets, &cfg);
     for report in &reports {
         for case in &report.cases {
             assert_ne!(

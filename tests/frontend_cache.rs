@@ -3,7 +3,9 @@
 //! a safe and an unsafe configuration, and repeated cache hits must not
 //! drift (the middle-end mutates its copy, never the cached artifact).
 
-use safe_tinyos::{BuildSession, Pipeline, Stage};
+use std::time::Duration;
+
+use safe_tinyos::{BuildSession, Pipeline};
 use safe_tinyos_suite as _;
 
 #[test]
@@ -55,11 +57,13 @@ fn frontend_time_attributed_to_first_build_only() {
     let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
     let first = session.build(&spec, &Pipeline::unsafe_baseline()).unwrap();
     let second = session.build(&spec, &Pipeline::safe_flid()).unwrap();
-    assert!(first.metrics.stage_times.get(Stage::Frontend) > std::time::Duration::ZERO);
+    assert!(first.metrics.pass_times.get("frontend") > Duration::ZERO);
+    assert_eq!(second.metrics.pass_times.get("frontend"), Duration::ZERO);
+    // Middle/back-end passes are timed on every build.
+    assert!(second.metrics.pass_times.get("link") > Duration::ZERO);
+    // The session total counts the frontend once.
     assert_eq!(
-        second.metrics.stage_times.get(Stage::Frontend),
-        std::time::Duration::ZERO
+        session.pass_times().get("frontend"),
+        first.metrics.pass_times.get("frontend")
     );
-    // Middle/back-end stages are timed on every build.
-    assert!(second.metrics.stage_times.get(Stage::Link) > std::time::Duration::ZERO);
 }
