@@ -5,9 +5,10 @@
 //! cycle); a campaign measures what safety *buys*. For one build it runs
 //! a golden (uninjected) simulation, enumerates a seeded, deterministic
 //! list of corruption plans over the image's static data
-//! ([`mcu::faults::enumerate_sites`]), replays the workload once per
-//! plan with the corruption applied mid-run, and triages every replay
-//! against the golden observation ([`ccured::triage`]). The resulting
+//! ([`mcu::faults::enumerate_sites`]), forks one injected run per plan
+//! from a golden checkpoint with the corruption applied mid-run, and
+//! triages every injected run against the golden observation
+//! ([`ccured::triage`]). The resulting
 //! [`CampaignReport`] is the paper's missing evaluation axis: cured
 //! pipelines convert silent corruption into FLID-diagnosable traps,
 //! uncured ones cannot (an image with zero checks can never produce a
@@ -16,6 +17,19 @@
 //! Campaigns are pure functions of `(build, workload, config)` — no
 //! wall-clock, no global RNG — so an experiment grid over worker threads
 //! emits byte-identical reports in any schedule.
+//!
+//! # Fork and converge
+//!
+//! The golden run is the only run that starts at boot. It stops at
+//! every checkpoint cycle — each distinct site cycle plus an even grid
+//! over the horizon — and keeps a [`Machine`] snapshot there. An
+//! injected run clones its site's snapshot, applies the fault, and at
+//! each later checkpoint compares itself with the golden snapshot
+//! ([`Machine::same_state`]). The simulator is deterministic, so a run
+//! whose whole state equals the golden run's has the golden future:
+//! it stops there as [`Verdict::Benign`]. Runs compose
+//! (`run(a); run(b)` ≡ `run(b)`), so every fork reproduces exactly the
+//! boot-to-horizon replay it stands for.
 //!
 //! # Example
 //!
@@ -35,7 +49,7 @@ use std::collections::BTreeSet;
 
 use ccured::triage::{self, RunObservation, Verdict, VerdictCounts};
 use mcu::faults::{self, FaultKind, FaultPlan};
-use mcu::RunState;
+use mcu::{Machine, RunState};
 use tcil::ir::{CheckKind, Expr, ExprKind, Place, PlaceBase, PlaceElem, Stmt};
 use tcil::visit;
 use tosapps::AppSpec;
@@ -182,25 +196,76 @@ pub fn target_names(build: &Build) -> Vec<String> {
 
 /// Runs a fault-injection campaign against one finished build.
 ///
-/// The golden run and every injected run share identical machine setup
-/// (via [`prepare_machine`]); an injected run executes to the plan's
-/// cycle point, applies the corruption, and resumes to the horizon.
-/// Plans are enumerated from the build's own image, with the
-/// [`target_cells`] as priority targets — fat pointers move globals
-/// around, so *logical* comparability across pipelines comes from the
-/// shared seed, site mix, and target roles, not from identical
-/// addresses.
+/// The golden run and every injected run share one machine setup (via
+/// [`prepare_machine`]); an injected run forks from the golden run at
+/// the plan's cycle point, applies the corruption, and resumes to the
+/// horizon or until it converges (see the module docs). Plans are
+/// enumerated from the build's own image, with the [`target_cells`] as
+/// priority targets — fat pointers move globals around, so *logical*
+/// comparability across pipelines comes from the shared seed, site
+/// mix, and target roles, not from identical addresses.
 pub fn run_campaign(build: &Build, spec: &AppSpec, config: &CampaignConfig) -> CampaignReport {
-    let (mut golden_machine, until) = prepare_machine(build, spec, config.seconds);
+    fork_replay(build, spec, config.seconds, |until| {
+        let targets = target_cells(build);
+        faults::enumerate_sites(&build.image, &targets, config.seed, config.sites, until)
+    })
+}
+
+/// Evenly spaced golden checkpoints on top of the site cycles, so runs
+/// injected late — or all at boot, like torn plans — still meet later
+/// checkpoints to converge at.
+const GRID_CHECKPOINTS: u64 = 8;
+
+/// The one campaign engine: a golden run from boot that keeps a snapshot
+/// at every checkpoint, then one injected run per plan (from
+/// `plans(horizon)`) forked from its site's snapshot, stopped early as
+/// [`Verdict::Benign`] once its state equals the golden run's at a later
+/// checkpoint, and otherwise triaged at the horizon.
+fn fork_replay(
+    build: &Build,
+    spec: &AppSpec,
+    seconds: u64,
+    plans: impl FnOnce(u64) -> Vec<FaultPlan>,
+) -> CampaignReport {
+    let (mut golden_machine, until) = prepare_machine(build, spec, seconds);
+    let plans = plans(until);
+    let mut stops: Vec<u64> = plans
+        .iter()
+        .map(|p| p.at_cycle.min(until))
+        .chain((1..GRID_CHECKPOINTS).map(|k| until * k / GRID_CHECKPOINTS))
+        .collect();
+    stops.sort_unstable();
+    stops.dedup();
+    let checkpoints: Vec<Machine> = stops
+        .iter()
+        .map(|&at| {
+            golden_machine.run(at);
+            golden_machine.clone()
+        })
+        .collect();
     golden_machine.run(until);
     let golden = RunObservation::capture(&golden_machine);
 
-    let targets = target_cells(build);
-    let plans = faults::enumerate_sites(&build.image, &targets, config.seed, config.sites, until);
     let mut results = Vec::with_capacity(plans.len());
     let mut counts = VerdictCounts::default();
     for plan in &plans {
-        let verdict = run_injected(build, spec, config.seconds, plan, &golden);
+        let first = stops.partition_point(|&at| at < plan.at_cycle.min(until));
+        let mut m = checkpoints[first].clone();
+        faults::apply(&mut m, plan);
+        let converged = stops[first..]
+            .iter()
+            .zip(&checkpoints[first..])
+            .any(|(&at, golden_at)| {
+                m.run(at);
+                m.same_state(golden_at)
+            });
+        let verdict = if converged {
+            Verdict::Benign
+        } else {
+            m.run(until);
+            let observed = RunObservation::capture(&m);
+            triage::triage(&golden, &observed, &build.image.flid_table)
+        };
         counts.record(&verdict);
         results.push(SiteResult {
             site: plan.label(),
@@ -274,14 +339,14 @@ pub fn torn_plans(build: &Build, names: &[String], per_target: usize) -> Vec<Fau
 }
 
 /// Runs a torn-update atomicity campaign against one build: one golden
-/// run, then one replay per plan from [`torn_plans`] over `names`
+/// run, then one injected run per plan from [`torn_plans`] over `names`
 /// (enumerate them from the unhardened build via [`torn_target_names`]
 /// so hardened and unhardened builds face the same logical faults).
 ///
 /// A build whose flagged accesses all sit inside atomic sections is
 /// mechanically immune — the watchpoint only fires on accesses executed
-/// with interrupts enabled — so every replay matches golden and tallies
-/// [`Verdict::Benign`]. The interesting measure is therefore
+/// with interrupts enabled — so every injected run matches golden and
+/// tallies [`Verdict::Benign`]. The interesting measure is therefore
 /// [`VerdictCounts::divergences`] compared across builds.
 pub fn run_torn_campaign(
     build: &Build,
@@ -290,43 +355,9 @@ pub fn run_torn_campaign(
     per_target: usize,
     seconds: u64,
 ) -> CampaignReport {
-    let (mut golden_machine, until) = prepare_machine(build, spec, seconds);
-    golden_machine.run(until);
-    let golden = RunObservation::capture(&golden_machine);
-
-    let plans = torn_plans(build, names, per_target);
-    let mut results = Vec::with_capacity(plans.len());
-    let mut counts = VerdictCounts::default();
-    for plan in &plans {
-        let verdict = run_injected(build, spec, seconds, plan, &golden);
-        counts.record(&verdict);
-        results.push(SiteResult {
-            site: plan.label(),
-            at_cycle: plan.at_cycle,
-            verdict,
-        });
-    }
-    CampaignReport {
-        golden_state: golden_machine.state,
-        results,
-        counts,
-    }
-}
-
-/// One injected replay: run to the fault point, corrupt, resume, triage.
-fn run_injected(
-    build: &Build,
-    spec: &AppSpec,
-    seconds: u64,
-    plan: &FaultPlan,
-    golden: &RunObservation,
-) -> Verdict {
-    let (mut m, until) = prepare_machine(build, spec, seconds);
-    m.run(plan.at_cycle.min(until));
-    faults::apply(&mut m, plan);
-    m.run(until);
-    let observed = RunObservation::capture(&m);
-    triage::triage(golden, &observed, &build.image.flid_table)
+    fork_replay(build, spec, seconds, |_| {
+        torn_plans(build, names, per_target)
+    })
 }
 
 #[cfg(test)]

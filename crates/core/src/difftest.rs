@@ -352,17 +352,16 @@ enum Workload<'a> {
 
 impl Workload<'_> {
     /// A machine set up for `build` and the run horizon in cycles.
+    /// Replays share the build's one block decode.
     fn machine(&self, build: &Build) -> (Machine, u64) {
-        match self {
-            Workload::Raw { budget } => {
-                let mut m = Machine::new(&build.image);
-                if m.engine() == mcu::Engine::Bt {
-                    m.set_block_cache(build.block_cache());
-                }
-                (m, *budget)
-            }
+        let (mut m, until) = match self {
+            Workload::Raw { budget } => (Machine::new(&build.image), *budget),
             Workload::App { spec, seconds, .. } => prepare_machine(build, spec, *seconds),
+        };
+        if m.engine() == mcu::Engine::Bt {
+            m.set_block_cache(build.block_cache());
         }
+        (m, until)
     }
 
     /// Reduces an observation to what this workload makes comparable

@@ -405,13 +405,16 @@ pub struct SimResult {
 /// time, returning the machine and the run horizon in cycles. Shared by
 /// [`simulate`] and the fault-injection campaigns in [`campaign`], which
 /// must set machines up identically for golden and injected runs.
+///
+/// The machine gets no block cache: under [`mcu::Engine::Bt`] it decodes
+/// on its first run and its clones share that decode, so a campaign
+/// decodes once and frees the cache with its machines. Callers that
+/// replay one build across many fresh machines attach
+/// [`Build::block_cache`] instead.
 pub fn prepare_machine(build: &Build, spec: &AppSpec, seconds: u64) -> (Machine, u64) {
     let mut ctx = spec.context.clone();
     ctx.seconds = seconds;
     let mut m = Machine::new(&build.image);
-    if m.engine() == mcu::Engine::Bt {
-        m.set_block_cache(build.block_cache());
-    }
     // Rebuild periodic injections for the overridden duration.
     let hz = build.image.profile.clock_hz;
     let until = ctx.duration_cycles(hz);

@@ -34,7 +34,8 @@
 //! is reached again. Torn-update watchpoints (armed via
 //! [`Machine::arm_torn_watch`]) force every 16-bit and fat-pointer
 //! access through the interpreter's counting `load_mem`/`store_mem`
-//! path, so watch counters advance identically under both engines.
+//! path until they fire, so watch counters advance identically under
+//! both engines; a fired watch is inert and the fast paths return.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -48,9 +49,10 @@ use crate::machine::{Fault, Machine, RunState};
 /// Which execution engine [`Machine::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The faithful per-instruction interpreter (the default).
+    /// The faithful per-instruction interpreter (`STOS_ENGINE=interp`):
+    /// the reference the engine-identity checks rerun against.
     Interp,
-    /// The basic-block translation engine (`STOS_ENGINE=bt`).
+    /// The basic-block translation engine (the default).
     Bt,
 }
 
@@ -62,9 +64,13 @@ static OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(
 
 impl Engine {
     /// The engine selected by [`Engine::set_global_override`] if one is
-    /// set, else by the `STOS_ENGINE` environment variable
-    /// (`interp` | `bt`), read once per process. Unknown or absent
-    /// values select the interpreter.
+    /// set, else by the `STOS_ENGINE` environment variable, read once
+    /// per process. Unset selects [`Engine::Bt`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the value, when `STOS_ENGINE` is set to anything
+    /// but `interp` or `bt` (`STOS_ENGINE=interpreter is not an engine`).
     pub fn from_env() -> Engine {
         match OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
             0 => return Engine::Interp,
@@ -72,10 +78,22 @@ impl Engine {
             _ => {}
         }
         static ENGINE: OnceLock<Engine> = OnceLock::new();
-        *ENGINE.get_or_init(|| match std::env::var("STOS_ENGINE").as_deref() {
-            Ok("bt") => Engine::Bt,
-            _ => Engine::Interp,
+        *ENGINE.get_or_init(|| {
+            let knob = std::env::var_os("STOS_ENGINE");
+            Engine::from_knob(knob.as_ref().map(|v| v.to_string_lossy()).as_deref())
         })
+    }
+
+    /// The engine a `STOS_ENGINE` value selects: unset is [`Engine::Bt`],
+    /// otherwise exactly `interp` or `bt`; anything else panics.
+    fn from_knob(value: Option<&str>) -> Engine {
+        let Some(v) = value else {
+            return Engine::Bt;
+        };
+        [Engine::Interp, Engine::Bt]
+            .into_iter()
+            .find(|e| e.name() == v)
+            .unwrap_or_else(|| panic!("STOS_ENGINE={v} is not an engine"))
     }
 
     /// Sets (or, with `None`, clears) the process-global engine
@@ -177,6 +195,11 @@ impl Machine {
                 RunState::Halted | RunState::Faulted => break,
             }
         }
+        // A resync request never outlives the run: every fast-loop entry
+        // derives its horizon afresh, and a flag left set by a
+        // single-stepped MMIO store would make the state depend on where
+        // runs were cut (see `Machine::same_state`).
+        self.mmio_sync = false;
         self.state
     }
 
@@ -234,12 +257,12 @@ impl Machine {
             }
             progressed = true;
             // Pure blocks (statically infallible, device-free, no torn
-            // watchpoint armed, frame window proven writable) take the
+            // watchpoint left to fire, frame window proven writable) take the
             // lean path: whole-block counter accounting and a dispatch
             // loop with no per-op flush/exit machinery — nothing inside
             // can fault, reach a device, or observe the counters.
             if block.pure
-                && self.torn_watch.is_none()
+                && self.live_watch().is_none()
                 && (block.local_span == 0 || self.dyn_writable(self.fp, block.local_span))
             {
                 'pure: loop {
@@ -545,7 +568,7 @@ impl Machine {
                         self.eval.push(fat_pack(nv, b, e));
                     }
                     OpKind::LdGF { addr, seq } => {
-                        if self.torn_watch.is_some() {
+                        if self.live_watch().is_some() {
                             self.fat_load(addr, seq);
                         } else {
                             self.fat_read_direct(addr, seq);
@@ -553,7 +576,7 @@ impl Machine {
                     }
                     OpKind::StGF { addr, seq } => {
                         let cell = self.bpop();
-                        if self.torn_watch.is_some() {
+                        if self.live_watch().is_some() {
                             self.fat_store(addr, cell, seq);
                         } else {
                             self.fat_write_direct(addr, cell, seq);
@@ -664,7 +687,7 @@ impl Machine {
                     }
                     OpKind::LdLF { off, seq } => {
                         let addr = self.fp.wrapping_add(off);
-                        if self.torn_watch.is_none()
+                        if self.live_watch().is_none()
                             && self.dyn_readable(addr, fat_bytes(seq) as u32)
                         {
                             self.fat_read_direct(addr, seq);
@@ -679,7 +702,7 @@ impl Machine {
                     OpKind::StLF { off, seq } => {
                         let addr = self.fp.wrapping_add(off);
                         let cell = self.bpop();
-                        if self.torn_watch.is_none()
+                        if self.live_watch().is_none()
                             && self.dyn_writable(addr, fat_bytes(seq) as u32)
                         {
                             self.fat_write_direct(addr, cell, seq);
@@ -698,7 +721,7 @@ impl Machine {
                     }
                     OpKind::LdFDyn { seq } => {
                         let addr = self.bpop() as u16;
-                        if self.torn_watch.is_none()
+                        if self.live_watch().is_none()
                             && self.dyn_readable(addr, fat_bytes(seq) as u32)
                         {
                             self.fat_read_direct(addr, seq);
@@ -713,7 +736,7 @@ impl Machine {
                     OpKind::StFDyn { seq } => {
                         let addr = self.bpop() as u16;
                         let cell = self.bpop();
-                        if self.torn_watch.is_none()
+                        if self.live_watch().is_none()
                             && self.dyn_writable(addr, fat_bytes(seq) as u32)
                         {
                             self.fat_write_direct(addr, cell, seq);
@@ -875,10 +898,11 @@ impl Machine {
 
     /// Whether a `width` access must detour through the counting
     /// `load_mem`/`store_mem` path because a torn watchpoint is armed
-    /// (the watch counts every IRQ-enabled 16-bit access).
+    /// and has not fired (the watch counts every IRQ-enabled 16-bit
+    /// access).
     #[inline(always)]
     fn torn_guard(&self, width: Width) -> bool {
-        width == Width::W16 && self.torn_watch.is_some()
+        width == Width::W16 && self.live_watch().is_some()
     }
 
     /// Whether `[addr, addr+len)` is readable without the memory map
@@ -1218,6 +1242,103 @@ mod tests {
             assert_eq!(a.instr_count, b.instr_count);
         }
         assert_eq!(observe(&a), observe(&b));
+    }
+
+    #[test]
+    fn engine_knob_accepts_exactly_interp_and_bt() {
+        assert_eq!(Engine::from_knob(None), Engine::Bt);
+        assert_eq!(Engine::from_knob(Some("interp")), Engine::Interp);
+        assert_eq!(Engine::from_knob(Some("bt")), Engine::Bt);
+    }
+
+    #[test]
+    #[should_panic(expected = "STOS_ENGINE=interpreter is not an engine")]
+    fn engine_knob_rejects_other_values() {
+        Engine::from_knob(Some("interpreter"));
+    }
+
+    #[test]
+    fn fired_torn_watch_reopens_the_fast_paths() {
+        // Once the watch fires it is inert: the rest of the run must be
+        // byte-identical to the interpreter while bt takes its direct
+        // (uncounted) paths again.
+        let code = vec![
+            Instr::IrqEnable,
+            Instr::PushI(0),
+            Instr::PushI(0x1234),
+            Instr::StGlobal {
+                addr: 0x0200,
+                width: Width::W16,
+            },
+            Instr::PushI(1),
+            Instr::Bin {
+                op: AluOp::Add,
+                width: Width::W16,
+                signed: false,
+            },
+            Instr::Dup,
+            Instr::PushI(400),
+            Instr::Bin {
+                op: AluOp::Lt,
+                width: Width::W16,
+                signed: false,
+            },
+            Instr::Jnz { target: 2 },
+            Instr::Halt,
+        ];
+        let img = image_with(code);
+        let run = |engine: Engine| {
+            let mut m = Machine::new(&img);
+            m.set_engine(engine);
+            m.arm_torn_watch(0x0200, 1, 0x80, true);
+            m.run(100_000);
+            assert!(m.torn_watch().unwrap().fired);
+            assert!(m.live_watch().is_none());
+            (observe(&m), *m.torn_watch().unwrap())
+        };
+        assert_eq!(run(Engine::Interp), run(Engine::Bt));
+    }
+
+    #[test]
+    fn runs_compose_across_a_single_stepped_mmio_store() {
+        // Cut right after an MMIO store that the cut forces through the
+        // single-step path; an uncut run executes it inside a block.
+        // Both must end in the same state — the MMIO resync flag
+        // included — or campaign checkpoints would never converge.
+        let code = vec![
+            Instr::PushI(1),
+            Instr::PushI(crate::devices::LED_REG as i64),
+            Instr::St { width: Width::W8 },
+            Instr::PushI(0),
+            Instr::PushI(1),
+            Instr::Bin {
+                op: AluOp::Add,
+                width: Width::W16,
+                signed: false,
+            },
+            Instr::Dup,
+            Instr::PushI(300),
+            Instr::Bin {
+                op: AluOp::Lt,
+                width: Width::W16,
+                signed: false,
+            },
+            Instr::Jnz { target: 4 },
+            Instr::Halt,
+        ];
+        let cut: u64 = code[..3].iter().map(|i| i.cycles()).sum();
+        let img = image_with(code);
+        for engine in [Engine::Interp, Engine::Bt] {
+            let mut fresh = Machine::new(&img);
+            fresh.set_engine(engine);
+            let mut whole = fresh.clone();
+            whole.run(100_000);
+            let mut segmented = fresh;
+            segmented.run(cut);
+            assert_eq!(segmented.devices.leds.value, 1, "cut after the store");
+            segmented.run(100_000);
+            assert!(segmented.same_state(&whole), "{engine:?}");
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`engine`] + [`bbcache`] — the two execution engines behind
 //!   [`Machine::run`]: the faithful per-instruction interpreter and a
 //!   basic-block translation engine (decode once, superinstruction
-//!   fusion, faithful fallback at every observable boundary) selected
-//!   via `STOS_ENGINE=interp|bt` — byte-identical observables, ≥10×
-//!   the cycles/sec,
+//!   fusion, faithful fallback at every observable boundary, the
+//!   default) selected via `STOS_ENGINE=interp|bt` — byte-identical
+//!   observables, ≥10× the cycles/sec,
 //! * [`devices`] — memory-mapped timer, ADC, byte radio, UART, and LEDs,
 //! * [`net`] — a shared broadcast radio channel for multi-node simulations
 //!   (the Avrora "network of motes" role),

@@ -3,6 +3,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::devices::*;
 use crate::image::Image;
@@ -44,7 +45,7 @@ pub enum RunState {
     Faulted,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Frame {
     caller_func: u32,
     caller_pc: u32,
@@ -98,9 +99,12 @@ pub struct TornWatch {
 }
 
 /// A simulated M16 node.
+///
+/// Cloning is a cheap fork: RAM, registers and device state are copied,
+/// while the image (code, FLID table) and the block cache stay shared.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    pub(crate) img: Image,
+    pub(crate) img: Arc<Image>,
     /// Fixed-size address space: indexing with a `u16`-derived offset
     /// needs no bounds re-check in either engine.
     pub(crate) ram: Box<[u8; RAM_BYTES]>,
@@ -160,7 +164,7 @@ impl Machine {
     ///
     /// Panics if the image has no entry point.
     pub fn new(image: &Image) -> Machine {
-        let img = image.clone();
+        let img = Arc::new(image.clone());
         let entry = img.entry.expect("image has no entry function");
         let mut ram: Box<[u8; RAM_BYTES]> = vec![0u8; RAM_BYTES]
             .into_boxed_slice()
@@ -207,8 +211,9 @@ impl Machine {
         m
     }
 
-    /// The execution engine this machine runs under (defaults to the
-    /// `STOS_ENGINE` environment knob, read once per process).
+    /// The execution engine this machine runs under (defaults to
+    /// [`crate::Engine::from_env`]: block translation unless
+    /// `STOS_ENGINE` says otherwise).
     pub fn engine(&self) -> crate::engine::Engine {
         self.engine
     }
@@ -221,10 +226,10 @@ impl Machine {
     }
 
     /// Attaches a predecoded block cache built from this machine's image
-    /// (see [`crate::bbcache::BlockCache`]). Campaigns and difftests that
-    /// replay one image across many machines share a single decode this
-    /// way; without an attached cache the block engine decodes lazily on
-    /// first use.
+    /// (see [`crate::bbcache::BlockCache`]). Fleets and difftests that
+    /// replay one image across many fresh machines share a single decode
+    /// this way; without an attached cache the block engine decodes
+    /// lazily on first use, and clones share that decode.
     pub fn set_block_cache(&mut self, cache: std::sync::Arc<crate::bbcache::BlockCache>) {
         self.bbcache = Some(cache);
     }
@@ -375,12 +380,66 @@ impl Machine {
         self.torn_watch.as_ref()
     }
 
+    /// The watchpoint that can still fire. A fired watch is inert — it
+    /// never counts or corrupts again — so it behaves exactly like no
+    /// watch.
+    #[inline(always)]
+    pub(crate) fn live_watch(&self) -> Option<&TornWatch> {
+        self.torn_watch.as_ref().filter(|w| !w.fired)
+    }
+
+    /// Whether `self` and `other` are in the same whole-machine state: a
+    /// deterministic simulator then runs both to the same future, every
+    /// observable included. Campaigns use this to stop an injected run
+    /// as soon as it has converged back onto the golden run.
+    ///
+    /// Compares the image (by identity: forks share it), RAM, registers
+    /// (`pc`, function, `fp`, `sp`), evaluation stack and call frames,
+    /// interrupt enable and pending bits, the device-event heap, the
+    /// cycle, awake-cycle and instruction counters, devices, UART and
+    /// radio output, stack watermark, `mmio_sync`, run state, fault, and
+    /// the torn watch (a fired watch counts as none). The engine and
+    /// block cache are not state: both engines are byte-identical.
+    ///
+    /// The check is conservative, never optimistic: the heap is compared
+    /// by its backing slice, so two heaps holding the same events in a
+    /// different internal order count as different — a false "differs"
+    /// only costs an early stop.
+    pub fn same_state(&self, other: &Machine) -> bool {
+        Arc::ptr_eq(&self.img, &other.img)
+            && self.cycles == other.cycles
+            && self.awake_cycles == other.awake_cycles
+            && self.instr_count == other.instr_count
+            && self.state == other.state
+            && self.cur_func == other.cur_func
+            && self.pc == other.pc
+            && self.fp == other.fp
+            && self.sp == other.sp
+            && self.irq_enabled == other.irq_enabled
+            && self.pending == other.pending
+            && self.stack_peak == other.stack_peak
+            && self.mmio_sync == other.mmio_sync
+            && self.fault == other.fault
+            && self.live_watch() == other.live_watch()
+            && self.eval == other.eval
+            && self.frames == other.frames
+            && self.devices == other.devices
+            && self.events.as_slice() == other.events.as_slice()
+            && self.uart_out == other.uart_out
+            && self.radio_out == other.radio_out
+            && self.ram[..] == other.ram[..]
+    }
+
     /// Runs until `until` total cycles have elapsed (or the machine halts
     /// or faults). Returns the final state.
     ///
     /// Dispatches to the engine selected by [`Machine::set_engine`] /
     /// `STOS_ENGINE`; both engines produce byte-identical observables
     /// (cycles, instruction counts, RAM, device traces, faults).
+    ///
+    /// Runs compose: `run(a); run(b)` leaves the machine in the same
+    /// state as `run(b)` for any `a <= b` ([`Machine::same_state`]) —
+    /// the property campaign checkpoints rely on.
     pub fn run(&mut self, until: u64) -> RunState {
         match self.engine {
             crate::engine::Engine::Interp => self.run_interp(until),
@@ -1413,5 +1472,80 @@ mod tests {
         // ...but memory was never touched (this load runs after Halt, so
         // the already-fired watch stays quiet).
         assert_eq!(m.load_mem(0x0200, Width::W16, false), Some(0x1234));
+    }
+
+    /// A machine asleep with the timer armed: a pending heap event, RAM
+    /// and registers worth comparing.
+    fn sleeping_machine() -> Machine {
+        let img = image_with(vec![
+            Instr::PushI(10),
+            Instr::PushI(TIMER0_COMPARE as i64),
+            Instr::St { width: Width::W16 },
+            Instr::PushI(1),
+            Instr::PushI(TIMER0_CTRL as i64),
+            Instr::St { width: Width::W16 },
+            Instr::IrqEnable,
+            Instr::Sleep,
+            Instr::Jmp { target: 7 },
+        ]);
+        let mut m = Machine::new(&img);
+        m.run(100);
+        assert_eq!(m.state, RunState::Sleeping);
+        m
+    }
+
+    #[test]
+    fn forks_share_the_image_and_start_in_the_same_state() {
+        let m = sleeping_machine();
+        let fork = m.clone();
+        assert!(Arc::ptr_eq(&m.img, &fork.img));
+        assert!(m.same_state(&fork));
+        // A separately loaded machine is conservatively "different":
+        // equality of images is decided by identity only.
+        assert!(!Machine::new(&m.img).same_state(&Machine::new(&m.img)));
+    }
+
+    #[test]
+    fn same_state_rejects_each_single_difference() {
+        let base = sleeping_machine();
+        let differs = |change: &dyn Fn(&mut Machine)| {
+            let mut m = base.clone();
+            change(&mut m);
+            !m.same_state(&base) && !base.same_state(&m)
+        };
+        assert!(differs(&|m| m.ram_poke(0x0200, 1)), "one RAM byte");
+        assert!(
+            differs(&|m| m.inject_rx_bytes(5_000, &[0xAB])),
+            "one heap event"
+        );
+        assert!(differs(&|m| m.eval.push(0)), "one eval-stack entry");
+        assert!(
+            differs(&|m| m.arm_torn_watch(0x0200, 1, 0x80, false)),
+            "an armed watch"
+        );
+    }
+
+    #[test]
+    fn fired_watch_compares_like_no_watch() {
+        // A zero-mask tear fires without changing anything, after which
+        // the watched machine is indistinguishable from an unwatched one.
+        let img = image_with(vec![
+            Instr::IrqEnable,
+            Instr::PushI(0x1234),
+            Instr::StGlobal {
+                addr: 0x0200,
+                width: Width::W16,
+            },
+            Instr::Halt,
+        ]);
+        let fresh = Machine::new(&img);
+        let mut watched = fresh.clone();
+        watched.arm_torn_watch(0x0200, 1, 0x00, false);
+        let mut plain = fresh.clone();
+        assert!(!watched.same_state(&plain), "armed, not yet fired");
+        watched.run(100);
+        plain.run(100);
+        assert!(watched.torn_watch().unwrap().fired);
+        assert!(watched.same_state(&plain));
     }
 }

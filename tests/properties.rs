@@ -1,9 +1,20 @@
 //! Property-based tests on the toolchain's core invariants.
 
+use std::sync::OnceLock;
+
+use ccured::triage::{self, RunObservation, VerdictCounts};
+use mcu::faults::{self, FaultPlan};
+use mcu::Engine;
 use proptest::prelude::*;
+use safe_tinyos::campaign::{target_cells, torn_plans, torn_target_names};
+use safe_tinyos::{
+    prepare_machine, run_campaign, run_torn_campaign, Build, BuildService, CampaignConfig,
+    CampaignReport, Pipeline, SiteResult,
+};
 use safe_tinyos_suite as _;
 use tcil::ir::BinOp;
 use tcil::types::IntKind;
+use tosapps::AppSpec;
 
 // ---- interval-domain soundness: any concrete pair inside the operand
 // intervals produces a result inside the abstract result interval ----
@@ -11,6 +22,82 @@ use tcil::types::IntKind;
 fn ival_strategy(kind: IntKind) -> impl Strategy<Value = (i64, i64)> {
     let (lo, hi) = (kind.min_value(), kind.max_value());
     (lo..=hi, lo..=hi).prop_map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
+}
+
+// ---- campaign checkpoints: forked, early-stopped campaigns against
+// the replay-from-boot loop they replace ----
+
+/// The campaign loop before checkpointing, kept here as the reference:
+/// the golden run and every injected run replay from boot (prepare →
+/// run to the site → apply → run to the horizon → triage).
+fn full_replay(
+    build: &Build,
+    spec: &AppSpec,
+    seconds: u64,
+    plans: impl FnOnce(u64) -> Vec<FaultPlan>,
+) -> CampaignReport {
+    let (mut golden_machine, until) = prepare_machine(build, spec, seconds);
+    golden_machine.run(until);
+    let golden = RunObservation::capture(&golden_machine);
+    let mut counts = VerdictCounts::default();
+    let results = plans(until)
+        .iter()
+        .map(|plan| {
+            let (mut m, until) = prepare_machine(build, spec, seconds);
+            m.run(plan.at_cycle.min(until));
+            faults::apply(&mut m, plan);
+            m.run(until);
+            let observed = RunObservation::capture(&m);
+            let verdict = triage::triage(&golden, &observed, &build.image.flid_table);
+            counts.record(&verdict);
+            SiteResult {
+                site: plan.label(),
+                at_cycle: plan.at_cycle,
+                verdict,
+            }
+        })
+        .collect();
+    CampaignReport {
+        golden_state: golden_machine.state,
+        results,
+        counts,
+    }
+}
+
+/// Apps the campaign property draws from: HighFrequencySampling and
+/// Surge offer runtime-reachable torn targets, the others cover timers,
+/// radio receive and sensing.
+const CAMPAIGN_APPS: [&str; 5] = [
+    "HighFrequencySampling_Mica2",
+    "Surge_Mica2",
+    "SenseToRfm_Mica2",
+    "RfmToLeds_Mica2",
+    "BlinkTask_Mica2",
+];
+
+fn campaign_build(spec: &AppSpec, pipeline: &Pipeline) -> Build {
+    static SERVICE: OnceLock<BuildService> = OnceLock::new();
+    SERVICE
+        .get_or_init(BuildService::new)
+        .build(spec, pipeline)
+        .expect("campaign build")
+}
+
+/// Selects the engine campaigns run under for one property case and
+/// restores the environment default when dropped.
+struct EngineOverride;
+
+impl EngineOverride {
+    fn set(engine: Engine) -> EngineOverride {
+        Engine::set_global_override(Some(engine));
+        EngineOverride
+    }
+}
+
+impl Drop for EngineOverride {
+    fn drop(&mut self) {
+        Engine::set_global_override(None);
+    }
 }
 
 proptest! {
@@ -231,5 +318,64 @@ proptest! {
             &mcu::LinkQuality { loss_ppm: 1_000_000, dup_ppm: dup_a, reorder_ppm: reorder_a }).drop);
         prop_assert!(!mcu::fleet::link_decision(seed, src, dst, index,
             &mcu::LinkQuality::LOSSLESS).drop);
+    }
+
+    #[test]
+    fn runs_compose_at_any_cut(seed in 1u64..5000, a in 0u64..200_000, b in 0u64..200_000) {
+        // The segmentation property campaign checkpoints rest on: for
+        // a <= b, `run(a); run(b)` leaves the very state `run(b)` does,
+        // under either engine, on any generated program.
+        let (a, b) = (a.min(b), a.max(b));
+        let program = safe_tinyos::difftest::generate_program(seed).unwrap();
+        let build = Pipeline::safe_flid_inline_cxprop()
+            .build(program, mcu::Profile::mica2())
+            .unwrap();
+        for engine in [Engine::Interp, Engine::Bt] {
+            let mut fresh = mcu::Machine::new(&build.image);
+            fresh.set_engine(engine);
+            fresh.set_block_cache(build.block_cache());
+            let mut cut = fresh.clone();
+            cut.run(a);
+            cut.run(b);
+            let mut whole = fresh;
+            whole.run(b);
+            prop_assert!(
+                cut.same_state(&whole),
+                "seed {} under {:?}: run({}); run({}) differs from run({})",
+                seed, engine, a, b, b
+            );
+        }
+    }
+
+    #[test]
+    fn forked_campaigns_match_full_replay(
+        app in 0usize..CAMPAIGN_APPS.len(),
+        pipeline in 0usize..7,
+        site_seed in any::<u64>(),
+        per_target in 1usize..4,
+        bt in any::<bool>(),
+    ) {
+        // Forking injected runs from golden checkpoints and stopping
+        // them once they converge must give exactly the verdicts,
+        // trigger cycles and FLIDs of replaying every site from boot.
+        let _engine = EngineOverride::set(if bt { Engine::Bt } else { Engine::Interp });
+        let spec = tosapps::spec(CAMPAIGN_APPS[app]).unwrap();
+        let build = campaign_build(&spec, &bench::fault::default_pipelines()[pipeline]);
+        let config = CampaignConfig { seconds: 1, sites: 6, seed: site_seed };
+        let reference = full_replay(&build, &spec, config.seconds, |until| {
+            faults::enumerate_sites(&build.image, &target_cells(&build), site_seed, config.sites, until)
+        });
+        prop_assert_eq!(run_campaign(&build, &spec, &config), reference);
+
+        // Torn campaigns: targets from the unhardened build, injected
+        // into each race stack (the hardened one converges early once
+        // its watches fire harmlessly, or never fires them at all).
+        let stacks = bench::races::stacks();
+        let names = torn_target_names(&campaign_build(&spec, &stacks[0]));
+        for stack in &stacks {
+            let build = campaign_build(&spec, stack);
+            let reference = full_replay(&build, &spec, 1, |_| torn_plans(&build, &names, per_target));
+            prop_assert_eq!(run_torn_campaign(&build, &spec, &names, per_target, 1), reference);
+        }
     }
 }
