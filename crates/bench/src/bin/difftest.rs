@@ -21,12 +21,12 @@
 
 use bench::diff::{app_reports, default_presets, print_table, render_json, seed_reports, tally};
 use bench::{emit_json, emit_speed, gate, Knobs};
-use safe_tinyos::{pipelines_from_env_or, BuildService, DiffConfig};
+use safe_tinyos::{BuildService, DiffConfig};
 
 fn main() {
     let knobs = Knobs::from_env();
     let service = BuildService::with_threads(knobs.threads);
-    let presets = pipelines_from_env_or(default_presets);
+    let presets = knobs.pipelines.clone().unwrap_or_else(default_presets);
     let cfg = DiffConfig::default();
     let seconds = knobs.sim_seconds;
     let seeds: Vec<u64> = (0..knobs.diff_seeds).map(|i| knobs.diff_base + i).collect();

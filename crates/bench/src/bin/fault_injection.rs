@@ -18,12 +18,12 @@
 
 use bench::fault::{campaign_grid, default_pipelines, print_table, render_json};
 use bench::{emit_json, emit_speed, gate, Knobs};
-use safe_tinyos::{pipelines_from_env_or, BuildService, CampaignConfig};
+use safe_tinyos::{BuildService, CampaignConfig};
 
 fn main() {
     let knobs = Knobs::from_env();
     let service = BuildService::with_threads(knobs.threads);
-    let pipelines = pipelines_from_env_or(default_pipelines);
+    let pipelines = knobs.pipelines.clone().unwrap_or_else(default_pipelines);
     let config = CampaignConfig {
         seconds: knobs.sim_seconds,
         sites: knobs.fault_sites,

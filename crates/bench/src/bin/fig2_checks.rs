@@ -2,13 +2,17 @@
 //! optimizer stacks, per application, plus the original check counts.
 
 use bench::{emit_json, emit_speed, grid, json, row, Knobs};
-use safe_tinyos::{pipelines_from_env_or, BuildService, Pipeline};
+use safe_tinyos::{BuildService, Pipeline};
 
 fn main() {
-    let service = BuildService::with_threads(Knobs::from_env().threads);
+    let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
     // The four paper stacks by default; STOS_PIPELINE sweeps any other
     // composition through the same harness.
-    let stacks = pipelines_from_env_or(Pipeline::fig2_stacks);
+    let stacks = knobs
+        .pipelines
+        .clone()
+        .unwrap_or_else(Pipeline::fig2_stacks);
     let grid = grid(&service, tosapps::APP_NAMES, &stacks, |spec, p| {
         service
             .build(spec, p)

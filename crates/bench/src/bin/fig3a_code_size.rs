@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use bench::speed::Snapshot;
 use bench::{emit_json, gate, grid, json, pct_change, row, Knobs};
-use safe_tinyos::{pipelines_from_env_or, BuildService, Metrics, Pipeline};
+use safe_tinyos::{BuildService, Metrics, Pipeline};
 
 /// Renders the figure from a measured grid: the printable table rows
 /// and the machine-readable body. Pure, so the warm re-run can be
@@ -59,8 +59,9 @@ fn measure(service: &BuildService, configs: &[Pipeline]) -> Vec<Vec<Metrics>> {
 }
 
 fn main() {
-    let service = BuildService::with_threads(Knobs::from_env().threads);
-    let bars = pipelines_from_env_or(Pipeline::fig3_bars);
+    let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
+    let bars = knobs.pipelines.clone().unwrap_or_else(Pipeline::fig3_bars);
     // Column 0 of the grid is the baseline every bar is compared to.
     let mut configs = vec![Pipeline::unsafe_baseline()];
     configs.extend(bars.iter().cloned());

@@ -3,11 +3,12 @@
 //! configurations are "outrageously high — thousands of percent".
 
 use bench::{emit_json, emit_speed, grid, json, pct_change, row, Knobs};
-use safe_tinyos::{pipelines_from_env_or, BuildService, Pipeline};
+use safe_tinyos::{BuildService, Pipeline};
 
 fn main() {
-    let service = BuildService::with_threads(Knobs::from_env().threads);
-    let bars = pipelines_from_env_or(Pipeline::fig3_bars);
+    let knobs = Knobs::from_env();
+    let service = BuildService::with_threads(knobs.threads);
+    let bars = knobs.pipelines.clone().unwrap_or_else(Pipeline::fig3_bars);
     // Column 0 of the grid is the baseline every bar is compared to.
     let mut configs = vec![Pipeline::unsafe_baseline()];
     configs.extend(bars.iter().cloned());

@@ -3,7 +3,7 @@
 //! workload context.
 
 use bench::{emit_json, emit_speed, grid, json, row, Knobs};
-use safe_tinyos::{pipelines_from_env_or, simulate, BuildService, Pipeline};
+use safe_tinyos::{simulate, BuildService, Pipeline};
 
 fn main() {
     let knobs = Knobs::from_env();
@@ -12,7 +12,7 @@ fn main() {
     // The four duty-cycle-relevant configurations: safe unoptimized,
     // safe fully optimized, unsafe optimized — compared to the baseline
     // in grid column 0.
-    let bars = pipelines_from_env_or(|| {
+    let bars = knobs.pipelines.clone().unwrap_or_else(|| {
         vec![
             Pipeline::safe_flid(),
             Pipeline::safe_flid_cxprop(),

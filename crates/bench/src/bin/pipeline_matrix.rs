@@ -14,7 +14,7 @@
 //! shell variable away.
 
 use bench::{emit_json, emit_speed, grid, json, Knobs};
-use safe_tinyos::{pipelines_from_env_or, simulate, BuildService, Pipeline};
+use safe_tinyos::{simulate, BuildService, Pipeline};
 
 /// Three apps spanning the size range: the smallest, a mid-size sensing
 /// app, and the largest (multihop routing).
@@ -63,7 +63,7 @@ fn main() {
     let knobs = Knobs::from_env();
     let service = BuildService::with_threads(knobs.threads);
     let seconds = knobs.sim_seconds;
-    let stacks = pipelines_from_env_or(default_stacks);
+    let stacks = knobs.pipelines.clone().unwrap_or_else(default_stacks);
     let grid = grid(&service, &APPS, &stacks, |spec, p| {
         let build = service
             .build(spec, p)

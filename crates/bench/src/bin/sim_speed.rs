@@ -60,25 +60,11 @@ fn sample(m: &mcu::Machine, wall_s: f64) -> Sample {
     }
 }
 
-fn measure_kernel(image: &mcu::Image, cycles: u64, engine: mcu::Engine) -> Sample {
-    let mut m = mcu::Machine::new(image);
+/// Times one run of a fork of `reset` to `until` under `engine`. Forks
+/// share `reset`'s block decode, so only the first bt run decodes.
+fn measure(reset: &mcu::Machine, until: u64, engine: mcu::Engine) -> Sample {
+    let mut m = reset.clone();
     m.set_engine(engine);
-    let start = Instant::now();
-    m.run(cycles);
-    sample(&m, start.elapsed().as_secs_f64())
-}
-
-fn measure_app(
-    build: &safe_tinyos::Build,
-    spec: &tosapps::AppSpec,
-    seconds: u64,
-    engine: mcu::Engine,
-) -> Sample {
-    let (mut m, until) = prepare_machine(build, spec, seconds);
-    m.set_engine(engine);
-    if engine == mcu::Engine::Bt {
-        m.set_block_cache(build.block_cache());
-    }
     let start = Instant::now();
     m.run(until);
     sample(&m, start.elapsed().as_secs_f64())
@@ -128,10 +114,11 @@ fn main() {
     for k in kernels::suite() {
         // Warm both engines (page in code, build the block cache),
         // then measure.
-        measure_kernel(&k.image, kernel_cycles / 50, mcu::Engine::Interp);
-        measure_kernel(&k.image, kernel_cycles / 50, mcu::Engine::Bt);
-        let a = measure_kernel(&k.image, kernel_cycles, mcu::Engine::Interp);
-        let b = measure_kernel(&k.image, kernel_cycles, mcu::Engine::Bt);
+        let reset = mcu::Machine::new(&k.image);
+        measure(&reset, kernel_cycles / 50, mcu::Engine::Interp);
+        measure(&reset, kernel_cycles / 50, mcu::Engine::Bt);
+        let a = measure(&reset, kernel_cycles, mcu::Engine::Interp);
+        let b = measure(&reset, kernel_cycles, mcu::Engine::Bt);
         let same = a.matches(&b);
         if !same {
             identical = false;
@@ -210,14 +197,16 @@ fn main() {
         let build = session
             .build(&spec, &pipeline)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        // Decode once, outside the timed region: the cache is a
-        // per-image one-time cost every bt machine shares.
-        let cache = build.block_cache();
-        let stats = cache.stats();
-        measure_app(&build, &spec, seconds.min(1), mcu::Engine::Interp);
-        measure_app(&build, &spec, seconds.min(1), mcu::Engine::Bt);
-        let a = measure_app(&build, &spec, seconds, mcu::Engine::Interp);
-        let b = measure_app(&build, &spec, seconds, mcu::Engine::Bt);
+        // Warm both engines on the first second. The bt warm-up decodes
+        // outside the timed region: the decode is a per-image one-time
+        // cost every fork of `prepared` shares.
+        let (prepared, until) = prepare_machine(&build, &spec, seconds);
+        let warm = until.min(build.image.profile.clock_hz);
+        measure(&prepared, warm, mcu::Engine::Interp);
+        measure(&prepared, warm, mcu::Engine::Bt);
+        let a = measure(&prepared, until, mcu::Engine::Interp);
+        let b = measure(&prepared, until, mcu::Engine::Bt);
+        let stats = prepared.block_stats().expect("the bt warm-up decoded");
         let same = a.matches(&b);
         if !same {
             identical = false;

@@ -93,6 +93,8 @@ pub fn row(label: &str, cells: &[String]) -> String {
 pub mod knobs {
     use std::sync::OnceLock;
 
+    use safe_tinyos::{parse_pipeline_list, Pipeline};
+
     /// The typed view of every `STOS_*` run-shaping variable.
     #[derive(Debug, Clone)]
     pub struct Knobs {
@@ -137,6 +139,10 @@ pub mod knobs {
         /// against the committed baseline, so their horizon must not
         /// move with it. `STOS_FLEET_SECONDS`, default 4.
         pub fleet_seconds: u64,
+        /// The stack list that replaces a harness's default one:
+        /// `STOS_PIPELINE`, a `;`-separated list in
+        /// [`parse_pipeline_list`]'s format. Default unset.
+        pub pipelines: Option<Vec<Pipeline>>,
     }
 
     impl Knobs {
@@ -175,6 +181,9 @@ pub mod knobs {
                 })
                 .filter(|v| !v.is_empty())
                 .unwrap_or_else(|| vec![10, 100, 1000]);
+            let pipelines = var("STOS_PIPELINE").map(|s| {
+                parse_pipeline_list(&s).unwrap_or_else(|e| panic!("STOS_PIPELINE={s}: {e}"))
+            });
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             Knobs {
                 threads: (num("STOS_THREADS", cores as u64) as usize).max(1),
@@ -187,6 +196,7 @@ pub mod knobs {
                 fleet_motes,
                 fleet_seeds: num("STOS_FLEET_SEEDS", 2),
                 fleet_seconds: num("STOS_FLEET_SECONDS", 4),
+                pipelines,
             }
         }
     }
@@ -219,11 +229,30 @@ pub mod knobs {
                 (&[("STOS_FAULTS", "abc")][..], "STOS_FAULTS=abc"),
                 (&[("STOS_THREADS", "four")][..], "STOS_THREADS=four"),
                 (&[("STOS_MOTES", "10,x")][..], "STOS_MOTES=10,x"),
+                (
+                    &[("STOS_PIPELINE", "cure(nope)")][..],
+                    "STOS_PIPELINE=cure(nope): ",
+                ),
             ] {
                 let err = std::panic::catch_unwind(|| with(vars)).unwrap_err();
                 let msg = err.downcast_ref::<String>().expect("formatted message");
                 assert!(msg.starts_with(want), "{msg}");
             }
+        }
+
+        #[test]
+        fn pipeline_list_replaces_the_default_stacks() {
+            let names = |k: &Knobs| -> Vec<String> {
+                let stacks = k.pipelines.as_deref().unwrap_or_default();
+                stacks.iter().map(|p| p.name().to_string()).collect()
+            };
+            assert!(with(&[]).pipelines.is_none());
+            let k = with(&[(
+                "STOS_PIPELINE",
+                "gcc:cure(flid,noopt); safe:cure(flid)|prune",
+            )]);
+            assert_eq!(names(&k), ["gcc", "safe"]);
+            assert_eq!(k.pipelines.unwrap()[1].to_string(), "cure(flid)|prune");
         }
     }
 }

@@ -205,10 +205,32 @@ pub fn target_names(build: &Build) -> Vec<String> {
 /// comparability across pipelines comes from the shared seed, site
 /// mix, and target roles, not from identical addresses.
 pub fn run_campaign(build: &Build, spec: &AppSpec, config: &CampaignConfig) -> CampaignReport {
-    fork_replay(build, spec, config.seconds, |until| {
-        let targets = target_cells(build);
-        faults::enumerate_sites(&build.image, &targets, config.seed, config.sites, until)
-    })
+    let (machine, until) = prepare_machine(build, spec, config.seconds);
+    let targets = target_cells(build);
+    let plans = faults::enumerate_sites(&build.image, &targets, config.seed, config.sites, until);
+    report(&plans, fork_replay((machine, until), &plans))
+}
+
+/// Tallies [`fork_replay`]'s verdicts into a report, one row per plan.
+fn report(plans: &[FaultPlan], (golden, verdicts): (Machine, Vec<Verdict>)) -> CampaignReport {
+    let mut counts = VerdictCounts::default();
+    let results = plans
+        .iter()
+        .zip(verdicts)
+        .map(|(plan, verdict)| {
+            counts.record(&verdict);
+            SiteResult {
+                site: plan.label(),
+                at_cycle: plan.at_cycle,
+                verdict,
+            }
+        })
+        .collect();
+    CampaignReport {
+        golden_state: golden.state,
+        results,
+        counts,
+    }
 }
 
 /// Evenly spaced golden checkpoints on top of the site cycles, so runs
@@ -216,19 +238,17 @@ pub fn run_campaign(build: &Build, spec: &AppSpec, config: &CampaignConfig) -> C
 /// checkpoints to converge at.
 const GRID_CHECKPOINTS: u64 = 8;
 
-/// The one campaign engine: a golden run from boot that keeps a snapshot
-/// at every checkpoint, then one injected run per plan (from
-/// `plans(horizon)`) forked from its site's snapshot, stopped early as
+/// The one replay engine, shared by the campaigns and the differential
+/// oracle: a golden run of the prepared machine to the horizon `until`
+/// that keeps a snapshot at every checkpoint, then one injected run per
+/// plan forked from its site's snapshot, stopped early as
 /// [`Verdict::Benign`] once its state equals the golden run's at a later
-/// checkpoint, and otherwise triaged at the horizon.
-fn fork_replay(
-    build: &Build,
-    spec: &AppSpec,
-    seconds: u64,
-    plans: impl FnOnce(u64) -> Vec<FaultPlan>,
-) -> CampaignReport {
-    let (mut golden_machine, until) = prepare_machine(build, spec, seconds);
-    let plans = plans(until);
+/// checkpoint, and otherwise triaged at the horizon. Returns the golden
+/// machine, run to the horizon, and one verdict per plan.
+pub(crate) fn fork_replay(
+    (mut golden_machine, until): (Machine, u64),
+    plans: &[FaultPlan],
+) -> (Machine, Vec<Verdict>) {
     let mut stops: Vec<u64> = plans
         .iter()
         .map(|p| p.at_cycle.min(until))
@@ -245,39 +265,30 @@ fn fork_replay(
         .collect();
     golden_machine.run(until);
     let golden = RunObservation::capture(&golden_machine);
+    let flids = &golden_machine.image().flid_table;
 
-    let mut results = Vec::with_capacity(plans.len());
-    let mut counts = VerdictCounts::default();
-    for plan in &plans {
-        let first = stops.partition_point(|&at| at < plan.at_cycle.min(until));
-        let mut m = checkpoints[first].clone();
-        faults::apply(&mut m, plan);
-        let converged = stops[first..]
-            .iter()
-            .zip(&checkpoints[first..])
-            .any(|(&at, golden_at)| {
-                m.run(at);
-                m.same_state(golden_at)
-            });
-        let verdict = if converged {
-            Verdict::Benign
-        } else {
+    let verdicts = plans
+        .iter()
+        .map(|plan| {
+            let first = stops.partition_point(|&at| at < plan.at_cycle.min(until));
+            let mut m = checkpoints[first].clone();
+            faults::apply(&mut m, plan);
+            let converged =
+                stops[first..]
+                    .iter()
+                    .zip(&checkpoints[first..])
+                    .any(|(&at, golden_at)| {
+                        m.run(at);
+                        m.same_state(golden_at)
+                    });
+            if converged {
+                return Verdict::Benign;
+            }
             m.run(until);
-            let observed = RunObservation::capture(&m);
-            triage::triage(&golden, &observed, &build.image.flid_table)
-        };
-        counts.record(&verdict);
-        results.push(SiteResult {
-            site: plan.label(),
-            at_cycle: plan.at_cycle,
-            verdict,
-        });
-    }
-    CampaignReport {
-        golden_state: golden_machine.state,
-        results,
-        counts,
-    }
+            triage::triage(&golden, &RunObservation::capture(&m), flids)
+        })
+        .collect();
+    (golden_machine, verdicts)
 }
 
 // ---------------------------------------------------------------------
@@ -355,9 +366,11 @@ pub fn run_torn_campaign(
     per_target: usize,
     seconds: u64,
 ) -> CampaignReport {
-    fork_replay(build, spec, seconds, |_| {
-        torn_plans(build, names, per_target)
-    })
+    let plans = torn_plans(build, names, per_target);
+    report(
+        &plans,
+        fork_replay(prepare_machine(build, spec, seconds), &plans),
+    )
 }
 
 #[cfg(test)]

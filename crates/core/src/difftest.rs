@@ -72,8 +72,8 @@
 
 use std::collections::BTreeMap;
 
-use ccured::triage::{self, RunObservation, Verdict};
-use mcu::faults::{self, FaultKind, FaultPlan, SplitMix64};
+use ccured::triage::Verdict;
+use mcu::faults::{FaultKind, FaultPlan, SplitMix64};
 use mcu::{Fault, Machine, RunState};
 use tcil::types::{size_of, Type};
 use tcil::{CompileError, Program};
@@ -351,17 +351,12 @@ enum Workload<'a> {
 }
 
 impl Workload<'_> {
-    /// A machine set up for `build` and the run horizon in cycles.
-    /// Replays share the build's one block decode.
+    /// A reset machine set up for `build` and the run horizon in cycles.
     fn machine(&self, build: &Build) -> (Machine, u64) {
-        let (mut m, until) = match self {
+        match self {
             Workload::Raw { budget } => (Machine::new(&build.image), *budget),
             Workload::App { spec, seconds, .. } => prepare_machine(build, spec, *seconds),
-        };
-        if m.engine() == mcu::Engine::Bt {
-            m.set_block_cache(build.block_cache());
         }
-        (m, until)
     }
 
     /// Reduces an observation to what this workload makes comparable
@@ -377,17 +372,6 @@ impl Workload<'_> {
         }
         obs
     }
-}
-
-/// Runs `build` to the horizon, optionally applying `plan` mid-run.
-fn run_build(build: &Build, workload: &Workload<'_>, plan: Option<&FaultPlan>) -> Machine {
-    let (mut m, until) = workload.machine(build);
-    if let Some(plan) = plan {
-        m.run(plan.at_cycle.min(until));
-        faults::apply(&mut m, plan);
-    }
-    m.run(until);
-    m
 }
 
 /// `a` is a prefix of `b`.
@@ -495,6 +479,9 @@ const HIGH_MASKS: [u8; 4] = [0x80, 0xC0, 0xA0, 0xE0];
 /// Compares one preset build against the reference build over a
 /// workload: the golden comparison plus (when the reference's golden
 /// run is clean) `cfg.fault_sites` injected-replay comparisons.
+///
+/// Each build runs through [`campaign::fork_replay`] once: one golden
+/// run of one reset machine, and one injected fork per site.
 fn diff_builds(
     subject: &str,
     reference: &Build,
@@ -503,35 +490,6 @@ fn diff_builds(
     workload: &Workload<'_>,
     cfg: &DiffConfig,
 ) -> Vec<DiffCase> {
-    let mut cases = Vec::new();
-
-    let ref_machine = run_build(reference, workload, None);
-    let preset_machine = run_build(preset_build, workload, None);
-    let ref_obs = workload.comparable(DiffObservation::capture(reference, &ref_machine));
-    let preset_obs = workload.comparable(DiffObservation::capture(preset_build, &preset_machine));
-    let ref_golden = RunObservation::capture(&ref_machine);
-    let preset_golden = RunObservation::capture(&preset_machine);
-
-    let (verdict, detail) = classify_golden(&ref_obs, &preset_obs);
-    cases.push(DiffCase {
-        subject: subject.to_string(),
-        preset: preset_name.to_string(),
-        phase: DiffPhase::Golden,
-        site: String::new(),
-        verdict,
-        detail,
-    });
-
-    // Fault-outcome comparison only makes sense against a clean golden
-    // reference: a subject that already traps exercises the check paths
-    // in the golden comparison itself.
-    if cfg.fault_sites == 0 || ref_obs.fault.is_some() {
-        return cases;
-    }
-    let targets = campaign::target_names(reference);
-    if targets.is_empty() {
-        return cases;
-    }
     // Injections land at *boot* — the corrupted cell holds its upset
     // value before either build executes an instruction. Mid-run
     // injection cannot be compared fairly across builds: the same cycle
@@ -547,43 +505,66 @@ fn diff_builds(
     // (Mid-run upsets are the fault_injection campaign's axis, which
     // triages each build against its own golden run and never compares
     // timing across builds.)
-    let mut rng = SplitMix64::new(cfg.seed ^ fnv1a(subject));
-    for _ in 0..cfg.fault_sites {
-        let name = &targets[rng.below(targets.len() as u64) as usize];
-        let mask = HIGH_MASKS[rng.below(HIGH_MASKS.len() as u64) as usize];
-        // The same logical fault lands in both builds by name; a build
-        // whose optimizer removed the cell outright cannot receive it.
-        let (Some(ref_addr), Some(preset_addr)) = (
-            reference.image.find_global_addr(name),
-            preset_build.image.find_global_addr(name),
-        ) else {
-            continue;
-        };
-        let plan_for = |addr: u16| FaultPlan {
-            at_cycle: 0,
-            kind: FaultKind::BitFlip { addr, mask },
-        };
-        let ref_run = run_build(reference, workload, Some(&plan_for(ref_addr)));
-        let preset_run = run_build(preset_build, workload, Some(&plan_for(preset_addr)));
-        let ref_verdict = triage::triage(
-            &ref_golden,
-            &RunObservation::capture(&ref_run),
-            &reference.image.flid_table,
-        );
-        let preset_verdict = triage::triage(
-            &preset_golden,
-            &RunObservation::capture(&preset_run),
-            &preset_build.image.flid_table,
-        );
-        let (verdict, detail) = classify_injected(&ref_verdict, &preset_verdict);
-        cases.push(DiffCase {
-            subject: subject.to_string(),
-            preset: preset_name.to_string(),
-            phase: DiffPhase::Injected,
-            site: format!("bitflip@{name}^{mask:02x}@boot"),
-            verdict,
-            detail,
-        });
+    let targets = match cfg.fault_sites {
+        0 => Vec::new(),
+        _ => campaign::target_names(reference),
+    };
+    let bitflip = |addr, mask| FaultPlan {
+        at_cycle: 0,
+        kind: FaultKind::BitFlip { addr, mask },
+    };
+    let (mut sites, mut ref_plans, mut preset_plans) = (Vec::new(), Vec::new(), Vec::new());
+    if !targets.is_empty() {
+        let mut rng = SplitMix64::new(cfg.seed ^ fnv1a(subject));
+        for _ in 0..cfg.fault_sites {
+            let name = &targets[rng.below(targets.len() as u64) as usize];
+            let mask = HIGH_MASKS[rng.below(HIGH_MASKS.len() as u64) as usize];
+            // The same logical fault lands in both builds by name; a
+            // build whose optimizer removed the cell outright cannot
+            // receive it (the site's draws are consumed all the same).
+            if let (Some(ref_addr), Some(preset_addr)) = (
+                reference.image.find_global_addr(name),
+                preset_build.image.find_global_addr(name),
+            ) {
+                sites.push(format!("bitflip@{name}^{mask:02x}@boot"));
+                ref_plans.push(bitflip(ref_addr, mask));
+                preset_plans.push(bitflip(preset_addr, mask));
+            }
+        }
+    }
+
+    let (ref_machine, ref_verdicts) =
+        campaign::fork_replay(workload.machine(reference), &ref_plans);
+    let ref_obs = workload.comparable(DiffObservation::capture(reference, &ref_machine));
+    // Fault-outcome comparison only makes sense against a clean golden
+    // reference: a subject that already traps exercises the check paths
+    // in the golden comparison itself.
+    if ref_obs.fault.is_some() {
+        sites.clear();
+        preset_plans.clear();
+    }
+    let (preset_machine, preset_verdicts) =
+        campaign::fork_replay(workload.machine(preset_build), &preset_plans);
+    let preset_obs = workload.comparable(DiffObservation::capture(preset_build, &preset_machine));
+
+    let case = |phase, site, (verdict, detail)| DiffCase {
+        subject: subject.to_string(),
+        preset: preset_name.to_string(),
+        phase,
+        site,
+        verdict,
+        detail,
+    };
+    let mut cases = vec![case(
+        DiffPhase::Golden,
+        String::new(),
+        classify_golden(&ref_obs, &preset_obs),
+    )];
+    for (site, (r, p)) in sites
+        .into_iter()
+        .zip(ref_verdicts.iter().zip(&preset_verdicts))
+    {
+        cases.push(case(DiffPhase::Injected, site, classify_injected(r, p)));
     }
     cases
 }
@@ -1133,13 +1114,8 @@ mod tests {
             let build = reference_pipeline()
                 .build(program, mcu::Profile::mica2())
                 .unwrap();
-            let m = run_build(
-                &build,
-                &Workload::Raw {
-                    budget: cfg.budget_cycles,
-                },
-                None,
-            );
+            let mut m = Machine::new(&build.image);
+            m.run(cfg.budget_cycles);
             assert_ne!(
                 m.state,
                 RunState::Running,

@@ -131,8 +131,7 @@ pub fn mote_setups(spec: &FleetSpec, horizon: u64) -> Vec<MoteSetup> {
 }
 
 /// Builds (but does not run) the fleet described by `spec`, with every
-/// mote running `build`'s image. Under the translating engine the fleet
-/// shares the build's basic-block cache.
+/// mote running `build`'s image.
 pub fn build_fleet(build: &Build, spec: &FleetSpec) -> Fleet {
     let topology = if spec.range2 == 0 {
         Topology::full_mesh(spec.motes, spec.quality)
@@ -140,9 +139,6 @@ pub fn build_fleet(build: &Build, spec: &FleetSpec) -> Fleet {
         Topology::unit_disk_grid(spec.motes, spec.range2, spec.quality)
     };
     let mut fleet = Fleet::new(&build.image, topology, spec.seed);
-    if fleet.machine(0).engine() == mcu::Engine::Bt {
-        fleet.set_block_cache(build.block_cache());
-    }
     for (m, setup) in mote_setups(spec, horizon_cycles(build, spec))
         .into_iter()
         .enumerate()
@@ -306,21 +302,10 @@ pub fn lockstep_matches_event_driven(build: &Build, spec: &FleetSpec) -> bool {
     );
     let horizon = horizon_cycles(build, spec);
 
+    let reset = Machine::new(&build.image);
     let nodes: Vec<Machine> = mote_setups(spec, horizon)
-        .into_iter()
-        .map(|setup| {
-            let mut m = Machine::new(&build.image);
-            if m.engine() == mcu::Engine::Bt {
-                m.set_block_cache(build.block_cache());
-            }
-            if let Some(w) = &setup.waveform {
-                m.set_waveform(w.clone());
-            }
-            for (at, bytes) in &setup.injections {
-                m.inject_rx_bytes(*at, bytes);
-            }
-            m
-        })
+        .iter()
+        .map(|setup| setup.boot(&reset, 0, u64::MAX))
         .collect();
     let mut net = Network::new(nodes);
     net.run(horizon);

@@ -49,7 +49,7 @@ pub mod stackbound;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ccured::CureStats;
@@ -75,7 +75,7 @@ pub use pipeline::{
     PipelineBuilder, PruneErrmsgPass, RacesPass, StackboundPass, PRESET_NAMES,
 };
 pub use service::{BuildRequest, BuildResult, BuildService};
-pub use spec::{parse_pipeline_list, pipelines_from_env_or, SpecError};
+pub use spec::{parse_pipeline_list, SpecError};
 pub use stackbound::{StackReport, StackStats};
 
 /// Concurrency-analysis rollup for one build: what the race analyses
@@ -147,31 +147,6 @@ pub struct Build {
     /// The final middle-end IR (for inspection; the backend prepares and
     /// links from a copy).
     pub program: Program,
-    /// Lazily-built basic-block cache for the translating execution
-    /// engine, shared across every machine spun up from this build
-    /// (clones share it too — the image is identical, so the decode is).
-    block_cache: OnceLock<Arc<mcu::BlockCache>>,
-}
-
-impl Build {
-    /// A build over `image` with `metrics` and final IR `program`.
-    pub fn new(image: Image, metrics: Metrics, program: Program) -> Build {
-        Build {
-            image,
-            metrics,
-            program,
-            block_cache: OnceLock::new(),
-        }
-    }
-
-    /// The build's shared basic-block cache, decoding the image on first
-    /// use. Machines handed this cache skip their own per-machine decode
-    /// when running under [`mcu::Engine::Bt`].
-    pub fn block_cache(&self) -> Arc<mcu::BlockCache> {
-        self.block_cache
-            .get_or_init(|| Arc::new(mcu::BlockCache::build(&self.image)))
-            .clone()
-    }
 }
 
 /// The frontend's output for one app, cached by a [`BuildSession`] and
@@ -406,11 +381,8 @@ pub struct SimResult {
 /// [`simulate`] and the fault-injection campaigns in [`campaign`], which
 /// must set machines up identically for golden and injected runs.
 ///
-/// The machine gets no block cache: under [`mcu::Engine::Bt`] it decodes
-/// on its first run and its clones share that decode, so a campaign
-/// decodes once and frees the cache with its machines. Callers that
-/// replay one build across many fresh machines attach
-/// [`Build::block_cache`] instead.
+/// Callers that need many runs of one build fork the returned machine:
+/// forks share its block decode, filled by the first run of any of them.
 pub fn prepare_machine(build: &Build, spec: &AppSpec, seconds: u64) -> (Machine, u64) {
     let mut ctx = spec.context.clone();
     ctx.seconds = seconds;

@@ -17,7 +17,7 @@
 //! * the fluent [`PipelineBuilder`] (`Pipeline::builder("x").cure()...`),
 //! * the textual spec language of [`crate::spec`]
 //!   (`Pipeline::parse("cure(flid)|inline|cxprop(rounds=3)")`), also
-//!   honored process-wide via the `STOS_PIPELINE` environment variable.
+//!   the format of the harnesses' `STOS_PIPELINE` stack lists.
 
 use std::fmt;
 use std::sync::Arc;
@@ -793,7 +793,11 @@ impl Pipeline {
             }
         }
         let program = Arc::try_unwrap(state).unwrap_or_else(|shared| (*shared).clone());
-        Ok(Build::new(image, metrics, program))
+        Ok(Build {
+            image,
+            metrics,
+            program,
+        })
     }
 }
 

@@ -38,8 +38,8 @@
 //!
 //! # `STOS_PIPELINE`
 //!
-//! The environment variable holds a `;`-separated list of entries, each
-//! one of
+//! [`parse_pipeline_list`] reads the list format of the harnesses'
+//! `STOS_PIPELINE` knob: a `;`-separated list of entries, each one of
 //!
 //! * a preset name (`safe-flid-inline-cxprop`, see
 //!   [`crate::pipeline::PRESET_NAMES`]),
@@ -47,8 +47,9 @@
 //! * `name:spec` to parse a spec but keep an explicit label
 //!   (`gcc:cure(flid,noopt)`).
 //!
-//! Harnesses that honor it (fig2, fig3a/b/c, `pipeline_matrix`) replace
-//! their default stack list with the parsed one.
+//! This crate reads no environment variable for it: the harnesses parse
+//! the knob once (`bench::Knobs`) and replace their default stack list
+//! with the parsed one.
 
 use std::fmt;
 use std::sync::Arc;
@@ -527,14 +528,4 @@ pub fn parse_pipeline_list(list: &str) -> Result<Vec<Pipeline>, SpecError> {
         return Err(SpecError::new("empty pipeline list"));
     }
     Ok(pipelines)
-}
-
-/// The stack list a harness should run: `STOS_PIPELINE` if set (panicking
-/// loudly on a malformed value — harnesses want loud failures), otherwise
-/// `default()`.
-pub fn pipelines_from_env_or(default: impl FnOnce() -> Vec<Pipeline>) -> Vec<Pipeline> {
-    match std::env::var("STOS_PIPELINE") {
-        Ok(list) => parse_pipeline_list(&list).unwrap_or_else(|e| panic!("STOS_PIPELINE: {e}")),
-        Err(_) => default(),
-    }
 }

@@ -165,18 +165,29 @@ fn alu_nodiv(op: AluOp, a: i64, b: i64, width: Width, signed: bool) -> i64 {
 }
 
 impl Machine {
+    /// Runs until `until` total cycles have elapsed (or the machine halts
+    /// or faults). Returns the final state.
+    ///
+    /// Dispatches to the engine selected by [`Machine::set_engine`] /
+    /// `STOS_ENGINE`; both engines produce byte-identical observables
+    /// (cycles, instruction counts, RAM, device traces, faults).
+    ///
+    /// Runs compose: `run(a); run(b)` leaves the machine in the same
+    /// state as `run(b)` for any `a <= b` ([`Machine::same_state`]) —
+    /// the property campaign checkpoints rely on.
+    pub fn run(&mut self, until: u64) -> RunState {
+        match self.engine() {
+            Engine::Interp => self.run_interp(until),
+            Engine::Bt => self.run_bt(until),
+        }
+    }
+
     /// The block-translation run loop: identical outer structure to the
     /// interpreter loop, with a chained block executor where the
     /// interpreter single-steps.
     pub(crate) fn run_bt(&mut self, until: u64) -> RunState {
-        let cache = match &self.bbcache {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(BlockCache::build(&self.img));
-                self.bbcache = Some(Arc::clone(&c));
-                c
-            }
-        };
+        let slot = Arc::clone(&self.bbcache);
+        let cache = slot.get_or_init(|| BlockCache::build(&self.img));
         while self.cycles < until {
             match self.state {
                 RunState::Running => {
@@ -184,7 +195,7 @@ impl Machine {
                     if self.maybe_dispatch_irq() {
                         continue;
                     }
-                    if !self.run_blocks(&cache, until) {
+                    if !self.run_blocks(cache, until) {
                         // No block was provably safe (mid-block pc,
                         // horizon too close, shallow stack, pc past
                         // end): take one faithful step.

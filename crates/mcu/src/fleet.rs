@@ -37,14 +37,20 @@
 //! different instruction timing see identical drop patterns (the seeds
 //! are *skew-free*), and runs shard across threads with serial≡parallel
 //! byte-identity. A churn schedule powers motes off and on at fixed
-//! cycles; a reboot constructs a fresh [`Machine`] and replays the
-//! mote's [`MoteSetup`] for the new boot epoch.
+//! cycles; a reboot replays the mote's [`MoteSetup`] for the new boot
+//! epoch on a fresh [`Machine`].
+//!
+//! # One reset machine per image
+//!
+//! The fleet calls [`Machine::new`] once per distinct image — the fleet
+//! image plus each distinct [`Fleet::set_image`] override — and keeps
+//! that reset machine. Every boot, initial or churn reboot, forks it
+//! ([`MoteSetup::boot`]), so all motes of one image share its image and
+//! its block decode, and a reboot copies no code.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
-use crate::bbcache::BlockCache;
 use crate::devices::{Waveform, RADIO_BYTE_CYCLES};
 use crate::faults::{self, FaultPlan, SplitMix64};
 use crate::image::Image;
@@ -228,7 +234,7 @@ impl Topology {
 
 /// Per-mote boot configuration, replayed on every (re)boot: the churn
 /// schedule may power a mote off and on, and each boot starts from a
-/// fresh [`Machine`] configured from this.
+/// fresh [`Machine`] configured from this ([`MoteSetup::boot`]).
 #[derive(Debug, Clone, Default)]
 pub struct MoteSetup {
     /// Sensor waveform driving the ADC.
@@ -238,6 +244,25 @@ pub struct MoteSetup {
     /// [`RADIO_BYTE_CYCLES`] starting at the given cycle. Streams that
     /// start while the mote is powered off are lost.
     pub injections: Vec<(u64, Vec<u8>)>,
+}
+
+impl MoteSetup {
+    /// The machine of the boot that starts at global cycle `epoch` and
+    /// ends at `off`: a fork of `reset` (a machine in reset state) with
+    /// the waveform set and every injection stream that starts inside
+    /// `epoch..off` scheduled at its boot-local cycle.
+    pub fn boot(&self, reset: &Machine, epoch: u64, off: u64) -> Machine {
+        let mut machine = reset.clone();
+        if let Some(w) = &self.waveform {
+            machine.set_waveform(w.clone());
+        }
+        for (at, bytes) in &self.injections {
+            if (epoch..off).contains(at) {
+                machine.inject_rx_bytes(at - epoch, bytes);
+            }
+        }
+        machine
+    }
 }
 
 /// Aggregate fleet counters.
@@ -287,9 +312,9 @@ pub struct MoteObservation {
 struct Mote {
     machine: Machine,
     setup: MoteSetup,
-    /// Image override for heterogeneous fleets (`None`: the fleet
-    /// image). Reboots of this mote use it.
-    image: Option<Image>,
+    /// Index of this mote's image in [`Fleet::resets`]; its boots fork
+    /// that reset machine.
+    reset: usize,
     /// Global cycle at which the current boot started.
     epoch: u64,
     powered: bool,
@@ -318,8 +343,9 @@ pub struct Fleet {
     /// (every mote starts powered).
     churn: Vec<Vec<u64>>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    image: Image,
-    cache: Option<Arc<BlockCache>>,
+    /// One reset machine per distinct image: the fleet image first,
+    /// then each distinct [`Fleet::set_image`] override.
+    resets: Vec<Machine>,
     fault: Option<(usize, FaultPlan)>,
     fault_applied: bool,
     stats: FleetStats,
@@ -330,11 +356,12 @@ impl Fleet {
     /// `topology`. `seed` drives every per-link delivery decision.
     pub fn new(image: &Image, topology: Topology, seed: u64) -> Fleet {
         let n = topology.node_count();
+        let reset = Machine::new(image);
         let motes = (0..n)
             .map(|_| Mote {
-                machine: Machine::new(image),
+                machine: reset.clone(),
                 setup: MoteSetup::default(),
-                image: None,
+                reset: 0,
                 epoch: 0,
                 powered: true,
                 toggle_idx: 0,
@@ -352,8 +379,7 @@ impl Fleet {
             motes,
             churn: vec![Vec::new(); n],
             heap: BinaryHeap::new(),
-            image: image.clone(),
-            cache: None,
+            resets: vec![reset],
             fault: None,
             fault_applied: false,
             stats: FleetStats::default(),
@@ -365,46 +391,41 @@ impl Fleet {
         self.motes.len()
     }
 
-    /// Gives one mote a different image (heterogeneous fleets). Replaces
-    /// the mote's machine with a fresh one, so call it before
-    /// [`Fleet::set_setup`] and before the first `run`. The fleet-wide
-    /// block cache does not apply to overridden motes (it is built for
-    /// the fleet image).
+    /// Gives one mote a different image (heterogeneous fleets): its
+    /// boots fork the reset machine of that image, made on the first
+    /// override with it. Must be called before the first `run`.
     pub fn set_image(&mut self, mote: usize, image: &Image) {
         assert_eq!(
             self.motes[mote].machine.cycles, 0,
             "set_image must precede run"
         );
-        self.motes[mote].machine = Machine::new(image);
-        self.motes[mote].image = Some(image.clone());
+        let reset = match self.resets.iter().position(|m| m.image() == image) {
+            Some(i) => i,
+            None => {
+                self.resets.push(Machine::new(image));
+                self.resets.len() - 1
+            }
+        };
+        self.motes[mote].reset = reset;
+        self.reboot_unrun(mote);
     }
 
-    /// Installs a mote's boot configuration and applies it to the
-    /// current (fresh) machine. Must be called before the first `run`.
+    /// Installs a mote's boot configuration. Must be called before the
+    /// first `run`.
     pub fn set_setup(&mut self, mote: usize, setup: MoteSetup) {
         assert_eq!(
             self.motes[mote].machine.cycles, 0,
             "set_setup must precede run"
         );
-        if let Some(w) = &setup.waveform {
-            self.motes[mote].machine.set_waveform(w.clone());
-        }
-        for (at, bytes) in &setup.injections {
-            self.motes[mote].machine.inject_rx_bytes(*at, bytes);
-        }
         self.motes[mote].setup = setup;
+        self.reboot_unrun(mote);
     }
 
-    /// Shares a basic-block cache (built for the fleet image) with every
-    /// non-overridden machine, current and future boots (the translating
-    /// engine's decode-once store).
-    pub fn set_block_cache(&mut self, cache: Arc<BlockCache>) {
-        for mote in &mut self.motes {
-            if mote.image.is_none() {
-                mote.machine.set_block_cache(cache.clone());
-            }
-        }
-        self.cache = Some(cache);
+    /// Replaces a not-yet-run mote's initial boot with one of its current
+    /// image and setup.
+    fn reboot_unrun(&mut self, id: usize) {
+        let mote = &mut self.motes[id];
+        mote.machine = mote.setup.boot(&self.resets[mote.reset], 0, u64::MAX);
     }
 
     /// Schedules a power cycle: the mote dies at `off_at` and, if
@@ -636,28 +657,12 @@ impl Fleet {
     /// Reboots mote `id` from scratch at global cycle `epoch`, replaying
     /// its setup and delivering any mail that arrived for this boot.
     fn boot(&mut self, id: usize, epoch: u64) {
-        let image = self.motes[id].image.as_ref().unwrap_or(&self.image);
-        let mut machine = Machine::new(image);
-        if self.motes[id].image.is_none() {
-            if let Some(cache) = &self.cache {
-                machine.set_block_cache(cache.clone());
-            }
-        }
         let next_off = self.churn[id]
             .get(self.motes[id].toggle_idx)
             .copied()
             .unwrap_or(u64::MAX);
-        let setup = &self.motes[id].setup;
-        if let Some(w) = &setup.waveform {
-            machine.set_waveform(w.clone());
-        }
-        for (at, bytes) in &setup.injections {
-            if *at >= epoch && *at < next_off {
-                machine.inject_rx_bytes(*at - epoch, bytes);
-            }
-        }
         let mote = &mut self.motes[id];
-        mote.machine = machine;
+        mote.machine = mote.setup.boot(&self.resets[mote.reset], epoch, next_off);
         mote.epoch = epoch;
         mote.powered = true;
         mote.drained = 0;
@@ -770,6 +775,8 @@ impl std::fmt::Debug for Fleet {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::devices::{RADIO_CTRL, RADIO_RX, RADIO_TX};
     use crate::image::{CodeFunction, Image, Profile};
@@ -1027,6 +1034,31 @@ mod tests {
         // counter restarted at its boot epoch.
         assert_eq!(fleet.machine(1).cycles, 100_000);
         assert!(fleet.duty_cycle_percent(1) > 0.0);
+    }
+
+    /// Every boot forks one reset machine per distinct image: after
+    /// churn reboots, each mote still shares its image and block decode
+    /// with the reset machine of its image, overridden motes with their
+    /// override's, and setting the fleet image again makes no new one.
+    #[test]
+    fn boots_fork_one_reset_machine_per_image() {
+        let img_tx = tx_burst_image(10, 0);
+        let img_rx = rx_recorder_image();
+        let mut fleet = heterogeneous_fleet(
+            &[&img_tx, &img_tx, &img_rx, &img_rx],
+            Topology::full_mesh(4, LinkQuality::LOSSLESS),
+            1,
+        );
+        fleet.schedule_power_cycle(0, 2_000, Some(4_000));
+        fleet.schedule_power_cycle(3, 2_000, Some(4_000));
+        fleet.run(50_000);
+        assert_eq!(fleet.stats().reboots, 2);
+        assert_eq!(fleet.resets.len(), 2, "one Machine::new per image");
+        for (mote, reset) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
+            let (m, r) = (fleet.machine(mote), &fleet.resets[reset]);
+            assert!(Arc::ptr_eq(&m.img, &r.img), "mote {mote} image");
+            assert!(Arc::ptr_eq(&m.bbcache, &r.bbcache), "mote {mote} decode");
+        }
     }
 
     /// A mote powered off forever goes quiet without stalling the rest.

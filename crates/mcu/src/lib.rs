@@ -17,10 +17,14 @@
 //!   basic-block translation engine (decode once, superinstruction
 //!   fusion, faithful fallback at every observable boundary, the
 //!   default) selected via `STOS_ENGINE=interp|bt` — byte-identical
-//!   observables, ≥10× the cycles/sec,
+//!   observables, ≥10× the cycles/sec. The decode belongs to the
+//!   machine: [`Machine::new`] makes an empty decode slot, every clone
+//!   shares it, and the first block-engine run of any of them fills it,
+//!   so code that runs one image many times forks one reset machine,
 //! * [`devices`] — memory-mapped timer, ADC, byte radio, UART, and LEDs,
-//! * [`net`] — a shared broadcast radio channel for multi-node simulations
-//!   (the Avrora "network of motes" role),
+//! * [`net`] — a lockstep shared broadcast radio channel for a few motes
+//!   (the Avrora "network of motes" role), kept as the byte-exact
+//!   reference the fleet is checked against,
 //! * [`fleet`] — the fleet-scale event-driven network simulator: a global
 //!   event queue over per-mote wake times, directed lossy topologies,
 //!   node churn, and network-level fault injection (hundreds to

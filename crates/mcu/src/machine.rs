@@ -3,8 +3,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::bbcache::BlockCache;
 use crate::devices::*;
 use crate::image::Image;
 use crate::isa::{AluOp, Instr, UnAluOp, Width};
@@ -101,7 +102,10 @@ pub struct TornWatch {
 /// A simulated M16 node.
 ///
 /// Cloning is a cheap fork: RAM, registers and device state are copied,
-/// while the image (code, FLID table) and the block cache stay shared.
+/// while the image (code, FLID table) and its block decode stay shared.
+/// Code that needs many fresh machines of one image forks one reset
+/// machine instead of calling [`Machine::new`] again, so every run of
+/// that image shares one decode.
 #[derive(Debug, Clone)]
 pub struct Machine {
     pub(crate) img: Arc<Image>,
@@ -151,9 +155,10 @@ pub struct Machine {
     pub(crate) mmio_sync: bool,
     /// Which execution engine `run` uses.
     engine: crate::engine::Engine,
-    /// Predecoded basic blocks for `img` (built lazily, shareable across
-    /// machines running the same image).
-    pub(crate) bbcache: Option<std::sync::Arc<crate::bbcache::BlockCache>>,
+    /// Predecoded basic blocks for `img`: one slot per [`Machine::new`],
+    /// shared by every clone, filled by the first block-engine run of
+    /// any of them.
+    pub(crate) bbcache: Arc<OnceLock<BlockCache>>,
 }
 
 impl Machine {
@@ -205,7 +210,7 @@ impl Machine {
             sram_end,
             mmio_sync: false,
             engine: crate::engine::Engine::from_env(),
-            bbcache: None,
+            bbcache: Arc::default(),
         };
         m.devices.adc.waveform = Waveform::default();
         m
@@ -225,13 +230,15 @@ impl Machine {
         self.engine = engine;
     }
 
-    /// Attaches a predecoded block cache built from this machine's image
-    /// (see [`crate::bbcache::BlockCache`]). Fleets and difftests that
-    /// replay one image across many fresh machines share a single decode
-    /// this way; without an attached cache the block engine decodes
-    /// lazily on first use, and clones share that decode.
-    pub fn set_block_cache(&mut self, cache: std::sync::Arc<crate::bbcache::BlockCache>) {
-        self.bbcache = Some(cache);
+    /// The image this machine runs.
+    pub fn image(&self) -> &Image {
+        &self.img
+    }
+
+    /// Statistics of the block decode this machine and its clones share,
+    /// once a block-engine run has filled it.
+    pub fn block_stats(&self) -> Option<crate::bbcache::CacheStats> {
+        self.bbcache.get().map(BlockCache::stats)
     }
 
     /// The full 64 KiB address space (test/inspection helper: RAM
@@ -428,23 +435,6 @@ impl Machine {
             && self.uart_out == other.uart_out
             && self.radio_out == other.radio_out
             && self.ram[..] == other.ram[..]
-    }
-
-    /// Runs until `until` total cycles have elapsed (or the machine halts
-    /// or faults). Returns the final state.
-    ///
-    /// Dispatches to the engine selected by [`Machine::set_engine`] /
-    /// `STOS_ENGINE`; both engines produce byte-identical observables
-    /// (cycles, instruction counts, RAM, device traces, faults).
-    ///
-    /// Runs compose: `run(a); run(b)` leaves the machine in the same
-    /// state as `run(b)` for any `a <= b` ([`Machine::same_state`]) —
-    /// the property campaign checkpoints rely on.
-    pub fn run(&mut self, until: u64) -> RunState {
-        match self.engine {
-            crate::engine::Engine::Interp => self.run_interp(until),
-            crate::engine::Engine::Bt => self.run_bt(until),
-        }
     }
 
     /// The faithful per-instruction interpreter loop.
@@ -1503,6 +1493,30 @@ mod tests {
         // A separately loaded machine is conservatively "different":
         // equality of images is decided by identity only.
         assert!(!Machine::new(&m.img).same_state(&Machine::new(&m.img)));
+    }
+
+    #[test]
+    fn clones_share_one_decode_and_new_machines_get_their_own() {
+        let img = image_with(vec![Instr::PushI(1), Instr::Halt]);
+        let reset = Machine::new(&img);
+        // Both forks are taken before any run.
+        let (mut a, mut b) = (reset.clone(), reset.clone());
+        for m in [&mut a, &mut b] {
+            m.set_engine(crate::engine::Engine::Bt);
+            m.run(100);
+        }
+        assert!(Arc::ptr_eq(&a.bbcache, &b.bbcache));
+        assert!(Arc::ptr_eq(&a.bbcache, &reset.bbcache));
+        assert!(reset.block_stats().is_some(), "the first run filled it");
+        let mut other = Machine::new(&img);
+        assert!(!Arc::ptr_eq(&other.bbcache, &a.bbcache));
+        assert!(other.block_stats().is_none());
+        other.set_engine(crate::engine::Engine::Bt);
+        other.run(100);
+        assert!(!std::ptr::eq(
+            other.bbcache.get().unwrap(),
+            a.bbcache.get().unwrap()
+        ));
     }
 
     #[test]

@@ -231,9 +231,6 @@ proptest! {
         let run = |engine: mcu::Engine| {
             let mut m = mcu::Machine::new(&build.image);
             m.set_engine(engine);
-            if engine == mcu::Engine::Bt {
-                m.set_block_cache(build.block_cache());
-            }
             m.run(200_000);
             let obs = safe_tinyos::difftest::DiffObservation::capture(&build, &m);
             (obs, m.cycles, m.awake_cycles, m.instr_count)
@@ -333,7 +330,6 @@ proptest! {
         for engine in [Engine::Interp, Engine::Bt] {
             let mut fresh = mcu::Machine::new(&build.image);
             fresh.set_engine(engine);
-            fresh.set_block_cache(build.block_cache());
             let mut cut = fresh.clone();
             cut.run(a);
             cut.run(b);

@@ -6,8 +6,8 @@
 use backend::BackendOptions;
 use ccured::{cure, CureOptions};
 use cxprop::{CxpropOptions, InlineOptions};
-use mcu::net::Network;
 use mcu::{Machine, Profile, RunState};
+use safe_tinyos::fleet::{build_fleet, horizon_cycles, FleetSpec};
 use safe_tinyos::{simulate, BuildSession, Pipeline};
 use safe_tinyos_suite as _;
 
@@ -88,40 +88,28 @@ fn safety_violation_core_path() {
     assert_eq!(m.ram_peek(power), 3, "safe build prevents the corruption");
 }
 
-/// `examples/surge_network.rs`: a three-node Surge network forms a
-/// routing tree from injected beacons and carries traffic.
+/// `examples/surge_fleet.rs`: a Surge fleet forms a routing tree from
+/// injected beacons and carries traffic (three motes on a lossless mesh
+/// here, to keep the test quick).
 #[test]
-fn surge_network_core_path() {
+fn surge_fleet_core_path() {
     let spec = tosapps::spec("Surge_Mica2").expect("known app");
     let build = BuildSession::new()
         .build(&spec, &Pipeline::safe_flid_inline_cxprop())
         .expect("build");
-    let mut nodes = Vec::new();
-    for i in 0..3 {
-        let mut m = Machine::new(&build.image);
-        m.set_waveform(mcu::devices::Waveform::Noise {
-            seed: 0x1000 + i,
-            min: 200,
-            max: 900,
-        });
-        nodes.push(m);
-    }
-    let beacon = tosapps::AmPacket::broadcast(18, vec![0, 0, 0]);
-    for k in 0..4 {
-        nodes[0].inject_rx_bytes(500_000 + k * 8_000_000, &beacon.frame_bytes());
-    }
-    let mut net = Network::new(nodes);
-    net.run(5 * 4_000_000);
-    for (i, n) in net.nodes.iter().enumerate() {
+    let fs = FleetSpec::lossless_mesh(3, 5, 0x1000);
+    let mut fleet = build_fleet(&build, &fs);
+    fleet.run(horizon_cycles(&build, &fs));
+    for m in 0..fs.motes {
+        let mote = fleet.machine(m);
         assert!(
-            matches!(n.state, RunState::Sleeping | RunState::Running),
-            "node {i}: {:?} (fault {:?})",
-            n.state,
-            n.fault_message()
+            matches!(mote.state, RunState::Sleeping | RunState::Running),
+            "mote {m}: {:?} (fault {:?})",
+            mote.state,
+            mote.fault_message()
         );
     }
-    let total_tx: usize = net.nodes.iter().map(|n| n.radio_out.len()).sum();
-    assert!(total_tx > 0, "the network carries traffic");
+    assert!(fleet.stats().tx_bytes > 0, "the fleet carries traffic");
 }
 
 /// `examples/optimization_pipeline.rs`: the stage-by-stage walk keeps
