@@ -160,6 +160,24 @@ const CONTRACTS: &[Contract] = &[
             ("campaign-verdicts-complete", Custom(campaign_verdicts_complete)),
         ],
     },
+    // The paper's central numbers, all of them cXprop's work: the
+    // per-app check-removal table and code/data size deltas. These
+    // reports carry no timing fields.
+    Contract {
+        figure: "fig2_checks",
+        pinned: &[Pin::Whole("apps"), Pin::Whole("total")],
+        invariants: &[],
+    },
+    Contract {
+        figure: "fig3a_code_size",
+        pinned: &[Pin::Whole("apps")],
+        invariants: &[],
+    },
+    Contract {
+        figure: "fig3b_data_size",
+        pinned: &[Pin::Whole("apps")],
+        invariants: &[],
+    },
 ];
 
 /// The contract for a `"figure"` value.
@@ -843,6 +861,25 @@ mod tests {
         assert!(gate(&good, &fault_report(&[0, 0, 0])).is_ok());
     }
 
+    const FIG2: &str = r#"{"figure":"fig2_checks","apps":[{"app":"A","checks_inserted":4,"removed_pct":{"gcc":0.0000,"ccured+cxprop+gcc":50.0000}}],"total":{"checks_inserted":4,"gcc":0.0000,"ccured+cxprop+gcc":50.0000}}"#;
+
+    #[test]
+    fn cxprop_figures_pin_their_tables() {
+        assert!(gate(FIG2, FIG2).is_ok());
+        let removed = fails(FIG2, &FIG2.replacen("50.0000", "75.0000", 1));
+        assert!(removed.contains("apps"), "{removed}");
+        let total = fails(FIG2, &FIG2.replace(r#"4,"gcc""#, r#"5,"gcc""#));
+        assert!(total.contains("total"), "{total}");
+        for figure in ["fig3a_code_size", "fig3b_data_size"] {
+            let report = format!(
+                r#"{{"figure":"{figure}","apps":[{{"app":"A","delta_pct":{{"safe-flid":9.5238}}}}]}}"#
+            );
+            assert!(gate(&report, &report).is_ok());
+            let drift = fails(&report, &report.replace("9.5238", "-9.5238"));
+            assert!(drift.contains("apps"), "{figure}: {drift}");
+        }
+    }
+
     #[test]
     fn malformed_or_truncated_input_is_an_input_error() {
         assert!(input_error("{", FLEET).contains("committed report is not JSON"));
@@ -850,7 +887,7 @@ mod tests {
             let msg = input_error(FLEET, &FLEET[..cut]);
             assert!(msg.contains("fresh report is not JSON"), "{cut}: {msg}");
         }
-        assert!(input_error(FLEET, r#"{"figure":"fig2_checks"}"#).contains("no contract"));
+        assert!(input_error(FLEET, r#"{"figure":"fig3c_duty_cycle"}"#).contains("no contract"));
         assert!(input_error(FLEET, RACES).contains("committed figure \"fleet\""));
         assert!(input_error(FLEET, "[1]").contains("no \"figure\""));
     }
@@ -873,7 +910,7 @@ mod tests {
             }
         }
         // 13 toolchain-speed reports plus races, stack, fleet, sim_speed,
-        // difftest and fault_injection.
-        assert_eq!(gated.len(), 19, "{gated:?}");
+        // difftest, fault_injection, fig2, fig3a and fig3b.
+        assert_eq!(gated.len(), 22, "{gated:?}");
     }
 }

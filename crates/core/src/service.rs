@@ -223,23 +223,33 @@ impl BuildService {
         // The first panic by *job index* (not arrival order), so the
         // error a caller sees is deterministic across worker counts.
         let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
+        // Each worker is joined, not merely waited for: a scope returns
+        // once its closures finish, while the threads may still be
+        // exiting and holding their allocator arenas. The next batch's
+        // workers would then each open a fresh arena, so how much memory
+        // a run pins would depend on thread scheduling.
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    match run_labeled(&label, i, || f(i)) {
-                        Ok(r) => *slots[i].lock().unwrap() = Some(r),
-                        Err(msg) => {
-                            let mut failure = failure.lock().unwrap();
-                            if failure.as_ref().is_none_or(|(j, _)| i < *j) {
-                                *failure = Some((i, msg));
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        match run_labeled(&label, i, || f(i)) {
+                            Ok(r) => *slots[i].lock().unwrap() = Some(r),
+                            Err(msg) => {
+                                let mut failure = failure.lock().unwrap();
+                                if failure.as_ref().is_none_or(|(j, _)| i < *j) {
+                                    *failure = Some((i, msg));
+                                }
                             }
                         }
-                    }
-                });
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().expect("jobs' panics are caught");
             }
         });
         if let Some((_, msg)) = failure.into_inner().unwrap() {
@@ -361,6 +371,34 @@ mod tests {
             jobs.push(service.jobs());
         }
         assert_eq!(jobs, [6, 6]);
+    }
+
+    #[test]
+    fn workers_have_exited_when_a_batch_returns() {
+        // A thread-local's destructor runs as its thread exits, so every
+        // worker that ran a job has counted itself by the time the batch
+        // returns only if the pool joined it.
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: OnExit = const { OnExit };
+        }
+        let service = BuildService::with_threads(4);
+        for round in 1..=50 {
+            let ran: Mutex<std::collections::HashSet<std::thread::ThreadId>> = Mutex::default();
+            service.run_jobs(16, |_| {
+                ON_EXIT.with(|_| {});
+                ran.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(Duration::from_micros(50));
+            });
+            let workers = ran.into_inner().unwrap().len();
+            assert_eq!(EXITED.swap(0, Ordering::SeqCst), workers, "round {round}");
+        }
     }
 
     #[test]

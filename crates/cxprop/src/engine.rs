@@ -46,6 +46,33 @@
 //! `harden: false` (the spec language's `cxprop(noharden)`) restores the
 //! classical policy, which is how the campaign harness demonstrates the
 //! coverage collapse on demand.
+//!
+//! # Write-tracked environments
+//!
+//! A flow environment holds one abstract value per local, per hardened
+//! twin and per global, and stamps each slot with the epoch of the last
+//! write that changed it. Forking an environment (the two arms of an
+//! `if`, a loop body against its head) moves both copies past the fork
+//! epoch, so when they meet again only the slots stamped after it can
+//! differ. The `if` join, the loop's break-exit join and the loop-head
+//! convergence test visit just those slots: the rest hold the same value
+//! on both sides and `join(x, x) == x`, so skipping them is exact. Loop
+//! fixpoints walk the body in place with transforms off (analysis never
+//! writes to the program) and join and widen the head in place.
+//!
+//! # Rounds and convergence
+//!
+//! The analysis repeats whole-program rounds while any summary grows, up
+//! to [`MAX_ROUNDS`]. On the stock applications it never goes quiet
+//! before the cap: whole-program values of counters such as a timer's
+//! elapsed time (`TimerM__elapsed0`) or the radio's receive position
+//! (`RadioM__rx_pos`) grow by one per round (each round joins one more
+//! increment into the global's summary) and summaries are not widened,
+//! so every analysis stops at the cap with its last round still
+//! changing. The transform phase then works from that last
+//! approximation, which all the figures are computed from.
+//! [`Engine::rounds`], [`Engine::quiet`] and [`Engine::walks`] expose
+//! this work.
 
 use tcil::ir::*;
 use tcil::types::{size_of, IntKind, Type};
@@ -54,6 +81,10 @@ use tcil::Program;
 
 use crate::aval::{addr_of_value, APtr, AVal, Tri};
 use crate::ival::Ival;
+
+/// The analysis's round cap: it stops after this many rounds even when
+/// the last one still changed a summary.
+pub const MAX_ROUNDS: usize = 12;
 
 /// Which abstract integer domain the engine plugs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,15 +109,17 @@ pub struct EngineStats {
 
 /// Pre-computed program facts.
 #[derive(Debug, Clone, Default)]
-pub struct Summaries {
-    /// `writes[f][g]`: function `f` (transitively) writes global `g`.
-    pub writes: Vec<Vec<bool>>,
-    /// Function (transitively) stores through a pointer.
-    pub indirect_writes: Vec<bool>,
+pub(crate) struct Summaries {
+    /// `writes[f]`: the globals function `f` (transitively) writes, in
+    /// ascending order — the ones a call to `f` havocs.
+    pub writes: Vec<Vec<u32>>,
     /// Global has its address taken somewhere.
     pub addr_taken: Vec<bool>,
     /// Global is accessed by interrupt-reachable code.
     pub async_touched: Vec<bool>,
+    /// The async-touched globals in ascending order — the ones an atomic
+    /// section observes afresh.
+    pub async_globals: Vec<u32>,
     /// Function reachable from any root.
     pub reachable: Vec<bool>,
     /// `mentions[f][g]`: function `f`'s body mentions global `g` directly
@@ -100,29 +133,27 @@ pub struct Summaries {
 }
 
 /// Computes [`Summaries`] for `program`.
-pub fn summarize(program: &Program) -> Summaries {
+pub(crate) fn summarize(program: &Program) -> Summaries {
     let nf = program.functions.len();
     let ng = program.globals.len();
     let mut s = Summaries {
-        writes: vec![vec![false; ng]; nf],
-        indirect_writes: vec![false; nf],
+        writes: Vec::new(),
         addr_taken: vec![false; ng],
         async_touched: vec![false; ng],
+        async_globals: Vec::new(),
         reachable: vec![false; nf],
         mentions: vec![vec![false; ng]; nf],
         callees: vec![Vec::new(); nf],
     };
+    // `writes[f][g]`, closed over the call graph below.
+    let mut writes = vec![vec![false; ng]; nf];
     for (fi, f) in program.functions.iter().enumerate() {
         visit::walk_stmts(&f.body, &mut |st| {
             let mut dest = |p: &Place| {
-                match &p.base {
-                    PlaceBase::Global(g) => {
-                        s.writes[fi][g.0 as usize] = true;
-                        s.mentions[fi][g.0 as usize] = true;
-                    }
-                    PlaceBase::Deref(_) => s.indirect_writes[fi] = true,
-                    _ => {}
-                };
+                if let PlaceBase::Global(g) = &p.base {
+                    writes[fi][g.0 as usize] = true;
+                    s.mentions[fi][g.0 as usize] = true;
+                }
             };
             match st {
                 Stmt::Assign(p, _) => dest(p),
@@ -152,28 +183,35 @@ pub fn summarize(program: &Program) -> Summaries {
     // Take the callee lists out so the closure below can mutate the
     // other summary fields; restored before returning.
     let callees = std::mem::take(&mut s.callees);
-    // Transitive closure of writes / indirect writes.
+    // Transitive closure of writes.
     loop {
         let mut changed = false;
         for (fi, fi_callees) in callees.iter().enumerate() {
+            // Taken out while the callees' rows are read (a recursive
+            // call then reads an empty row: it adds nothing anyway).
+            let mut row = std::mem::take(&mut writes[fi]);
             for &c in fi_callees {
-                let c = c as usize;
-                if s.indirect_writes[c] && !s.indirect_writes[fi] {
-                    s.indirect_writes[fi] = true;
-                    changed = true;
-                }
-                for g in 0..ng {
-                    if s.writes[c][g] && !s.writes[fi][g] {
-                        s.writes[fi][g] = true;
+                for (w, &cw) in row.iter_mut().zip(&writes[c as usize]) {
+                    if cw && !*w {
+                        *w = true;
                         changed = true;
                     }
                 }
             }
+            writes[fi] = row;
         }
         if !changed {
             break;
         }
     }
+    let set_bits = |row: &[bool]| -> Vec<u32> {
+        row.iter()
+            .enumerate()
+            .filter(|(_, &b)| b)
+            .map(|(i, _)| i as u32)
+            .collect()
+    };
+    s.writes = writes.iter().map(|row| set_bits(row)).collect();
     // Reachability and async context.
     let mut async_fn = vec![false; nf];
     let roots: Vec<u32> = program
@@ -237,56 +275,130 @@ pub fn summarize(program: &Program) -> Summaries {
             });
         });
     }
+    s.async_globals = set_bits(&s.async_touched);
     s.callees = callees;
     s
 }
 
-/// The flow environment at a program point.
+/// The flow environment at a program point: one abstract value per
+/// slot — each local, then each local's fault-hardened twin, then each
+/// global — and per slot the epoch of the last write that changed it.
 ///
-/// `hard_locals` is the fault-hardened shadow of `locals`: the value
-/// each local would hold if every global it was computed from had been
-/// corrupted to an arbitrary value of its type (see the module docs).
-/// Globals need no shadow — their hardened value is always their type's
-/// top, by definition of the fault model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Env {
-    locals: Vec<AVal>,
-    hard_locals: Vec<AVal>,
-    globals: Vec<AVal>,
+/// The twin of a local is its value if every global it was computed
+/// from had been corrupted to an arbitrary value of its type (see the
+/// module docs). Globals need no twin — their hardened value is always
+/// their type's top, by definition of the fault model.
+///
+/// [`Env::fork_point`] returns the current epoch and moves past it, so
+/// every copy taken after it stamps its writes above the fork point: a
+/// slot stamped at or below it holds the value it had at the fork.
+#[derive(Default)]
+struct Env {
+    slots: Vec<AVal>,
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// Number of locals: local `i`'s twin is slot `nl + i`, global `g`
+    /// is slot `2 * nl + g`.
+    nl: usize,
     reachable: bool,
 }
 
+impl Clone for Env {
+    fn clone(&self) -> Env {
+        Env {
+            slots: self.slots.clone(),
+            stamps: self.stamps.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s buffers (loop iterations copy the head into the
+    /// same scratch environment every round).
+    fn clone_from(&mut self, source: &Env) {
+        self.slots.clone_from(&source.slots);
+        self.stamps.clone_from(&source.stamps);
+        self.epoch = source.epoch;
+        self.nl = source.nl;
+        self.reachable = source.reachable;
+    }
+}
+
 impl Env {
-    fn join_from(&mut self, other: &Env) -> bool {
+    fn hard_slot(&self, local: usize) -> usize {
+        self.nl + local
+    }
+
+    fn global_slot(&self, global: usize) -> usize {
+        2 * self.nl + global
+    }
+
+    fn global(&self, global: usize) -> AVal {
+        self.slots[self.global_slot(global)]
+    }
+
+    /// Writes `v` to `slot`, stamping the slot if its value changed.
+    fn set(&mut self, slot: usize, v: AVal) {
+        if self.slots[slot] != v {
+            self.slots[slot] = v;
+            self.stamps[slot] = self.epoch;
+        }
+    }
+
+    /// Marks a fork: returns the epoch that copies of `self` taken now
+    /// (and `self` itself) will all write above.
+    fn fork_point(&mut self) -> u32 {
+        self.epoch += 1;
+        self.epoch - 1
+    }
+
+    /// Joins `other` into `self`, where both descend from one
+    /// environment forked at epoch `at`. Only slots either side wrote
+    /// since the fork are visited. With `widen`, a slot that grows is
+    /// widened against the integer kind `widen` gives for it (loop
+    /// heads). Returns whether any slot grew.
+    fn join_since(
+        &mut self,
+        other: &Env,
+        at: u32,
+        widen: Option<&dyn Fn(usize) -> IntKind>,
+    ) -> bool {
         if !other.reachable {
             return false;
         }
         if !self.reachable {
-            *self = other.clone();
+            self.clone_from(other);
             return true;
         }
         let mut changed = false;
-        for (a, b) in self
-            .locals
-            .iter_mut()
-            .chain(self.hard_locals.iter_mut())
-            .zip(other.locals.iter().chain(&other.hard_locals))
-        {
-            let j = a.join(*b);
-            if j != *a {
-                *a = j;
+        for i in 0..self.slots.len() {
+            let stamp = self.stamps[i].max(other.stamps[i]);
+            if stamp <= at {
+                continue;
+            }
+            let a = self.slots[i];
+            let j = a.join(other.slots[i]);
+            if j != a {
+                self.slots[i] = match widen {
+                    Some(kind) => a.widen(j, kind(i)),
+                    None => j,
+                };
+                self.stamps[i] = stamp;
                 changed = true;
             }
         }
-        for (a, b) in self.globals.iter_mut().zip(&other.globals) {
-            let j = a.join(*b);
-            if j != *a {
-                *a = j;
-                changed = true;
-            }
-        }
+        self.epoch = self.epoch.max(other.epoch);
         changed
     }
+}
+
+/// Joins `v` into `slot`; returns whether the slot grew.
+fn join_into(slot: &mut AVal, v: AVal) -> bool {
+    let j = slot.join(v);
+    if j == *slot {
+        return false;
+    }
+    *slot = j;
+    true
 }
 
 /// The analysis engine.
@@ -298,7 +410,7 @@ pub struct Engine {
     /// the classical (pre-fix) policy.
     pub harden: bool,
     /// Program facts.
-    pub sums: Summaries,
+    pub(crate) sums: Summaries,
     /// Whole-program abstract value of each global.
     pub wpv: Vec<AVal>,
     /// Join of argument values at every call site, per function.
@@ -309,6 +421,13 @@ pub struct Engine {
     pub retv: Vec<AVal>,
     /// Fault-hardened twin of [`Engine::retv`].
     pub retv_hard: Vec<AVal>,
+    /// Fixpoint rounds the analysis ran (at most [`MAX_ROUNDS`]).
+    pub rounds: usize,
+    /// Whether the analysis's last round changed no summary; `false`
+    /// means it stopped at [`MAX_ROUNDS`] short of a fixpoint.
+    pub quiet: bool,
+    /// Function walks the analysis made across all its rounds.
+    pub walks: usize,
     changed: bool,
     /// `gdeps[g]`: functions whose walk reads global `g` — the ones a
     /// change to `wpv[g]` can re-derive facts in.
@@ -384,6 +503,9 @@ impl Engine {
             entry_hard: vec![None; nf],
             retv: vec![AVal::Bot; nf],
             retv_hard: vec![AVal::Bot; nf],
+            rounds: 0,
+            quiet: false,
+            walks: 0,
             changed: true,
             gdeps,
             callers,
@@ -405,7 +527,6 @@ impl Engine {
             .iter_mut()
             .map(|f| std::mem::take(&mut f.body))
             .collect();
-        let mut rounds = 0;
         // The loop condition (and therefore the fixpoint reached) is the
         // same as the dense engine's; `dirty` only filters *within* a
         // round. A clean function's inputs — its entry values, the
@@ -414,9 +535,9 @@ impl Engine {
         // inputs re-derives exactly the joins it already published
         // (joins are monotone and idempotent), so skipping it cannot
         // alter any summary or the round count.
-        while eng.changed && rounds < 12 {
+        while eng.changed && eng.rounds < MAX_ROUNDS {
             eng.changed = false;
-            rounds += 1;
+            eng.rounds += 1;
             for (fi, body) in bodies.iter_mut().enumerate() {
                 if !eng.dirty[fi] {
                     continue;
@@ -426,9 +547,11 @@ impl Engine {
                     continue;
                 }
                 let mut stats = EngineStats::default();
+                eng.walks += 1;
                 eng.walk_function(program, fi, body, false, &mut stats);
             }
         }
+        eng.quiet = !eng.changed;
         for (f, body) in program.functions.iter_mut().zip(bodies) {
             f.body = body;
         }
@@ -482,26 +605,22 @@ impl Engine {
 
     fn entry_env(&self, program: &Program, fi: usize) -> Env {
         let f = &program.functions[fi];
-        let mut locals: Vec<AVal> = f.locals.iter().map(|l| AVal::top_for(&l.ty)).collect();
-        let mut hard_locals = locals.clone();
-        if let Some(params) = &self.entry[fi] {
-            for (i, v) in params.iter().enumerate() {
-                if i < locals.len() {
-                    locals[i] = *v;
-                }
-            }
+        let nl = f.locals.len();
+        let mut slots = Vec::with_capacity(2 * nl + self.wpv.len());
+        slots.extend(f.locals.iter().map(|l| AVal::top_for(&l.ty)));
+        slots.extend_from_within(..nl);
+        slots.extend_from_slice(&self.wpv);
+        for (i, v) in self.entry[fi].iter().flatten().take(nl).enumerate() {
+            slots[i] = *v;
         }
-        if let Some(params) = &self.entry_hard[fi] {
-            for (i, v) in params.iter().enumerate() {
-                if i < hard_locals.len() {
-                    hard_locals[i] = *v;
-                }
-            }
+        for (i, v) in self.entry_hard[fi].iter().flatten().take(nl).enumerate() {
+            slots[nl + i] = *v;
         }
         Env {
-            locals,
-            hard_locals,
-            globals: self.wpv.clone(),
+            stamps: vec![0; slots.len()],
+            slots,
+            epoch: 0,
+            nl,
             reachable: true,
         }
     }
@@ -524,10 +643,6 @@ impl Engine {
             loop_breaks: Vec::new(),
         };
         w.walk_block(body, &mut env, stats);
-        // A void function falling off the end "returns" unit.
-        if program.functions[fi].ret == Type::Void && env.reachable {
-            // nothing to record
-        }
     }
 }
 
@@ -557,7 +672,9 @@ struct Walker<'a> {
     fidx: usize,
     atomic: u32,
     transform: bool,
-    loop_breaks: Vec<Vec<Env>>,
+    /// The break states of each enclosing loop; `None` while a loop's
+    /// fixpoint iterates (only its final pass needs them).
+    loop_breaks: Vec<Option<Vec<Env>>>,
 }
 
 impl Walker<'_> {
@@ -692,11 +809,8 @@ impl Walker<'_> {
         }
         match &p.base {
             PlaceBase::Local(id) => {
-                if hard {
-                    env.hard_locals[id.0 as usize]
-                } else {
-                    env.locals[id.0 as usize]
-                }
+                let i = id.0 as usize;
+                env.slots[if hard { env.hard_slot(i) } else { i }]
             }
             PlaceBase::Global(g) => {
                 let gi = g.0 as usize;
@@ -706,7 +820,7 @@ impl Walker<'_> {
                     return AVal::top_for(&p.ty);
                 }
                 if self.refinable(gi) {
-                    env.globals[gi]
+                    env.global(gi)
                 } else {
                     self.eng.wpv[gi]
                 }
@@ -752,16 +866,15 @@ impl Walker<'_> {
         }
         match &p.base {
             PlaceBase::Local(id) => {
-                env.locals[id.0 as usize] = v;
-                env.hard_locals[id.0 as usize] = v_hard;
+                let i = id.0 as usize;
+                env.set(i, v);
+                env.set(env.hard_slot(i), v_hard);
             }
             PlaceBase::Global(g) => {
                 let gi = g.0 as usize;
-                env.globals[gi] = v;
+                env.set(env.global_slot(gi), v);
                 // Every store contributes to the whole-program value.
-                let j = self.eng.wpv[gi].join(v);
-                if j != self.eng.wpv[gi] {
-                    self.eng.wpv[gi] = j;
+                if join_into(&mut self.eng.wpv[gi], v) {
                     self.eng.changed = true;
                     // A wider summary can re-derive facts in any function
                     // that mentions this global.
@@ -774,7 +887,9 @@ impl Walker<'_> {
 
     // ----- statements -----
 
-    fn fold_expr_to_const(&mut self, e: &mut Expr, env: &Env, stats: &mut EngineStats) {
+    /// In transform mode, replaces `e`, whose value is `v`, by the
+    /// constant `v` decides.
+    fn fold_to_const(&self, e: &mut Expr, v: AVal, stats: &mut EngineStats) {
         if !self.transform {
             return;
         }
@@ -783,7 +898,7 @@ impl Walker<'_> {
         }
         // Loads of named variables are usually cheaper than wide constants;
         // still fold (the backend folds sizes anyway and DCE benefits).
-        if let Some(c) = self.eval(e, env).as_const() {
+        if let Some(c) = v.as_const() {
             let k = e.ty.as_int().unwrap_or(IntKind::U16);
             *e = Expr::const_int(c, k);
             stats.consts_folded += 1;
@@ -806,7 +921,7 @@ impl Walker<'_> {
         match s {
             Stmt::Assign(place, e) => {
                 let v = self.eval(e, env);
-                self.fold_expr_to_const(e, env, stats);
+                self.fold_to_const(e, v, stats);
                 // Hardened value after folding: a folded constant no
                 // longer reads RAM, so it is fault-immune by construction.
                 // (With hardening off the twin equals `v`; skip the
@@ -816,43 +931,38 @@ impl Walker<'_> {
                 } else {
                     v
                 };
-                self.assign_place(&place.clone(), v, vh, env);
+                self.assign_place(place, v, vh, env);
             }
             Stmt::Call { dst, func, args } => {
                 let callee = func.0 as usize;
-                let vals: Vec<AVal> = args.iter().map(|a| self.eval(a, env)).collect();
-                for a in args.iter_mut() {
-                    self.fold_expr_to_const(a, env, stats);
-                }
-                let vals_hard: Vec<AVal> = if self.eng.harden {
-                    args.iter().map(|a| self.eval_in(a, env, true)).collect()
-                } else {
-                    vals.clone()
-                };
-                // Join into the callee's entry summaries (both worlds).
                 let params = self.prog.functions[callee].params as usize;
-                let mut changed = false;
                 // First call site discovered for this callee: it needs a
                 // walk even if every slot join below is a no-op (a
                 // 0-param callee has no slots at all). Note that mere
                 // discovery does not set `eng.changed` — the dense
                 // engine didn't either, and the round count must match.
                 let created = self.eng.entry[callee].is_none();
-                let entry = self.eng.entry[callee].get_or_insert_with(|| vec![AVal::Bot; params]);
-                for (slot, v) in entry.iter_mut().zip(vals.iter()) {
-                    let j = slot.join(*v);
-                    if j != *slot {
-                        *slot = j;
-                        changed = true;
-                    }
+                if created {
+                    self.eng.entry[callee] = Some(vec![AVal::Bot; params]);
+                    self.eng.entry_hard[callee] = Some(vec![AVal::Bot; params]);
                 }
-                let entry_hard =
-                    self.eng.entry_hard[callee].get_or_insert_with(|| vec![AVal::Bot; params]);
-                for (slot, v) in entry_hard.iter_mut().zip(vals_hard.iter()) {
-                    let j = slot.join(*v);
-                    if j != *slot {
-                        *slot = j;
-                        changed = true;
+                // Join each argument into the callee's entry summaries
+                // (both worlds).
+                let mut changed = false;
+                for (i, a) in args.iter_mut().enumerate() {
+                    let v = self.eval(a, env);
+                    self.fold_to_const(a, v, stats);
+                    let vh = if self.eng.harden {
+                        self.eval_in(a, env, true)
+                    } else {
+                        v
+                    };
+                    let eng = &mut *self.eng;
+                    if let Some(slot) = eng.entry[callee].as_mut().and_then(|e| e.get_mut(i)) {
+                        changed |= join_into(slot, v);
+                    }
+                    if let Some(slot) = eng.entry_hard[callee].as_mut().and_then(|e| e.get_mut(i)) {
+                        changed |= join_into(slot, vh);
                     }
                 }
                 if changed {
@@ -861,26 +971,26 @@ impl Walker<'_> {
                 if created || changed {
                     self.eng.dirty[callee] = true;
                 }
-                // Havoc globals the callee writes (indexing into the
-                // summary row directly — no clone per call site).
-                for gi in 0..env.globals.len() {
-                    if self.eng.sums.writes[callee][gi] {
-                        env.globals[gi] = self.eng.wpv[gi];
-                    }
+                // Havoc the globals the callee writes.
+                for &g in &self.eng.sums.writes[callee] {
+                    env.set(env.global_slot(g as usize), self.eng.wpv[g as usize]);
                 }
-                if let Some(d) = dst.clone() {
+                if let Some(d) = dst {
                     let rv = self.eng.retv[callee];
                     let rvh = self.eng.retv_hard[callee];
-                    self.assign_place(&d, rv, rvh, env);
+                    self.assign_place(d, rv, rvh, env);
                 }
             }
             Stmt::BuiltinCall { dst, args, .. } => {
-                for a in args.iter_mut() {
-                    self.fold_expr_to_const(a, env, stats);
+                if self.transform {
+                    for a in args.iter_mut() {
+                        let v = self.eval(a, env);
+                        self.fold_to_const(a, v, stats);
+                    }
                 }
-                if let Some(d) = dst.clone() {
+                if let Some(d) = dst {
                     let top = AVal::top_for(&d.ty);
-                    self.assign_place(&d, top, top, env);
+                    self.assign_place(d, top, top, env);
                 }
             }
             Stmt::If { cond, then_, else_ } => {
@@ -903,17 +1013,15 @@ impl Walker<'_> {
                     self.walk_block(b, env, stats);
                     return;
                 }
-                let mut env_t = env.clone();
+                // `env` walks the `then` arm, a fork of it the `else` arm.
+                let at = env.fork_point();
                 let mut env_f = env.clone();
-                self.refine_cond(cond, true, &mut env_t);
+                self.refine_cond(cond, true, env);
                 self.refine_cond(cond, false, &mut env_f);
-                self.walk_block(then_, &mut env_t, stats);
+                self.walk_block(then_, env, stats);
                 self.walk_block(else_, &mut env_f, stats);
-                if env_t.reachable {
-                    *env = env_t;
-                    if env_f.reachable {
-                        env.join_from(&env_f);
-                    }
+                if env.reachable {
+                    env.join_since(&env_f, at, None);
                 } else {
                     *env = env_f;
                 }
@@ -924,58 +1032,40 @@ impl Walker<'_> {
             Stmt::Return(e) => {
                 if let Some(e) = e {
                     let v = self.eval(e, env);
-                    self.fold_expr_to_const(e, env, stats);
+                    self.fold_to_const(e, v, stats);
                     let vh = if self.eng.harden {
                         self.eval_in(e, env, true)
                     } else {
                         v
                     };
-                    let mut grew = false;
-                    let j = self.eng.retv[self.fidx].join(v);
-                    if j != self.eng.retv[self.fidx] {
-                        self.eng.retv[self.fidx] = j;
+                    let f = self.fidx;
+                    if join_into(&mut self.eng.retv[f], v)
+                        | join_into(&mut self.eng.retv_hard[f], vh)
+                    {
                         self.eng.changed = true;
-                        grew = true;
-                    }
-                    let jh = self.eng.retv_hard[self.fidx].join(vh);
-                    if jh != self.eng.retv_hard[self.fidx] {
-                        self.eng.retv_hard[self.fidx] = jh;
-                        self.eng.changed = true;
-                        grew = true;
-                    }
-                    if grew {
                         // A wider return summary feeds back into every
                         // call site.
-                        self.eng.mark_callers(self.fidx);
+                        self.eng.mark_callers(f);
                     }
                 }
                 env.reachable = false;
             }
-            Stmt::Break | Stmt::Continue => {
-                if matches!(s, Stmt::Break) {
-                    if let Some(breaks) = self.loop_breaks.last_mut() {
-                        breaks.push(env.clone());
-                    }
+            Stmt::Break => {
+                if let Some(Some(breaks)) = self.loop_breaks.last_mut() {
+                    breaks.push(env.clone());
                 }
-                // Continue: conservatively handled by the loop fixpoint
-                // (the loop head env already joins every iteration state).
                 env.reachable = false;
             }
+            // Conservatively handled by the loop fixpoint (the loop head
+            // env already joins every iteration state).
+            Stmt::Continue => env.reachable = false,
             Stmt::Atomic { body, .. } => {
                 self.atomic += 1;
                 // Fresh observation point for async-touched globals.
-                for gi in 0..env.globals.len() {
-                    if self.eng.sums.async_touched[gi] {
-                        env.globals[gi] = self.eng.wpv[gi];
-                    }
-                }
+                self.observe_async(env);
                 self.walk_block(body, env, stats);
                 self.atomic -= 1;
-                for gi in 0..env.globals.len() {
-                    if self.eng.sums.async_touched[gi] {
-                        env.globals[gi] = self.eng.wpv[gi];
-                    }
-                }
+                self.observe_async(env);
             }
             Stmt::Block(b) => self.walk_block(b, env, stats),
             Stmt::Check(c) => {
@@ -994,11 +1084,30 @@ impl Walker<'_> {
                     // Execution continues only if the check passed:
                     // refine (the hardened shadow too — the running code
                     // really did pass this check).
-                    self.refine_check(&c.clone(), env);
+                    self.refine_check(c, env);
                 }
             }
             Stmt::Nop => {}
         }
+    }
+
+    /// Resets every async-touched global to its whole-program value.
+    fn observe_async(&self, env: &mut Env) {
+        for &g in &self.eng.sums.async_globals {
+            env.set(env.global_slot(g as usize), self.eng.wpv[g as usize]);
+        }
+    }
+
+    /// The integer kind a loop head widens slot `slot` against.
+    fn slot_kind(&self, slot: usize) -> IntKind {
+        let locals = &self.func().locals;
+        let nl = locals.len();
+        let ty = if slot < 2 * nl {
+            &locals[slot % nl].ty
+        } else {
+            &self.prog.globals[slot - 2 * nl].ty
+        };
+        ty.as_int().unwrap_or(IntKind::I32)
     }
 
     fn walk_while(
@@ -1008,79 +1117,51 @@ impl Walker<'_> {
         env: &mut Env,
         stats: &mut EngineStats,
     ) {
-        // Fixpoint over the loop head (analysis semantics; in transform
-        // mode the invariant is computed on a scratch copy first).
+        // Fixpoint over the loop head with analysis semantics: transforms
+        // are off, so the body is walked in place and left unchanged.
+        let transform = std::mem::replace(&mut self.transform, false);
         let mut head = env.clone();
+        let mut iter_env = Env::default();
+        let mut sink = EngineStats::default();
         for round in 0..4 {
-            let mut iter_env = head.clone();
+            let at = head.fork_point();
+            iter_env.clone_from(&head);
             self.refine_cond(cond, true, &mut iter_env);
-            self.loop_breaks.push(Vec::new());
-            let mut sink = EngineStats::default();
-            if self.transform {
-                // The fixpoint must not rewrite the body: iterate on a
-                // scratch copy with transforms disabled.
-                let mut scratch = body.clone();
-                self.transform = false;
-                self.walk_block(&mut scratch, &mut iter_env, &mut sink);
-                self.transform = true;
+            self.loop_breaks.push(None);
+            self.walk_block(body, &mut iter_env, &mut sink);
+            self.loop_breaks.pop();
+            let changed = if round >= 1 {
+                // Widen to guarantee termination.
+                head.join_since(&iter_env, at, Some(&|slot| self.slot_kind(slot)))
             } else {
-                // Analysis never mutates: walk the body in place.
-                self.walk_block(body, &mut iter_env, &mut sink);
-            }
-            let _breaks = self.loop_breaks.pop();
-            let mut merged = head.clone();
-            let changed = if iter_env.reachable {
-                merged.join_from(&iter_env)
-            } else {
-                false
+                head.join_since(&iter_env, at, None)
             };
             if !changed {
-                head = merged;
                 break;
             }
-            if round >= 1 {
-                // Widen to guarantee termination.
-                for (i, l) in merged.locals.iter().enumerate() {
-                    let k = self.func().locals[i].ty.as_int().unwrap_or(IntKind::I32);
-                    head.locals[i] = head.locals[i].widen(*l, k);
-                }
-                for (i, l) in merged.hard_locals.iter().enumerate() {
-                    let k = self.func().locals[i].ty.as_int().unwrap_or(IntKind::I32);
-                    head.hard_locals[i] = head.hard_locals[i].widen(*l, k);
-                }
-                for (i, g) in merged.globals.iter().enumerate() {
-                    let k = self.prog.globals[i].ty.as_int().unwrap_or(IntKind::I32);
-                    head.globals[i] = head.globals[i].widen(*g, k);
-                }
-                head.reachable = true;
-            } else {
-                head = merged;
-            }
         }
+        self.transform = transform;
         // Decided loop condition?
-        let entry_truth = self.eval(cond, &head).truth();
         if self.transform
-            && entry_truth == Some(false)
+            && self.eval(cond, &head).truth() == Some(false)
             && self.eval(cond, env).truth() == Some(false)
         {
             // Loop never runs at all.
             stats.branches_folded += 1;
-            *env = {
-                let mut e = env.clone();
-                self.refine_cond(cond, false, &mut e);
-                e
-            };
+            self.refine_cond(cond, false, env);
             cond.kind = ExprKind::Const(0);
             body.clear();
             return;
         }
         // Final pass over the body with the stable invariant (transforming
         // if enabled).
-        let mut body_env = head.clone();
+        let at = head.fork_point();
+        let mut body_env = iter_env;
+        body_env.clone_from(&head);
         self.refine_cond(cond, true, &mut body_env);
-        self.loop_breaks.push(Vec::new());
+        self.loop_breaks.push(Some(Vec::new()));
         self.walk_block(body, &mut body_env, stats);
-        let breaks = self.loop_breaks.pop().unwrap_or_default();
+        let breaks = self.loop_breaks.pop().flatten().unwrap_or_default();
         // Exit env: head refined by !cond, joined with break states.
         let mut exit = head;
         self.refine_cond(cond, false, &mut exit);
@@ -1090,7 +1171,7 @@ impl Walker<'_> {
             exit.reachable = false;
         }
         for b in &breaks {
-            exit.join_from(b);
+            exit.join_since(b, at, None);
         }
         *env = exit;
     }
@@ -1205,12 +1286,12 @@ impl Walker<'_> {
         }
         match &p.base {
             PlaceBase::Local(id) => {
-                Some((RefTarget::Local(id.0 as usize), env.locals[id.0 as usize]))
+                Some((RefTarget::Local(id.0 as usize), env.slots[id.0 as usize]))
             }
             PlaceBase::Global(g) => {
                 let gi = g.0 as usize;
                 if self.refinable(gi) {
-                    Some((RefTarget::Global(gi), env.globals[gi]))
+                    Some((RefTarget::Global(gi), env.global(gi)))
                 } else {
                     None
                 }
@@ -1221,8 +1302,8 @@ impl Walker<'_> {
 
     fn set_refined(&self, target: RefTarget, v: AVal, env: &mut Env) {
         match target {
-            RefTarget::Local(i) => env.locals[i] = v,
-            RefTarget::Global(i) => env.globals[i] = v,
+            RefTarget::Local(i) => env.set(i, v),
+            RefTarget::Global(i) => env.set(env.global_slot(i), v),
         }
     }
 
@@ -1231,14 +1312,14 @@ impl Walker<'_> {
     /// world, so refining them there would be unsound).
     fn hard_of(&self, target: RefTarget, env: &Env) -> Option<AVal> {
         match target {
-            RefTarget::Local(i) => Some(env.hard_locals[i]),
+            RefTarget::Local(i) => Some(env.slots[env.hard_slot(i)]),
             RefTarget::Global(_) => None,
         }
     }
 
     fn set_refined_hard(&self, target: RefTarget, v: AVal, env: &mut Env) {
         if let RefTarget::Local(i) = target {
-            env.hard_locals[i] = v;
+            env.set(env.hard_slot(i), v);
         }
     }
 
@@ -1329,4 +1410,169 @@ impl Walker<'_> {
 enum RefTarget {
     Local(usize),
     Global(usize),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cured(src: &str) -> Program {
+        let mut p = tcil::parse_and_lower(src).unwrap();
+        ccured::cure(&mut p, &ccured::CureOptions::default()).unwrap();
+        p
+    }
+
+    fn global(p: &Program, name: &str) -> usize {
+        p.find_global(name).unwrap().0 as usize
+    }
+
+    fn func(p: &Program, name: &str) -> usize {
+        p.find_function(name).unwrap().0 as usize
+    }
+
+    fn range(lo: i64, hi: i64) -> AVal {
+        AVal::Int(Ival::Range(lo, hi))
+    }
+
+    /// Branches, loops with `break` and `continue`, nested loops, calls,
+    /// returns inside loops, atomic sections, and checks.
+    const MIXED: &str = "
+        uint8_t buf[12];
+        uint8_t g;
+        uint16_t sum;
+        uint8_t find(uint8_t * p, uint8_t n, uint8_t v) {
+            uint8_t i;
+            i = 0;
+            while (i < n) {
+                i = i + 1;
+                if (p[i - 1] == v) { return i; }
+                if (p[i - 1] == 0) { continue; }
+                g = i;
+            }
+            return n;
+        }
+        void main() {
+            uint8_t i; uint8_t j; uint8_t c;
+            c = __hw_read8(0xF000);
+            for (i = 0; i < 4; i++) {
+                for (j = 0; j < 3; j++) {
+                    if (c > j) { sum += buf[i * 3 + j]; } else { break; }
+                }
+                atomic { g = (uint8_t)(g + find(buf, 12, c)); }
+            }
+        }";
+
+    #[test]
+    fn analysis_leaves_the_program_unchanged() {
+        // The loop fixpoint walks bodies in place with transforms off;
+        // nothing in analysis mode may write to the program.
+        let mut p = cured(MIXED);
+        let before = p.clone();
+        Engine::analyze(&mut p, DomainKind::Intervals);
+        assert_eq!(p, before);
+        Engine::analyze_opts(&mut p, DomainKind::Constants, false);
+        assert_eq!(p, before);
+    }
+
+    #[test]
+    fn if_else_join_is_exact() {
+        let mut p = cured(
+            "uint8_t g;
+             uint8_t pick(uint8_t c) {
+                 uint8_t y;
+                 if (c < 10) { g = 1; y = 5; } else { g = 3; y = 7; }
+                 return y;
+             }
+             uint8_t seen(uint8_t c) {
+                 if (c < 10) { g = 2; } else { return 0; }
+                 return c;
+             }
+             void main() { uint8_t c; c = __hw_read8(0xF000); pick(c); seen(c); }",
+        );
+        let eng = Engine::analyze(&mut p, DomainKind::Intervals);
+        assert_eq!(eng.wpv[global(&p, "g")], range(0, 3));
+        let pick = func(&p, "pick");
+        assert_eq!(
+            (eng.retv[pick], eng.retv_hard[pick]),
+            (range(5, 7), range(5, 7))
+        );
+        // Only the `then` side reaches the join: its refinement survives.
+        let seen = func(&p, "seen");
+        assert_eq!(eng.retv[seen], range(0, 9));
+    }
+
+    #[test]
+    fn loop_with_break_is_exact() {
+        let mut p = cured(
+            "uint8_t last;
+             uint8_t count(uint8_t n) {
+                 uint8_t i;
+                 i = 0;
+                 while (i < 10) {
+                     if (i == n) { break; }
+                     last = i;
+                     i = i + 1;
+                 }
+                 return i;
+             }
+             void main() { count(__hw_read8(0xF000)); }",
+        );
+        let eng = Engine::analyze(&mut p, DomainKind::Intervals);
+        let count = func(&p, "count");
+        assert_eq!(eng.wpv[global(&p, "last")], range(0, 9));
+        assert_eq!(eng.retv[count], range(0, 255));
+    }
+
+    #[test]
+    fn nested_loop_under_transform_is_exact() {
+        let src = "
+            uint8_t buf[12];
+            uint16_t sum;
+            uint8_t last;
+            void main() {
+                uint8_t i; uint8_t j;
+                for (i = 0; i < 4; i++) {
+                    for (j = 0; j < 3; j++) {
+                        last = j;
+                        sum += buf[i * 3 + j];
+                    }
+                }
+            }";
+        let mut p = cured(src);
+        assert!(p.count_checks() > 0);
+        let mut eng = Engine::analyze(&mut p, DomainKind::Intervals);
+        let last = global(&p, "last");
+        assert_eq!(eng.wpv[last], range(0, 2));
+        let stats = eng.transform(&mut p);
+        assert_eq!(eng.wpv[last], range(0, 2));
+        assert_eq!(p.count_checks(), 0, "{stats:?}");
+        assert_eq!(
+            stats,
+            EngineStats {
+                checks_removed: 1,
+                branches_folded: 0,
+                consts_folded: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn hardened_twin_stays_separate_across_a_join() {
+        let mut p = cured(
+            "uint8_t g;
+             uint8_t src(uint8_t c) {
+                 uint8_t x;
+                 if (c < 10) { x = g; } else { x = 3; }
+                 return x;
+             }
+             void main() { uint8_t c; g = 5; c = __hw_read8(0xF000); src(c); }",
+        );
+        let eng = Engine::analyze(&mut p, DomainKind::Intervals);
+        let f = func(&p, "src");
+        assert_eq!(eng.wpv[global(&p, "g")], range(0, 5));
+        assert_eq!(eng.retv[f], range(0, 5));
+        assert_eq!(eng.retv_hard[f], range(0, 255));
+        let eng = Engine::analyze_opts(&mut p, DomainKind::Intervals, false);
+        assert_eq!(eng.retv_hard[f], range(0, 5));
+    }
 }
