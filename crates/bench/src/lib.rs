@@ -40,8 +40,11 @@ pub use speed::emit_speed;
 /// Runs `f` over every cell of the `apps` × `items` grid on `service`'s
 /// worker pool and returns the results as `result[app_index][item_index]`.
 ///
-/// Jobs run app-major (all of one app's items first, so its frontend
-/// artifact is hot), but each result lands in its grid slot: the output
+/// Jobs are numbered app-major, and each worker takes a contiguous run
+/// of them, so within a worker's run all of one app's items go first
+/// (its frontend artifact and pass-cache entries stay hot) while the
+/// other workers are on other apps. Each result lands in its grid
+/// slot: the output
 /// is byte-for-byte independent of scheduling. A panicking cell panics
 /// the whole grid, with its app × item label prepended to the message.
 pub fn grid<C, R, F>(service: &BuildService, apps: &[&str], items: &[C], f: F) -> Vec<Vec<R>>

@@ -308,7 +308,7 @@ const TORN_MASKS: [u8; 4] = [0x80, 0x01, 0x40, 0x08];
 /// the campaign is to enumerate targets from the *unhardened* build and
 /// inject the same logical faults (by name) into both.
 pub fn torn_target_names(build: &Build) -> Vec<String> {
-    let mut program = build.program.clone();
+    let mut program = (*build.program).clone();
     let findings = cxprop::race_sites::classify(&mut program);
     findings
         .sites

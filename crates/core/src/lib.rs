@@ -49,7 +49,7 @@ pub mod stackbound;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ccured::CureStats;
@@ -145,32 +145,57 @@ pub struct Build {
     /// Collected metrics.
     pub metrics: Metrics,
     /// The final middle-end IR (for inspection; the backend prepares and
-    /// links from a copy).
-    pub program: Program,
+    /// links from a copy). Shared, not copied: with the pass cache it is
+    /// the cache entry of the last pass, and a build whose passes all
+    /// hit holds the same `Arc` as every sibling build that did.
+    pub program: Arc<Program>,
 }
 
 /// The frontend's output for one app, cached by a [`BuildSession`] and
 /// cheaply cloned per configuration.
 ///
-/// The lowered program sits behind an [`Arc`]; [`FrontendArtifact::program`]
-/// clones it out for the mutating middle-end passes.
+/// The lowered program sits behind an [`Arc`] that every build of the
+/// app starts from: a pipeline copies it only when a pass writes to it
+/// outside the pass cache ([`Pipeline::build_with_cache`]).
+/// [`FrontendArtifact::program`] hands out an owned copy for callers
+/// that mutate it themselves.
 #[derive(Debug, Clone)]
 pub struct FrontendArtifact {
-    out: Arc<nesc::CompileOutput>,
+    program: Arc<Program>,
+    report: Arc<nesc::ConcurrencyReport>,
+    components: Arc<[String]>,
     /// Wall time of the frontend compile that produced this artifact.
     pub elapsed: Duration,
 }
 
 impl FrontendArtifact {
-    /// A fresh mutable copy of the lowered program.
-    pub fn program(&self) -> Program {
-        self.out.program.clone()
+    fn new(out: nesc::CompileOutput, elapsed: Duration) -> FrontendArtifact {
+        FrontendArtifact {
+            program: Arc::new(out.program),
+            report: Arc::new(out.report),
+            components: out.components.into(),
+            elapsed,
+        }
     }
 
-    /// The full frontend output (program, concurrency report, component
-    /// instantiation order).
-    pub fn output(&self) -> &nesc::CompileOutput {
-        &self.out
+    /// A fresh mutable copy of the lowered program.
+    pub fn program(&self) -> Program {
+        (*self.program).clone()
+    }
+
+    /// The lowered program every build of this app shares.
+    pub fn shared_program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// The frontend's non-atomic variable report (race candidates).
+    pub fn report(&self) -> &nesc::ConcurrencyReport {
+        &self.report
+    }
+
+    /// Component instantiation order.
+    pub fn components(&self) -> &[String] {
+        &self.components
     }
 }
 
@@ -179,8 +204,8 @@ impl FrontendArtifact {
 ///
 /// An evaluation grid builds each app under many pipelines; the
 /// frontend's work (parse, wiring, lowering) is identical across
-/// pipelines, so a session compiles it once per app and hands every
-/// build a cheap clone. Sessions are `Sync`: a [`BuildService`] shares
+/// pipelines, so a session compiles it once per app and starts every
+/// build from that one shared program. Sessions are `Sync`: a [`BuildService`] shares
 /// one across its worker threads.
 ///
 /// ```
@@ -195,7 +220,13 @@ impl FrontendArtifact {
 /// ```
 pub struct BuildSession {
     sources: nesc::SourceSet,
-    state: Mutex<SessionState>,
+    /// The source set, parsed on first use (errors cached like any
+    /// other frontend outcome).
+    frontend: OnceLock<Result<nesc::Frontend, CompileError>>,
+    /// One slot per app. The lock guards only the map: each app's
+    /// compile runs inside its own slot, so different apps compile in
+    /// parallel while callers of one app wait for its single compile.
+    artifacts: Mutex<HashMap<String, ArtifactSlot>>,
     frontend_compiles: AtomicUsize,
     /// The shared pass-output cache (`None` for [`BuildSession::uncached`]
     /// sessions). Builds through this session consult it before every
@@ -206,13 +237,8 @@ pub struct BuildSession {
     pass_times: Mutex<PassTimes>,
 }
 
-/// The lazily-parsed frontend and the per-app artifact cache, under one
-/// lock so a miss can parse and compile atomically.
-#[derive(Default)]
-struct SessionState {
-    frontend: Option<nesc::Frontend>,
-    cache: HashMap<String, FrontendArtifact>,
-}
+/// One app's frontend outcome, computed once by its first caller.
+type ArtifactSlot = Arc<OnceLock<Result<FrontendArtifact, CompileError>>>;
 
 impl BuildSession {
     /// A session over the stock TinyOS-lite source set, with the pass
@@ -220,7 +246,8 @@ impl BuildSession {
     pub fn new() -> BuildSession {
         BuildSession {
             sources: tosapps::source_set(),
-            state: Mutex::new(SessionState::default()),
+            frontend: OnceLock::new(),
+            artifacts: Mutex::default(),
             frontend_compiles: AtomicUsize::new(0),
             pass_cache: Some(Arc::new(PassCache::new())),
             pass_times: Mutex::default(),
@@ -271,12 +298,9 @@ impl BuildSession {
     }
 
     /// The cached frontend artifact for `spec`, compiling it on first
-    /// use. The cache lock is held across the compile, so the frontend
-    /// runs at most once per app even under concurrent callers. (This
-    /// serializes first-touch frontend compiles of *different* apps
-    /// too — an accepted tradeoff: grids claim jobs app-major so
-    /// contention is mostly same-app, and the frontend is a few percent
-    /// of grid compile time.)
+    /// use. The frontend runs at most once per app even under
+    /// concurrent callers, and a failed compile is cached too: every
+    /// later caller gets the same error.
     ///
     /// # Errors
     ///
@@ -293,28 +317,34 @@ impl BuildSession {
     ///
     /// Propagates frontend compile errors.
     pub fn frontend_entry(&self, spec: &AppSpec) -> Result<(FrontendArtifact, bool), CompileError> {
-        let mut state = self.state.lock().unwrap();
-        if let Some(a) = state.cache.get(spec.config) {
-            return Ok((a.clone(), false));
-        }
-        let start = Instant::now();
-        if state.frontend.is_none() {
-            state.frontend = Some(nesc::Frontend::new(&self.sources)?);
-        }
-        let out = state
-            .frontend
-            .as_ref()
-            .expect("parsed above")
-            .compile(spec.config)?;
-        let artifact = FrontendArtifact {
-            out: Arc::new(out),
-            elapsed: start.elapsed(),
-        };
-        self.frontend_compiles.fetch_add(1, Ordering::Relaxed);
-        state
-            .cache
-            .insert(spec.config.to_string(), artifact.clone());
-        Ok((artifact, true))
+        let slot = Arc::clone(
+            self.artifacts
+                .lock()
+                .expect("no caller panics while holding the map")
+                .entry(spec.config.to_string())
+                .or_default(),
+        );
+        let mut fresh = false;
+        let artifact = slot.get_or_init(|| {
+            fresh = true;
+            // The parse is charged to the app that ran it; an app that
+            // waited for another's parse starts its clock afterwards.
+            let start = Instant::now();
+            let mut parse = Duration::ZERO;
+            let frontend = self.frontend.get_or_init(|| {
+                let frontend = nesc::Frontend::new(&self.sources);
+                parse = start.elapsed();
+                frontend
+            });
+            let start = Instant::now();
+            let out = frontend
+                .as_ref()
+                .map_err(Clone::clone)?
+                .compile(spec.config)?;
+            self.frontend_compiles.fetch_add(1, Ordering::Relaxed);
+            Ok(FrontendArtifact::new(out, parse + start.elapsed()))
+        });
+        artifact.clone().map(|a| (a, fresh))
     }
 
     /// Builds `spec` under `pipeline`, reusing the cached frontend
@@ -328,7 +358,7 @@ impl BuildSession {
     pub fn build(&self, spec: &AppSpec, pipeline: &Pipeline) -> Result<Build, CompileError> {
         let (artifact, fresh) = self.frontend_entry(spec)?;
         let mut build = pipeline.build_with_cache(
-            artifact.program(),
+            Arc::clone(artifact.shared_program()),
             spec.platform.clone(),
             self.pass_cache.as_deref(),
         )?;

@@ -617,7 +617,11 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates compile errors from any pass or from the link.
-    pub fn build(&self, program: Program, platform: mcu::Profile) -> Result<Build, CompileError> {
+    pub fn build(
+        &self,
+        program: impl Into<Arc<Program>>,
+        platform: mcu::Profile,
+    ) -> Result<Build, CompileError> {
         self.build_with_cache(program, platform, None)
     }
 
@@ -631,6 +635,13 @@ impl Pipeline {
     /// spelled-out `backend` pass would use, so `…|cxprop` and
     /// `…|cxprop|backend` share one entry.
     ///
+    /// The input program is shared, never written in place: a pass that
+    /// runs outside the cache copies it on its first write
+    /// ([`Arc::make_mut`]), and a cached pass runs on a copy inside the
+    /// cache entry. A [`crate::BuildSession`] hands every build of an app
+    /// the same frontend `Arc`, so builds whose passes all hit the cache
+    /// copy nothing, and [`Build::program`] is the last pass's entry.
+    ///
     /// Timing buckets record what *this* build spent: a hit charges its
     /// (cheap) lookup to the pass's bucket, so every pass that ran has a
     /// bucket with or without a cache while warm wall times collapse.
@@ -642,7 +653,7 @@ impl Pipeline {
     /// error without re-running the pass.
     pub fn build_with_cache(
         &self,
-        program: Program,
+        program: impl Into<Arc<Program>>,
         platform: mcu::Profile,
         cache: Option<&PassCache>,
     ) -> Result<Build, CompileError> {
@@ -652,7 +663,7 @@ impl Pipeline {
             prepared: None,
             backend_options: None,
         };
-        let mut state = Arc::new(program);
+        let mut state: Arc<Program> = program.into();
         // The digest of `state`, when known: computed lazily on the
         // first cached lookup, chained from entry to entry on hits, and
         // invalidated whenever an uncacheable pass mutates `state`
@@ -792,11 +803,10 @@ impl Pipeline {
                 metrics.pass_times.record(pass.name(), start.elapsed());
             }
         }
-        let program = Arc::try_unwrap(state).unwrap_or_else(|shared| (*shared).clone());
         Ok(Build {
             image,
             metrics,
-            program,
+            program: state,
         })
     }
 }

@@ -26,6 +26,7 @@
 //! assert_eq!(service.cache_stats().get("cure").hits, 2);
 //! ```
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -170,9 +171,9 @@ impl BuildService {
     }
 
     /// Runs `f(0..n)` across the worker pool, returning the results in
-    /// index order. Workers claim indices from a shared counter
-    /// (work-stealing by atomic increment), so long jobs don't leave a
-    /// statically-assigned worker idle. The generic engine under
+    /// index order. Each worker starts on its own contiguous run of
+    /// indices and steals from the back of the longest remaining run
+    /// once its own is done (see `fan_out`). The generic engine under
     /// [`BuildService::submit`], exposed for harnesses that fan out
     /// non-build work (simulation cells, fault campaigns) over the same
     /// pool.
@@ -204,6 +205,18 @@ impl BuildService {
         out
     }
 
+    /// Worker `w` of `t` owns the contiguous run `w·n/t .. (w+1)·n/t`,
+    /// starts on its first index and takes the rest from the front.
+    /// A worker whose run is done steals one index at a time from the
+    /// back of the longest remaining run, until none is left.
+    ///
+    /// Batches are ordered so neighbouring jobs share work (`submit`'s
+    /// app-then-spec order, `bench::grid`'s app-major grid). Two workers
+    /// on adjacent indices would build the same app at once, each
+    /// waiting on the other's in-flight frontend and pass-cache
+    /// entries; contiguous runs keep each worker on its own apps, and
+    /// stealing from the back keeps a thief away from the app the
+    /// run's owner is on.
     fn fan_out<R, F, L>(&self, n: usize, f: F, label: L) -> Vec<R>
     where
         R: Send,
@@ -211,54 +224,70 @@ impl BuildService {
         L: Fn(usize) -> String + Sync,
     {
         let threads = self.threads.min(n.max(1));
-        if threads <= 1 {
-            return (0..n)
-                .map(|i| {
-                    run_labeled(&label, i, || f(i)).unwrap_or_else(|msg| std::panic::panic_any(msg))
-                })
+        let run = |i| run_labeled(&label, i, || f(i));
+        // Collecting into one `Result` yields the first panic by *job
+        // index* (not arrival order), so the error a caller sees is
+        // deterministic across worker counts.
+        let outcomes: Result<Vec<R>, String> = if threads <= 1 {
+            (0..n).map(run).collect()
+        } else {
+            let bound = |w: usize| w * n / threads;
+            // Each run's first index is its owner's, so only the rest
+            // can be stolen.
+            let runs: Vec<Mutex<Range<usize>>> = (0..threads)
+                .map(|w| Mutex::new(bound(w) + 1..bound(w + 1)))
                 .collect();
-        }
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // The first panic by *job index* (not arrival order), so the
-        // error a caller sees is deterministic across worker counts.
-        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        // Each worker is joined, not merely waited for: a scope returns
-        // once its closures finish, while the threads may still be
-        // exiting and holding their allocator arenas. The next batch's
-        // workers would then each open a fresh arena, so how much memory
-        // a run pins would depend on thread scheduling.
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        match run_labeled(&label, i, || f(i)) {
-                            Ok(r) => *slots[i].lock().unwrap() = Some(r),
-                            Err(msg) => {
-                                let mut failure = failure.lock().unwrap();
-                                if failure.as_ref().is_none_or(|(j, _)| i < *j) {
-                                    *failure = Some((i, msg));
-                                }
-                            }
-                        }
+            let lock_run = |w: usize| runs[w].lock().expect("no claim panics holding a run");
+            let claim = |w: usize| -> Option<usize> {
+                if let Some(i) = lock_run(w).next() {
+                    return Some(i);
+                }
+                loop {
+                    let (victim, len) = (0..threads)
+                        .map(|v| (v, lock_run(v).len()))
+                        .max_by_key(|&(_, len)| len)?;
+                    if len == 0 {
+                        return None;
+                    }
+                    // The victim may have emptied since it was measured.
+                    if let Some(i) = lock_run(victim).next_back() {
+                        return Some(i);
+                    }
+                }
+            };
+            // Each worker is joined, not merely waited for: a scope
+            // returns once its closures finish, while the threads may
+            // still be exiting and holding their allocator arenas. The
+            // next batch's workers would then each open a fresh arena,
+            // so how much memory a run pins would depend on thread
+            // scheduling.
+            let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|w| {
+                        let (run, claim, start) = (&run, &claim, bound(w));
+                        scope.spawn(move || {
+                            // Lazily: the next index is claimed only once
+                            // the previous job has finished.
+                            std::iter::once(start)
+                                .chain(std::iter::from_fn(|| claim(w)))
+                                .map(|i| (i, run(i)))
+                                .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            for worker in workers {
-                worker.join().expect("jobs' panics are caught");
-            }
-        });
-        if let Some((_, msg)) = failure.into_inner().unwrap() {
-            std::panic::panic_any(msg);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
+                    .collect();
+                for worker in workers {
+                    for (i, outcome) in worker.join().expect("jobs' panics are caught") {
+                        slots[i] = Some(outcome);
+                    }
+                }
+            });
+            slots
+                .into_iter()
+                .map(|s| s.expect("every index ran"))
+                .collect()
+        };
+        outcomes.unwrap_or_else(|msg| std::panic::panic_any(msg))
     }
 }
 
@@ -288,6 +317,8 @@ fn run_labeled<R>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -371,6 +402,119 @@ mod tests {
             jobs.push(service.jobs());
         }
         assert_eq!(jobs, [6, 6]);
+    }
+
+    #[test]
+    fn frontend_slots_compile_each_app_once_under_contention() {
+        let service = BuildService::with_threads(8);
+        let session = service.session();
+        let apps = tosapps::APP_NAMES;
+        let pipelines = ["unsafe", "safe-flid"].map(|p| Pipeline::preset(p).unwrap());
+        let results = service.run_jobs(apps.len() * pipelines.len(), |j| {
+            let spec = tosapps::spec(apps[j / pipelines.len()]).unwrap();
+            let build = session.build(&spec, &pipelines[j % pipelines.len()]);
+            let artifact = session.frontend(&spec).unwrap();
+            (build.unwrap(), Arc::clone(artifact.shared_program()))
+        });
+        assert_eq!(session.frontend_compiles(), apps.len());
+        for (app, builds) in apps.iter().zip(results.chunks(pipelines.len())) {
+            let fresh = builds
+                .iter()
+                .filter(|(build, _)| {
+                    build
+                        .metrics
+                        .pass_times
+                        .iter()
+                        .any(|(p, _)| p == "frontend")
+                })
+                .count();
+            assert_eq!(fresh, 1, "{app}: builds charged with its frontend");
+            assert!(
+                builds.iter().all(|(_, p)| Arc::ptr_eq(p, &builds[0].1)),
+                "{app}: artifacts hold different programs"
+            );
+        }
+    }
+
+    #[test]
+    fn workers_start_on_their_own_runs_and_steal_from_the_back() {
+        use std::collections::HashMap;
+        use std::thread::ThreadId;
+        for threads in [1, 2, 3, 8] {
+            for n in [0, 1, 5, 144] {
+                let service = BuildService::with_threads(threads);
+                let workers = threads.min(n.max(1));
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let finished = AtomicUsize::new(0);
+                let claims: Mutex<Vec<(ThreadId, usize)>> = Mutex::default();
+                let out = service.run_jobs(n, |i| {
+                    claims
+                        .lock()
+                        .unwrap()
+                        .push((std::thread::current().id(), i));
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    // Job 0 holds its worker until every other job has
+                    // finished, so the rest of its run can only be
+                    // taken by thieves.
+                    if i == 0 && workers > 1 {
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while finished.load(Ordering::SeqCst) < n - 1 {
+                            assert!(Instant::now() < deadline, "run 0 was never stolen");
+                            std::thread::yield_now();
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i * 10
+                });
+                let case = format!("{threads} workers, {n} jobs");
+                assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>(), "{case}");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "{case}"
+                );
+
+                // Each thread's claims, in the order it made them.
+                let mut by_thread: HashMap<ThreadId, Vec<usize>> = HashMap::new();
+                for (thread, i) in claims.into_inner().unwrap() {
+                    by_thread.entry(thread).or_default().push(i);
+                }
+                let bounds: Vec<usize> = (0..=workers).map(|w| w * n / workers).collect();
+                let mut firsts: Vec<usize> = by_thread.values().map(|c| c[0]).collect();
+                firsts.sort_unstable();
+                let starts = if n == 0 { &[][..] } else { &bounds[..workers] };
+                assert_eq!(firsts, starts, "{case}: first claims");
+                if workers > 1 {
+                    let held = by_thread.values().find(|c| c[0] == 0).unwrap();
+                    assert_eq!(held, &[0], "{case}: thieves finished run 0");
+                }
+                let run_of = |i: usize| bounds.partition_point(|&b| b <= i) - 1;
+                for claimed in by_thread.values() {
+                    let own = run_of(claimed[0]);
+                    // The owner takes its run from the front: a prefix,
+                    // in order. Thieves take each run from the back.
+                    let prefix: Vec<usize> = claimed
+                        .iter()
+                        .copied()
+                        .take_while(|&i| run_of(i) == own)
+                        .collect();
+                    assert_eq!(
+                        prefix,
+                        (bounds[own]..bounds[own] + prefix.len()).collect::<Vec<_>>(),
+                        "{case}"
+                    );
+                    let stolen = &claimed[prefix.len()..];
+                    assert!(stolen.iter().all(|&i| run_of(i) != own), "{case}");
+                    for run in 0..workers {
+                        let from: Vec<usize> = stolen
+                            .iter()
+                            .copied()
+                            .filter(|&i| run_of(i) == run)
+                            .collect();
+                        assert!(from.windows(2).all(|p| p[0] > p[1]), "{case}: steals");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

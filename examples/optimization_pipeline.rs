@@ -21,13 +21,14 @@ fn measure(program: &tcil::Program, label: &str) {
 
 fn main() {
     let spec = tosapps::spec("Oscilloscope_Mica2").expect("known app");
-    // The session's cached frontend artifact: this walk clones the
-    // lowered program out of it, exactly as every grid build does.
+    // The session's cached frontend artifact: this walk mutates its own
+    // copy of the lowered program; grid builds share the artifact's and
+    // copy it only when a pass writes outside the pass cache.
     let session = safe_tinyos::BuildSession::new();
     let artifact = session.frontend(&spec).expect("nesc");
     println!(
         "racy variables (nesC report): {:?}\n",
-        artifact.output().report.racy.len()
+        artifact.report().racy.len()
     );
 
     let mut program = artifact.program();

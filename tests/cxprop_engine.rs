@@ -6,6 +6,8 @@
 //! A rewrite of the engine that claims to compute the same fixpoint
 //! with less work must leave every row as it is.
 
+use std::sync::Arc;
+
 use cxprop::engine::{DomainKind, Engine, MAX_ROUNDS};
 use safe_tinyos::{BuildSession, Pipeline};
 use safe_tinyos_suite as _;
@@ -44,7 +46,7 @@ fn engine_work_and_fixpoint_per_stock_app() {
     let mut rows = Vec::new();
     for &app in tosapps::APP_NAMES {
         let spec = tosapps::spec(app).unwrap();
-        let mut program = session.build(&spec, &pipeline).unwrap().program;
+        let mut program = Arc::unwrap_or_clone(session.build(&spec, &pipeline).unwrap().program);
         // What `cxprop::optimize` does before its first analysis.
         cxprop::races::refine(&mut program);
         let before = program.clone();

@@ -3,6 +3,7 @@
 //! a safe and an unsafe configuration, and repeated cache hits must not
 //! drift (the middle-end mutates its copy, never the cached artifact).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use safe_tinyos::{BuildSession, Pipeline};
@@ -48,7 +49,7 @@ fn frontend_artifact_is_shared_not_recompiled() {
     assert_eq!(session.frontend_compiles(), 1);
     // Both handles view the same lowered program.
     assert_eq!(a.program(), b.program());
-    assert!(!a.output().components.is_empty());
+    assert!(!a.components().is_empty());
 }
 
 #[test]
@@ -66,4 +67,22 @@ fn frontend_time_attributed_to_first_build_only() {
         session.pass_times().get("frontend"),
         first.metrics.pass_times.get("frontend")
     );
+}
+
+#[test]
+fn warm_builds_share_the_program_and_writes_still_copy() {
+    let spec = tosapps::spec("Surge_Mica2").unwrap();
+    let pipeline = Pipeline::safe_flid_inline_cxprop();
+    let session = BuildSession::new();
+    let cold = session.build(&spec, &pipeline).unwrap();
+    let warm = session.build(&spec, &pipeline).unwrap();
+    assert!(Arc::ptr_eq(&cold.program, &warm.program));
+
+    // Without the cache every pass writes through `Arc::make_mut`; the
+    // first write copies, so the session's artifact stays pristine.
+    let uncached = BuildSession::uncached();
+    let built = uncached.build(&spec, &pipeline).unwrap();
+    let fresh = BuildSession::uncached().frontend(&spec).unwrap().program();
+    assert_ne!(*built.program, fresh, "the passes rewrote the program");
+    assert_eq!(uncached.frontend(&spec).unwrap().program(), fresh);
 }

@@ -21,7 +21,7 @@ fn refinement_only_clears_racy_globals_never_adds() {
     for app in tosapps::mica2_apps() {
         let spec = tosapps::spec(app).unwrap();
         let artifact = session.frontend(&spec).unwrap();
-        let coarse: HashSet<String> = artifact.output().report.racy.iter().cloned().collect();
+        let coarse: HashSet<String> = artifact.report().racy.iter().cloned().collect();
         let mut program = artifact.program();
         let refined = cxprop::races::refine(&mut program);
         for name in &refined.racy {
