@@ -212,11 +212,11 @@ pub fn run_campaign(build: &Build, spec: &AppSpec, config: &CampaignConfig) -> C
 }
 
 /// Tallies [`fork_replay`]'s verdicts into a report, one row per plan.
-fn report(plans: &[FaultPlan], (golden, verdicts): (Machine, Vec<Verdict>)) -> CampaignReport {
+fn report(plans: &[FaultPlan], replay: Replay) -> CampaignReport {
     let mut counts = VerdictCounts::default();
     let results = plans
         .iter()
-        .zip(verdicts)
+        .zip(replay.verdicts)
         .map(|(plan, verdict)| {
             counts.record(&verdict);
             SiteResult {
@@ -227,7 +227,7 @@ fn report(plans: &[FaultPlan], (golden, verdicts): (Machine, Vec<Verdict>)) -> C
         })
         .collect();
     CampaignReport {
-        golden_state: golden.state,
+        golden_state: replay.golden.state,
         results,
         counts,
     }
@@ -238,17 +238,58 @@ fn report(plans: &[FaultPlan], (golden, verdicts): (Machine, Vec<Verdict>)) -> C
 /// checkpoints to converge at.
 const GRID_CHECKPOINTS: u64 = 8;
 
+/// How one injected run of [`fork_replay`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForkEnd {
+    /// Its whole state equalled the golden snapshot at this checkpoint
+    /// (an index into the sorted checkpoint cycles).
+    Converged(usize),
+    /// At this checkpoint it differed from the golden snapshot only in
+    /// SRAM bytes the golden run never reads again.
+    DeadBytes(usize),
+    /// It ran to the horizon and was triaged.
+    Horizon,
+}
+
+/// One injected run's work: how it ended and how many instructions it
+/// executed after its fork.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fork {
+    /// Where it stopped.
+    pub end: ForkEnd,
+    /// Instructions executed from the checkpoint it forked.
+    pub instructions: u64,
+}
+
+/// What [`fork_replay`] returns.
+#[derive(Debug)]
+pub struct Replay {
+    /// The golden machine, run to the horizon.
+    pub golden: Machine,
+    /// One verdict per plan.
+    pub verdicts: Vec<Verdict>,
+    /// One work record per plan — counters that are pure functions of
+    /// the inputs, identical under both engines.
+    pub forks: Vec<Fork>,
+}
+
 /// The one replay engine, shared by the campaigns and the differential
 /// oracle: a golden run of the prepared machine to the horizon `until`
 /// that keeps a snapshot at every checkpoint, then one injected run per
-/// plan forked from its site's snapshot, stopped early as
-/// [`Verdict::Benign`] once its state equals the golden run's at a later
-/// checkpoint, and otherwise triaged at the horizon. Returns the golden
-/// machine, run to the horizon, and one verdict per plan.
-pub(crate) fn fork_replay(
-    (mut golden_machine, until): (Machine, u64),
-    plans: &[FaultPlan],
-) -> (Machine, Vec<Verdict>) {
+/// plan forked from its site's snapshot and stopped early as
+/// [`Verdict::Benign`] at the first later checkpoint where it differs
+/// from the golden snapshot in nothing but dead SRAM bytes — none at
+/// all, or only bytes the golden run never reads after that checkpoint
+/// — and otherwise triaged at the horizon.
+///
+/// The golden run stamps every SRAM byte it reads with the index of the
+/// checkpoint it is heading for ([`Machine::stamp_reads`]; the tail
+/// after the last checkpoint gets one more), so a byte stamped at most
+/// `k` is dead at checkpoint `k`. A fork that differs only in dead bytes
+/// executes the golden run's instructions until it reads one, and the
+/// golden run never does: its future and its observation are the golden
+/// run's, and triage never looks at raw RAM.
+pub fn fork_replay((mut golden_machine, until): (Machine, u64), plans: &[FaultPlan]) -> Replay {
     let mut stops: Vec<u64> = plans
         .iter()
         .map(|p| p.at_cycle.min(until))
@@ -256,39 +297,56 @@ pub(crate) fn fork_replay(
         .collect();
     stops.sort_unstable();
     stops.dedup();
+    let epoch = |k: usize| u16::try_from(k).expect("fewer than 65536 checkpoints");
     let checkpoints: Vec<Machine> = stops
         .iter()
-        .map(|&at| {
+        .enumerate()
+        .map(|(k, &at)| {
+            golden_machine.stamp_reads(epoch(k));
             golden_machine.run(at);
             golden_machine.clone()
         })
         .collect();
+    golden_machine.stamp_reads(epoch(stops.len()));
     golden_machine.run(until);
+    let last_read = golden_machine
+        .take_read_stamps()
+        .expect("the golden run records its reads");
     let golden = RunObservation::capture(&golden_machine);
     let flids = &golden_machine.image().flid_table;
 
-    let verdicts = plans
+    let (verdicts, forks) = plans
         .iter()
         .map(|plan| {
             let first = stops.partition_point(|&at| at < plan.at_cycle.min(until));
             let mut m = checkpoints[first].clone();
+            let start = m.instr_count;
             faults::apply(&mut m, plan);
-            let converged =
-                stops[first..]
-                    .iter()
-                    .zip(&checkpoints[first..])
-                    .any(|(&at, golden_at)| {
-                        m.run(at);
-                        m.same_state(golden_at)
-                    });
-            if converged {
-                return Verdict::Benign;
-            }
-            m.run(until);
-            triage::triage(&golden, &RunObservation::capture(&m), flids)
+            let stop = (first..stops.len()).find(|&k| {
+                m.run(stops[k]);
+                let dead = epoch(k);
+                m.same_state_except(&checkpoints[k], |addr| last_read[addr] <= dead)
+            });
+            let (verdict, end) = match stop {
+                Some(k) if m.ram_bytes() == checkpoints[k].ram_bytes() => {
+                    (Verdict::Benign, ForkEnd::Converged(k))
+                }
+                Some(k) => (Verdict::Benign, ForkEnd::DeadBytes(k)),
+                None => {
+                    m.run(until);
+                    let observed = RunObservation::capture(&m);
+                    (triage::triage(&golden, &observed, flids), ForkEnd::Horizon)
+                }
+            };
+            let instructions = m.instr_count - start;
+            (verdict, Fork { end, instructions })
         })
-        .collect();
-    (golden_machine, verdicts)
+        .unzip();
+    Replay {
+        golden: golden_machine,
+        verdicts,
+        forks,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -436,6 +494,129 @@ mod tests {
         );
         // Determinism: same build, same plans, same report.
         assert_eq!(torn(&unhardened), unhardened_report);
+    }
+
+    /// A timer-driven node: `main` sets the byte at `0x0200` to 7, arms
+    /// timer 0 and sleeps; each tick the handler bumps a counter at
+    /// `0x0210` and transmits a byte over the radio — the counter, or,
+    /// when `sends_0x0200`, the byte `main` set.
+    fn ticker(sends_0x0200: bool) -> Machine {
+        use mcu::devices::{RADIO_TX, TIMER0_COMPARE, TIMER0_CTRL};
+        use mcu::isa::{AluOp, Instr, Width};
+        let ld = |addr| Instr::LdGlobal {
+            addr,
+            width: Width::W8,
+            signed: false,
+        };
+        let st = |addr| Instr::StGlobal {
+            addr,
+            width: Width::W8,
+        };
+        let mut img = mcu::Image::new(mcu::Profile::mica2());
+        let mut tick = mcu::CodeFunction::new("tick");
+        tick.interrupt = Some(mcu::vectors::TIMER0);
+        tick.code = vec![
+            ld(0x0210),
+            Instr::PushI(1),
+            Instr::Bin {
+                op: AluOp::Add,
+                width: Width::W8,
+                signed: false,
+            },
+            st(0x0210),
+            ld(if sends_0x0200 { 0x0200 } else { 0x0210 }),
+            Instr::PushI(RADIO_TX as i64),
+            Instr::St { width: Width::W8 },
+            Instr::Reti,
+        ];
+        img.add_function(tick);
+        let mut main = mcu::CodeFunction::new("main");
+        main.code = vec![
+            Instr::PushI(7),
+            st(0x0200),
+            Instr::PushI(50),
+            Instr::PushI(TIMER0_COMPARE as i64),
+            Instr::St { width: Width::W16 },
+            Instr::PushI(1),
+            Instr::PushI(TIMER0_CTRL as i64),
+            Instr::St { width: Width::W16 },
+            Instr::IrqEnable,
+            Instr::Sleep,
+            Instr::Jmp { target: 9 },
+        ];
+        img.entry = Some(img.add_function(main));
+        Machine::new(&img)
+    }
+
+    /// A flip of the byte `main` set, injected at cycle 20 000 — the
+    /// second checkpoint of a 100 000-cycle run (the grid's first is
+    /// 12 500).
+    const FLIP: FaultPlan = FaultPlan {
+        at_cycle: 20_000,
+        kind: FaultKind::BitFlip {
+            addr: 0x0200,
+            mask: 0x80,
+        },
+    };
+
+    #[test]
+    fn a_fork_whose_corruption_is_never_read_stops_at_its_first_checkpoint() {
+        let replay = fork_replay((ticker(false), 100_000), &[FLIP]);
+        assert_eq!(replay.verdicts, [Verdict::Benign]);
+        assert_eq!(
+            replay.forks,
+            [Fork {
+                end: ForkEnd::DeadBytes(1),
+                instructions: 0,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_fork_whose_corruption_is_read_later_runs_to_the_horizon() {
+        let replay = fork_replay((ticker(true), 100_000), &[FLIP]);
+        assert_eq!(replay.forks[0].end, ForkEnd::Horizon);
+        assert_eq!(replay.verdicts, [Verdict::SilentCorruption]);
+        // Exactly what a replay from boot says.
+        let mut golden = ticker(true);
+        golden.run(100_000);
+        let mut injected = ticker(true);
+        injected.run(FLIP.at_cycle);
+        faults::apply(&mut injected, &FLIP);
+        injected.run(100_000);
+        let verdict = triage::triage(
+            &RunObservation::capture(&golden),
+            &RunObservation::capture(&injected),
+            &golden.image().flid_table,
+        );
+        assert_eq!(replay.verdicts, [verdict]);
+    }
+
+    #[test]
+    fn forks_of_a_stock_app_stop_on_dead_bytes_under_both_engines() {
+        let spec = tosapps::spec("SenseToRfm_Mica2").unwrap();
+        let build = BuildSession::new()
+            .build(&spec, &Pipeline::safe_flid())
+            .unwrap();
+        let replay = |engine| {
+            let (mut machine, until) = prepare_machine(&build, &spec, 2);
+            machine.set_engine(engine);
+            let plans =
+                faults::enumerate_sites(&build.image, &target_cells(&build), 0xC0DE, 16, until);
+            fork_replay((machine, until), &plans)
+        };
+        let (interp, bt) = (replay(mcu::Engine::Interp), replay(mcu::Engine::Bt));
+        assert_eq!(interp.verdicts, bt.verdicts);
+        assert_eq!(interp.forks, bt.forks, "work counters are engine-invariant");
+        let ends = |end: fn(&ForkEnd) -> bool| bt.forks.iter().filter(|f| end(&f.end)).count();
+        let dead = ends(|e| matches!(e, ForkEnd::DeadBytes(_)));
+        let converged = ends(|e| matches!(e, ForkEnd::Converged(_)));
+        assert_eq!((dead, converged), (6, 5), "pinned");
+        for (fork, verdict) in bt.forks.iter().zip(&bt.verdicts) {
+            if fork.end != ForkEnd::Horizon {
+                assert_eq!(*verdict, Verdict::Benign);
+            }
+        }
     }
 
     #[test]

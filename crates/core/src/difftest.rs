@@ -533,8 +533,11 @@ fn diff_builds(
         }
     }
 
-    let (ref_machine, ref_verdicts) =
-        campaign::fork_replay(workload.machine(reference), &ref_plans);
+    let campaign::Replay {
+        golden: ref_machine,
+        verdicts: ref_verdicts,
+        ..
+    } = campaign::fork_replay(workload.machine(reference), &ref_plans);
     let ref_obs = workload.comparable(DiffObservation::capture(reference, &ref_machine));
     // Fault-outcome comparison only makes sense against a clean golden
     // reference: a subject that already traps exercises the check paths
@@ -543,8 +546,11 @@ fn diff_builds(
         sites.clear();
         preset_plans.clear();
     }
-    let (preset_machine, preset_verdicts) =
-        campaign::fork_replay(workload.machine(preset_build), &preset_plans);
+    let campaign::Replay {
+        golden: preset_machine,
+        verdicts: preset_verdicts,
+        ..
+    } = campaign::fork_replay(workload.machine(preset_build), &preset_plans);
     let preset_obs = workload.comparable(DiffObservation::capture(preset_build, &preset_machine));
 
     let case = |phase, site, (verdict, detail)| DiffCase {

@@ -11,14 +11,14 @@
 //! compact op list:
 //!
 //! * statically safe instructions (constant pushes, ALU ops, accesses to
-//!   addresses proven mapped at decode time) become direct ops with no
+//!   addresses proven SRAM at decode time) become direct ops with no
 //!   per-execution decode, clone, or memory-map re-check;
 //! * hot idioms are fused into superinstructions (`PushI;StGlobal`,
 //!   `PushI;Bin`, `LdGlobal;StGlobal`, and the read-modify-write
 //!   `LdGlobal;PushI;Bin;StGlobal`) — fusion is only permitted over
 //!   constituents that can neither fault nor touch MMIO, so no
 //!   observable state can materialize mid-superinstruction;
-//! * everything else (division, `MemCpy`, statically-MMIO accesses)
+//! * everything else (division, `MemCpy`, static accesses outside SRAM)
 //!   stays a `Slow` op that executes the original instruction
 //!   through the interpreter's own `exec`, preserving fault and device
 //!   semantics exactly.
@@ -34,7 +34,6 @@
 //! difftests that replay one image across thousands of machines decode
 //! it once.
 
-use crate::devices::MMIO_BASE;
 use crate::image::Image;
 use crate::isa::{fat_bytes, AluOp, Instr, UnAluOp, Width};
 
@@ -42,7 +41,7 @@ use crate::isa::{fat_bytes, AluOp, Instr, UnAluOp, Width};
 /// (field-for-field the same as [`OpKind::RmwGK`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GRmw {
-    /// Load address (SRAM or flash).
+    /// Load address (SRAM).
     pub(crate) ld_addr: u16,
     /// Load width.
     pub(crate) ld_width: Width,
@@ -66,7 +65,7 @@ pub(crate) struct GRmw {
 /// (field-for-field the same as [`OpKind::CmpGKBr`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GCmpBr {
-    /// Load address (SRAM or flash).
+    /// Load address (SRAM).
     pub(crate) addr: u16,
     /// Load width.
     pub(crate) ld_width: Width,
@@ -105,10 +104,9 @@ pub(crate) struct Op {
 pub(crate) enum OpKind {
     /// Push an immediate.
     PushI(i64),
-    /// Load from a statically mapped absolute address (never faults,
-    /// never MMIO).
+    /// Load from a static SRAM address (never faults, never MMIO).
     LdG {
-        /// Absolute address (SRAM or flash window).
+        /// Absolute SRAM address.
         addr: u16,
         /// Access width.
         width: Width,
@@ -124,7 +122,7 @@ pub(crate) enum OpKind {
         width: Width,
     },
     /// Frame-slot load; falls back to the faithful path when `fp+off`
-    /// leaves SRAM/flash or a torn watchpoint is armed.
+    /// leaves SRAM and the flash window or a torn watchpoint is armed.
     LdL {
         /// Byte offset within the frame.
         off: u16,
@@ -207,9 +205,9 @@ pub(crate) enum OpKind {
     FatBase,
     /// Fat-pointer arithmetic.
     FatAdd,
-    /// Fat load from a statically mapped absolute address.
+    /// Fat load from a static SRAM address.
     LdGF {
-        /// Absolute address.
+        /// Absolute SRAM address.
         addr: u16,
         /// SEQ vs FSEQ layout.
         seq: bool,
@@ -221,7 +219,7 @@ pub(crate) enum OpKind {
         /// SEQ vs FSEQ layout.
         seq: bool,
     },
-    /// Fat frame-slot load with faithful fallback.
+    /// Fat frame-slot load with faithful fallback outside SRAM.
     LdLF {
         /// Byte offset within the frame.
         off: u16,
@@ -235,7 +233,7 @@ pub(crate) enum OpKind {
         /// SEQ vs FSEQ layout.
         seq: bool,
     },
-    /// Pop-an-address fat load with faithful fallback.
+    /// Pop-an-address fat load with faithful fallback outside SRAM.
     LdFDyn {
         /// SEQ vs FSEQ layout.
         seq: bool,
@@ -267,10 +265,10 @@ pub(crate) enum OpKind {
         k: i64,
     },
     /// `LdGlobal; PushI k; Bin; StGlobal` — the global read-modify-write
-    /// idiom (counters, flags). Both addresses statically mapped; the
+    /// idiom (counters, flags). Both addresses static SRAM; the
     /// value never touches the evaluation stack.
     RmwGK {
-        /// Load address (SRAM or flash).
+        /// Load address (SRAM).
         ld_addr: u16,
         /// Load width.
         ld_width: Width,
@@ -289,10 +287,9 @@ pub(crate) enum OpKind {
         /// Store width.
         st_width: Width,
     },
-    /// `LdGlobal; StGlobal` — global-to-global copy, both statically
-    /// mapped.
+    /// `LdGlobal; StGlobal` — global-to-global copy, both static SRAM.
     CpGG {
-        /// Load address (SRAM or flash).
+        /// Load address (SRAM).
         ld_addr: u16,
         /// Load width.
         ld_width: Width,
@@ -305,7 +302,7 @@ pub(crate) enum OpKind {
     },
     // ----- faithful fallback -----
     /// Execute the original instruction through the interpreter's `exec`
-    /// (division, `MemCpy`, statically-MMIO globals, ...).
+    /// (division, `MemCpy`, globals outside SRAM, ...).
     Slow(Instr),
     // ----- terminators (always the last op of a block) -----
     /// Unconditional jump.
@@ -314,11 +311,11 @@ pub(crate) enum OpKind {
     Jz(u32),
     /// Jump when the popped condition is non-zero.
     Jnz(u32),
-    /// `LdGlobal; PushI k; Bin; Jz/Jnz` — compare a statically mapped
+    /// `LdGlobal; PushI k; Bin; Jz/Jnz` — compare a static SRAM
     /// global against a constant and branch: the dominant loop-tail
     /// idiom. No constituent can fault or reach MMIO.
     CmpGKBr {
-        /// Load address (SRAM or flash).
+        /// Load address (SRAM).
         addr: u16,
         /// Load width.
         ld_width: Width,
@@ -567,16 +564,11 @@ fn pushes(i: &Instr) -> u32 {
     }
 }
 
-/// Whether `[addr, addr+len)` is statically known to be readable RAM-
-/// backed memory: SRAM or the flash window, never MMIO, never the null
-/// page.
-fn static_readable(sram: (u16, u16), addr: u16, len: u32) -> bool {
-    let end = addr as u32 + len;
-    (addr >= sram.0 && end <= sram.1 as u32) || (addr >= 0x8000 && end <= MMIO_BASE as u32)
-}
-
-/// Whether `[addr, addr+len)` is statically known to be writable SRAM.
-fn static_writable(sram: (u16, u16), addr: u16, len: u32) -> bool {
+/// Whether `[addr, addr+len)` is statically known to be SRAM. Static
+/// ops address SRAM only, so the engine reads them with no region test;
+/// a static access to the flash window (a `const` global), MMIO or an
+/// unmapped address stays `Slow`.
+fn static_sram(sram: (u16, u16), addr: u16, len: u32) -> bool {
     addr >= sram.0 && addr as u32 + len <= sram.1 as u32
 }
 
@@ -806,7 +798,7 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
         }, Instr::PushI(k), Instr::Bin { op, width, signed }, br, ..] = *code
         {
             if let Some((br_if_zero, target)) = branch_sense(&br) {
-                if !is_divmod(op) && static_readable(sram, addr, ld_width.bytes()) {
+                if !is_divmod(op) && static_sram(sram, addr, ld_width.bytes()) {
                     let kind = OpKind::CmpGKBr {
                         addr,
                         ld_width,
@@ -847,8 +839,8 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
         }, ..] = *code
         {
             if !is_divmod(op)
-                && static_readable(sram, ld_addr, ld_width.bytes())
-                && static_writable(sram, st_addr, st_width.bytes())
+                && static_sram(sram, ld_addr, ld_width.bytes())
+                && static_sram(sram, st_addr, st_width.bytes())
             {
                 let kind = OpKind::RmwGK {
                     ld_addr,
@@ -868,7 +860,7 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
     if code.len() >= 2 {
         match *code {
             [Instr::PushI(k), Instr::StGlobal { addr, width }, ..]
-                if static_writable(sram, addr, width.bytes()) =>
+                if static_sram(sram, addr, width.bytes()) =>
             {
                 return Some((mk_op(code, 2, OpKind::StGK { addr, width, k }), 2));
             }
@@ -895,8 +887,8 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
                 addr: st_addr,
                 width: st_width,
             }, ..]
-                if static_readable(sram, ld_addr, ld_width.bytes())
-                    && static_writable(sram, st_addr, st_width.bytes()) =>
+                if static_sram(sram, ld_addr, ld_width.bytes())
+                    && static_sram(sram, st_addr, st_width.bytes()) =>
             {
                 let kind = OpKind::CpGG {
                     ld_addr,
@@ -921,12 +913,12 @@ fn translate_one(ins: &Instr, sram: (u16, u16)) -> Op {
             addr,
             width,
             signed,
-        } if static_readable(sram, addr, width.bytes()) => OpKind::LdG {
+        } if static_sram(sram, addr, width.bytes()) => OpKind::LdG {
             addr,
             width,
             signed,
         },
-        Instr::StGlobal { addr, width } if static_writable(sram, addr, width.bytes()) => {
+        Instr::StGlobal { addr, width } if static_sram(sram, addr, width.bytes()) => {
             OpKind::StG { addr, width }
         }
         Instr::LdLocal { off, width, signed } => OpKind::LdL { off, width, signed },
@@ -947,10 +939,10 @@ fn translate_one(ins: &Instr, sram: (u16, u16)) -> Op {
         Instr::FatEnd => OpKind::FatEnd,
         Instr::FatBase => OpKind::FatBase,
         Instr::FatAdd => OpKind::FatAdd,
-        Instr::LdGlobalFat { addr, seq } if static_readable(sram, addr, fat_bytes(seq) as u32) => {
+        Instr::LdGlobalFat { addr, seq } if static_sram(sram, addr, fat_bytes(seq) as u32) => {
             OpKind::LdGF { addr, seq }
         }
-        Instr::StGlobalFat { addr, seq } if static_writable(sram, addr, fat_bytes(seq) as u32) => {
+        Instr::StGlobalFat { addr, seq } if static_sram(sram, addr, fat_bytes(seq) as u32) => {
             OpKind::StGF { addr, seq }
         }
         Instr::LdLocalFat { off, seq } => OpKind::LdLF { off, seq },
@@ -969,8 +961,8 @@ fn translate_one(ins: &Instr, sram: (u16, u16)) -> Op {
         | Instr::IrqEnable
         | Instr::IrqRestore => OpKind::Term(*ins),
         // Division (fault on zero), MemCpy (dynamic multi-access), and
-        // statically-unmapped/MMIO globals keep full interpreter
-        // semantics.
+        // globals outside SRAM (flash, MMIO, unmapped) keep full
+        // interpreter semantics.
         _ => OpKind::Slow(*ins),
     };
     mk_op(std::slice::from_ref(ins), 1, kind)

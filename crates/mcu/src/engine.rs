@@ -44,7 +44,7 @@ use std::sync::OnceLock;
 use crate::bbcache::{BlockCache, OpKind};
 use crate::devices::MMIO_BASE;
 use crate::isa::{fat_bytes, fat_pack, fat_unpack, AluOp, UnAluOp, Width};
-use crate::machine::{Fault, Machine, RunState};
+use crate::machine::{Fault, Machine, RunState, FLASH_BASE};
 
 /// Which execution engine [`Machine::run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,18 +174,30 @@ impl Machine {
     ///
     /// Runs compose: `run(a); run(b)` leaves the machine in the same
     /// state as `run(b)` for any `a <= b` ([`Machine::same_state`]) —
-    /// the property campaign checkpoints rely on.
+    /// the property campaign checkpoints rely on — and a run under one
+    /// engine leaves the same state as under the other.
     pub fn run(&mut self, until: u64) -> RunState {
         match self.engine() {
             Engine::Interp => self.run_interp(until),
-            Engine::Bt => self.run_bt(until),
-        }
+            // Only a recording machine (see `Machine::stamp_reads`)
+            // runs the stamping instance of the block loop.
+            Engine::Bt if self.reads.on() => self.run_bt::<true>(until),
+            Engine::Bt => self.run_bt::<false>(until),
+        };
+        // A resync request never outlives the run: every fast-loop entry
+        // derives its horizon afresh, and a flag left set by an MMIO
+        // store would make the state depend on the engine and on where
+        // runs were cut (see `Machine::same_state`).
+        self.mmio_sync = false;
+        self.state
     }
 
     /// The block-translation run loop: identical outer structure to the
     /// interpreter loop, with a chained block executor where the
-    /// interpreter single-steps.
-    pub(crate) fn run_bt(&mut self, until: u64) -> RunState {
+    /// interpreter single-steps. `R` stamps the SRAM bytes the fast
+    /// paths read (see [`Machine::stamp_reads`]); the interpreter's
+    /// `load_mem` stamps on its own.
+    fn run_bt<const R: bool>(&mut self, until: u64) {
         let slot = Arc::clone(&self.bbcache);
         let cache = slot.get_or_init(|| BlockCache::build(&self.img));
         while self.cycles < until {
@@ -195,7 +207,7 @@ impl Machine {
                     if self.maybe_dispatch_irq() {
                         continue;
                     }
-                    if !self.run_blocks(cache, until) {
+                    if !self.run_blocks::<R>(cache, until) {
                         // No block was provably safe (mid-block pc,
                         // horizon too close, shallow stack, pc past
                         // end): take one faithful step.
@@ -206,12 +218,6 @@ impl Machine {
                 RunState::Halted | RunState::Faulted => break,
             }
         }
-        // A resync request never outlives the run: every fast-loop entry
-        // derives its horizon afresh, and a flag left set by a
-        // single-stepped MMIO store would make the state depend on where
-        // runs were cut (see `Machine::same_state`).
-        self.mmio_sync = false;
-        self.state
     }
 
     /// Executes whole basic blocks back-to-back while each next block
@@ -225,7 +231,7 @@ impl Machine {
     /// (fault, MMIO, call/return, interpreter fallback). Every flush
     /// happens *before* the op body runs, so fault sites and device
     /// accesses always see exact interpreter-identical counters.
-    fn run_blocks(&mut self, cache: &BlockCache, until: u64) -> bool {
+    fn run_blocks<const R: bool>(&mut self, cache: &BlockCache, until: u64) -> bool {
         let mut horizon = self.next_horizon(until);
         let mut progressed = false;
         let mut cycles = self.cycles;
@@ -289,20 +295,21 @@ impl Machine {
                                 width,
                                 signed,
                             } => {
-                                let v = self.ram_read(addr, width, signed);
+                                let v = self.sram_read::<R>(addr, width, signed);
                                 self.eval.push(v);
                             }
                             OpKind::StG { addr, width } => {
                                 let v = self.bpop();
-                                self.ram_write(addr, v, width);
+                                self.sram_write(addr, v, width);
                             }
                             OpKind::LdL { off, width, signed } => {
-                                let v = self.ram_read(self.fp.wrapping_add(off), width, signed);
+                                let v =
+                                    self.sram_read::<R>(self.fp.wrapping_add(off), width, signed);
                                 self.eval.push(v);
                             }
                             OpKind::StL { off, width } => {
                                 let v = self.bpop();
-                                self.ram_write(self.fp.wrapping_add(off), v, width);
+                                self.sram_write(self.fp.wrapping_add(off), v, width);
                             }
                             OpKind::AddrL { off } => {
                                 self.eval.push(self.fp.wrapping_add(off) as i64)
@@ -363,19 +370,19 @@ impl Machine {
                                 let nv = (v as i64).wrapping_add(delta) as u16;
                                 self.eval.push(fat_pack(nv, b, e));
                             }
-                            OpKind::LdGF { addr, seq } => self.fat_read_direct(addr, seq),
+                            OpKind::LdGF { addr, seq } => self.fat_read_direct::<R>(addr, seq),
                             OpKind::StGF { addr, seq } => {
                                 let cell = self.bpop();
                                 self.fat_write_direct(addr, cell, seq);
                             }
                             OpKind::LdLF { off, seq } => {
-                                self.fat_read_direct(self.fp.wrapping_add(off), seq)
+                                self.fat_read_direct::<R>(self.fp.wrapping_add(off), seq)
                             }
                             OpKind::StLF { off, seq } => {
                                 let cell = self.bpop();
                                 self.fat_write_direct(self.fp.wrapping_add(off), cell, seq);
                             }
-                            OpKind::StGK { addr, width, k } => self.ram_write(addr, k, width),
+                            OpKind::StGK { addr, width, k } => self.sram_write(addr, k, width),
                             OpKind::BinK {
                                 op,
                                 width,
@@ -396,9 +403,9 @@ impl Machine {
                                 st_addr,
                                 st_width,
                             } => {
-                                let a = self.ram_read(ld_addr, ld_width, ld_signed);
+                                let a = self.sram_read::<R>(ld_addr, ld_width, ld_signed);
                                 let v = alu_nodiv(op, a, k, width, signed);
-                                self.ram_write(st_addr, v, st_width);
+                                self.sram_write(st_addr, v, st_width);
                             }
                             OpKind::CpGG {
                                 ld_addr,
@@ -407,8 +414,8 @@ impl Machine {
                                 st_addr,
                                 st_width,
                             } => {
-                                let v = self.ram_read(ld_addr, ld_width, ld_signed);
-                                self.ram_write(st_addr, v, st_width);
+                                let v = self.sram_read::<R>(ld_addr, ld_width, ld_signed);
+                                self.sram_write(st_addr, v, st_width);
                             }
                             OpKind::Jmp(target) => next = target,
                             OpKind::Jz(target) => {
@@ -432,7 +439,7 @@ impl Machine {
                                 br_if_zero,
                                 target,
                             } => {
-                                let a = self.ram_read(addr, ld_width, ld_signed);
+                                let a = self.sram_read::<R>(addr, ld_width, ld_signed);
                                 let v = alu_nodiv(op, a, k, width, signed);
                                 if (v == 0) == br_if_zero {
                                     next = target;
@@ -453,16 +460,22 @@ impl Machine {
                                 }
                             }
                             OpKind::RmwGKBr { rmw, cmp, reload } => {
-                                let a = self.ram_read(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
+                                let a =
+                                    self.sram_read::<R>(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
                                 let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
-                                self.ram_write(rmw.st_addr, v, rmw.st_width);
+                                self.sram_write(rmw.st_addr, v, rmw.st_width);
                                 // When the compare reloads exactly the bytes the
                                 // store just wrote, the reload is a pure
                                 // re-materialisation of `v` — direct reads are
                                 // uncounted, so eliding it is unobservable.
+                                // A recording run still stamps those bytes, as
+                                // the interpreter's reload does.
                                 let b = if reload {
-                                    self.ram_read(cmp.addr, cmp.ld_width, cmp.ld_signed)
+                                    self.sram_read::<R>(cmp.addr, cmp.ld_width, cmp.ld_signed)
                                 } else {
+                                    if R {
+                                        self.reads.note(cmp.addr, cmp.ld_width.bytes());
+                                    }
                                     cmp.ld_width.wrap(v, cmp.ld_signed)
                                 };
                                 let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
@@ -512,7 +525,7 @@ impl Machine {
                         width,
                         signed,
                     } => {
-                        let v = self.g_load(addr, width, signed);
+                        let v = self.g_load::<R>(addr, width, signed);
                         self.eval.push(v);
                     }
                     OpKind::StG { addr, width } => {
@@ -582,7 +595,7 @@ impl Machine {
                         if self.live_watch().is_some() {
                             self.fat_load(addr, seq);
                         } else {
-                            self.fat_read_direct(addr, seq);
+                            self.fat_read_direct::<R>(addr, seq);
                         }
                     }
                     OpKind::StGF { addr, seq } => {
@@ -615,7 +628,7 @@ impl Machine {
                         st_addr,
                         st_width,
                     } => {
-                        let a = self.g_load(ld_addr, ld_width, ld_signed);
+                        let a = self.g_load::<R>(ld_addr, ld_width, ld_signed);
                         let v = alu_nodiv(op, a, k, width, signed);
                         self.g_store(st_addr, v, st_width);
                     }
@@ -626,14 +639,13 @@ impl Machine {
                         st_addr,
                         st_width,
                     } => {
-                        let v = self.g_load(ld_addr, ld_width, ld_signed);
+                        let v = self.g_load::<R>(ld_addr, ld_width, ld_signed);
                         self.g_store(st_addr, v, st_width);
                     }
                     // -- fallible / observing ops: flush, run, test --
                     OpKind::LdL { off, width, signed } => {
                         let addr = self.fp.wrapping_add(off);
-                        if self.dyn_readable(addr, width.bytes()) && !self.torn_guard(width) {
-                            let v = self.ram_read(addr, width, signed);
+                        if let Some(v) = self.dyn_load::<R>(addr, width, signed) {
                             self.eval.push(v);
                         } else {
                             sync_out!();
@@ -649,7 +661,7 @@ impl Machine {
                         let v = self.bpop();
                         let addr = self.fp.wrapping_add(off);
                         if self.dyn_writable(addr, width.bytes()) && !self.torn_guard(width) {
-                            self.ram_write(addr, v, width);
+                            self.sram_write(addr, v, width);
                         } else {
                             sync_out!();
                             self.store_mem(addr, v, width);
@@ -665,8 +677,7 @@ impl Machine {
                     }
                     OpKind::LdDyn { width, signed } => {
                         let addr = self.bpop() as u16;
-                        if self.dyn_readable(addr, width.bytes()) && !self.torn_guard(width) {
-                            let v = self.ram_read(addr, width, signed);
+                        if let Some(v) = self.dyn_load::<R>(addr, width, signed) {
                             self.eval.push(v);
                         } else {
                             sync_out!();
@@ -682,7 +693,7 @@ impl Machine {
                         let addr = self.bpop() as u16;
                         let v = self.bpop();
                         if self.dyn_writable(addr, width.bytes()) && !self.torn_guard(width) {
-                            self.ram_write(addr, v, width);
+                            self.sram_write(addr, v, width);
                         } else {
                             sync_out!();
                             self.store_mem(addr, v, width);
@@ -699,9 +710,9 @@ impl Machine {
                     OpKind::LdLF { off, seq } => {
                         let addr = self.fp.wrapping_add(off);
                         if self.live_watch().is_none()
-                            && self.dyn_readable(addr, fat_bytes(seq) as u32)
+                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
                         {
-                            self.fat_read_direct(addr, seq);
+                            self.fat_read_direct::<R>(addr, seq);
                         } else {
                             sync_out!();
                             self.fat_load(addr, seq);
@@ -733,9 +744,9 @@ impl Machine {
                     OpKind::LdFDyn { seq } => {
                         let addr = self.bpop() as u16;
                         if self.live_watch().is_none()
-                            && self.dyn_readable(addr, fat_bytes(seq) as u32)
+                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
                         {
-                            self.fat_read_direct(addr, seq);
+                            self.fat_read_direct::<R>(addr, seq);
                         } else {
                             sync_out!();
                             self.fat_load(addr, seq);
@@ -807,7 +818,7 @@ impl Machine {
                         br_if_zero,
                         target,
                     } => {
-                        let a = self.g_load(addr, ld_width, ld_signed);
+                        let a = self.g_load::<R>(addr, ld_width, ld_signed);
                         let v = alu_nodiv(op, a, k, width, signed);
                         if (v == 0) == br_if_zero {
                             pc = target;
@@ -837,10 +848,10 @@ impl Machine {
                         cmp,
                         reload: _,
                     } => {
-                        let a = self.g_load(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
+                        let a = self.g_load::<R>(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
                         let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
                         self.g_store(rmw.st_addr, v, rmw.st_width);
-                        let b = self.g_load(cmp.addr, cmp.ld_width, cmp.ld_signed);
+                        let b = self.g_load::<R>(cmp.addr, cmp.ld_width, cmp.ld_signed);
                         let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
                         if (f == 0) == cmp.br_if_zero {
                             pc = cmp.target;
@@ -916,90 +927,114 @@ impl Machine {
         width == Width::W16 && self.live_watch().is_some()
     }
 
-    /// Whether `[addr, addr+len)` is readable without the memory map
-    /// (SRAM or flash window — never MMIO, never the null page).
-    #[inline(always)]
-    fn dyn_readable(&self, addr: u16, len: u32) -> bool {
-        let end = addr as u32 + len;
-        (addr >= self.sram_base && end <= self.sram_end as u32)
-            || (addr >= 0x8000 && end <= MMIO_BASE as u32)
-    }
-
     /// Whether `[addr, addr+len)` is writable SRAM.
     #[inline(always)]
     fn dyn_writable(&self, addr: u16, len: u32) -> bool {
         addr >= self.sram_base && addr as u32 + len <= self.sram_end as u32
     }
 
-    /// Raw little-endian RAM read (caller proved the range mapped and
-    /// torn-free).
+    /// A dynamic-address load the fast paths serve: SRAM, or the flash
+    /// window, and no torn watch to count it. `None` sends the caller
+    /// down the faithful `load_mem` path (MMIO, faults, watches).
     #[inline(always)]
-    fn ram_read(&self, addr: u16, width: Width, signed: bool) -> i64 {
+    fn dyn_load<const R: bool>(&mut self, addr: u16, width: Width, signed: bool) -> Option<i64> {
+        let len = width.bytes();
+        if self.torn_guard(width) {
+            None
+        } else if self.dyn_writable(addr, len) {
+            Some(self.sram_read::<R>(addr, width, signed))
+        } else if addr >= FLASH_BASE && addr as u32 + len <= MMIO_BASE as u32 {
+            Some(width.wrap(self.peek_le(addr, width) as i64, signed))
+        } else {
+            None
+        }
+    }
+
+    /// The `N` SRAM bytes at `addr`, a range the caller proved SRAM.
+    #[inline(always)]
+    fn sram_get<const N: usize>(&self, addr: u16) -> [u8; N] {
         let a = addr as usize;
-        let v: u64 = match width {
-            Width::W8 => self.ram[a] as u64,
-            Width::W16 => self.ram[a] as u64 | (self.ram[a + 1] as u64) << 8,
-            Width::W32 => {
-                self.ram[a] as u64
-                    | (self.ram[a + 1] as u64) << 8
-                    | (self.ram[a + 2] as u64) << 16
-                    | (self.ram[a + 3] as u64) << 24
-            }
+        debug_assert!(a + N <= self.sram.len(), "{a:#06x}+{N} outside SRAM");
+        // SAFETY: see `sram_put`.
+        let bytes = unsafe { self.sram.get_unchecked(a..a + N) };
+        bytes.try_into().expect("an N-byte range")
+    }
+
+    /// Writes `bytes` to SRAM at `addr`, a range the caller proved SRAM.
+    ///
+    /// The fast paths access SRAM unchecked: a bounds check against the
+    /// window's run-time length costs the block engine about 15% on its
+    /// memory-bound kernels.
+    #[inline(always)]
+    fn sram_put<const N: usize>(&mut self, addr: u16, bytes: [u8; N]) {
+        let a = addr as usize;
+        debug_assert!(a + N <= self.sram.len(), "{a:#06x}+{N} outside SRAM");
+        // SAFETY: every caller proved `[addr, addr + N)` inside
+        // `sram_base..sram_end` — at decode, against the profile of the
+        // image this machine was built from (`bbcache::static_sram`;
+        // the decode belongs to that image), or at run time with
+        // `dyn_writable` — and `sram` holds exactly `sram_end` bytes
+        // for the machine's whole life (`Machine::new`).
+        unsafe { self.sram.get_unchecked_mut(a..a + N) }.copy_from_slice(&bytes);
+    }
+
+    /// Raw little-endian SRAM read (caller proved the range SRAM and
+    /// torn-free). Under `R` it stamps the bytes read.
+    #[inline(always)]
+    fn sram_read<const R: bool>(&mut self, addr: u16, width: Width, signed: bool) -> i64 {
+        if R {
+            self.reads.note(addr, width.bytes());
+        }
+        let v = match width {
+            Width::W8 => self.sram_get::<1>(addr)[0] as u64,
+            Width::W16 => u16::from_le_bytes(self.sram_get(addr)) as u64,
+            Width::W32 => u32::from_le_bytes(self.sram_get(addr)) as u64,
         };
         width.wrap(v as i64, signed)
     }
 
-    /// Raw little-endian RAM write (caller proved the range writable
-    /// SRAM and torn-free).
+    /// Raw little-endian SRAM write (caller proved the range SRAM and
+    /// torn-free).
     #[inline(always)]
-    fn ram_write(&mut self, addr: u16, v: i64, width: Width) {
+    fn sram_write(&mut self, addr: u16, v: i64, width: Width) {
         let uv = width.wrap(v, false) as u64;
-        let a = addr as usize;
         match width {
-            Width::W8 => self.ram[a] = uv as u8,
-            Width::W16 => {
-                self.ram[a] = uv as u8;
-                self.ram[a + 1] = (uv >> 8) as u8;
-            }
-            Width::W32 => {
-                self.ram[a] = uv as u8;
-                self.ram[a + 1] = (uv >> 8) as u8;
-                self.ram[a + 2] = (uv >> 16) as u8;
-                self.ram[a + 3] = (uv >> 24) as u8;
-            }
+            Width::W8 => self.sram_put(addr, [uv as u8]),
+            Width::W16 => self.sram_put(addr, (uv as u16).to_le_bytes()),
+            Width::W32 => self.sram_put(addr, (uv as u32).to_le_bytes()),
         }
     }
 
-    /// Statically mapped global load: direct unless a torn watchpoint
-    /// forces the counting path for 16-bit accesses.
+    /// Static SRAM global load: direct unless a torn watchpoint forces
+    /// the counting path for 16-bit accesses.
     #[inline(always)]
-    fn g_load(&mut self, addr: u16, width: Width, signed: bool) -> i64 {
+    fn g_load<const R: bool>(&mut self, addr: u16, width: Width, signed: bool) -> i64 {
         if self.torn_guard(width) {
             // Statically mapped: never None.
             self.load_mem(addr, width, signed).unwrap_or(0)
         } else {
-            self.ram_read(addr, width, signed)
+            self.sram_read::<R>(addr, width, signed)
         }
     }
 
-    /// Statically mapped SRAM store, torn-aware (see [`Machine::g_load`]).
+    /// Static SRAM global store, torn-aware (see [`Machine::g_load`]).
     #[inline(always)]
     fn g_store(&mut self, addr: u16, v: i64, width: Width) {
         if self.torn_guard(width) {
             self.store_mem(addr, v, width);
         } else {
-            self.ram_write(addr, v, width);
+            self.sram_write(addr, v, width);
         }
     }
 
-    /// Direct fat-pointer read (range proved mapped, no torn watch):
+    /// Direct fat-pointer read (range proved SRAM, no torn watch):
     /// mirrors `fat_load` without per-word map checks.
     #[inline(always)]
-    fn fat_read_direct(&mut self, addr: u16, seq: bool) {
-        let val = self.ram_read(addr, Width::W16, false) as u16;
-        let end = self.ram_read(addr.wrapping_add(2), Width::W16, false) as u16;
+    fn fat_read_direct<const R: bool>(&mut self, addr: u16, seq: bool) {
+        let val = self.sram_read::<R>(addr, Width::W16, false) as u16;
+        let end = self.sram_read::<R>(addr.wrapping_add(2), Width::W16, false) as u16;
         let base = if seq {
-            self.ram_read(addr.wrapping_add(4), Width::W16, false) as u16
+            self.sram_read::<R>(addr.wrapping_add(4), Width::W16, false) as u16
         } else {
             0
         };
@@ -1010,10 +1045,10 @@ impl Machine {
     #[inline(always)]
     fn fat_write_direct(&mut self, addr: u16, cell: i64, seq: bool) {
         let (v, b, e) = fat_unpack(cell);
-        self.ram_write(addr, v as i64, Width::W16);
-        self.ram_write(addr.wrapping_add(2), e as i64, Width::W16);
+        self.sram_write(addr, v as i64, Width::W16);
+        self.sram_write(addr.wrapping_add(2), e as i64, Width::W16);
         if seq {
-            self.ram_write(addr.wrapping_add(4), b as i64, Width::W16);
+            self.sram_write(addr.wrapping_add(4), b as i64, Width::W16);
         }
     }
 }

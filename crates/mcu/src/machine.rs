@@ -55,8 +55,18 @@ pub(crate) struct Frame {
     is_irq: bool,
 }
 
-/// Size of the machine's address space in bytes.
-pub(crate) const RAM_BYTES: usize = 0x1_0000;
+/// First address of the read-only flash window (`.rodata`).
+pub(crate) const FLASH_BASE: u16 = 0x8000;
+
+/// Writes `b` at flash-window address `addr` into `window` (which
+/// starts at `FLASH_BASE`), growing it with zeros as needed.
+fn put_flash(window: &mut Vec<u8>, addr: u16, b: u8) {
+    let i = (addr - FLASH_BASE) as usize;
+    if window.len() <= i {
+        window.resize(i + 1, 0);
+    }
+    window[i] = b;
+}
 
 /// Maximum number of `Call` arguments popped without a heap allocation.
 const INLINE_ARGS: usize = 8;
@@ -99,19 +109,79 @@ pub struct TornWatch {
     pub fired: bool,
 }
 
+/// Per-byte SRAM read stamps of a recording machine (see
+/// [`Machine::stamp_reads`]). Recording is not machine state: a clone
+/// never records, and [`Machine::same_state`] ignores it.
+#[derive(Debug, Default)]
+pub(crate) struct ReadLog(Option<ReadStamps>);
+
+#[derive(Debug)]
+struct ReadStamps {
+    /// The stamp the next read leaves.
+    epoch: u16,
+    /// Per SRAM address, the epoch of its last read (0: none).
+    last: Box<[u16]>,
+}
+
+impl Clone for ReadLog {
+    fn clone(&self) -> ReadLog {
+        ReadLog(None)
+    }
+}
+
+impl ReadLog {
+    /// Whether the machine is recording.
+    #[inline(always)]
+    pub(crate) fn on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Stamps the `len` SRAM bytes at `addr` as read now, if recording.
+    #[inline(always)]
+    pub(crate) fn note(&mut self, addr: u16, len: u32) {
+        if let Some(s) = &mut self.0 {
+            s.last[addr as usize..][..len as usize].fill(s.epoch);
+        }
+    }
+}
+
+/// Whether `a` and `b` are equal but for bytes at indexes `dead`
+/// excuses. Only 64-byte chunks that differ are visited byte by byte.
+fn same_bytes_except(a: &[u8], b: &[u8], dead: impl Fn(usize) -> bool) -> bool {
+    const CHUNK: usize = 64;
+    a.len() == b.len()
+        && (a == b
+            || a.chunks(CHUNK)
+                .zip(b.chunks(CHUNK))
+                .enumerate()
+                .all(|(k, (x, y))| {
+                    x == y
+                        || x.iter()
+                            .zip(y)
+                            .enumerate()
+                            .all(|(i, (p, q))| p == q || dead(k * CHUNK + i))
+                }))
+}
+
 /// A simulated M16 node.
 ///
-/// Cloning is a cheap fork: RAM, registers and device state are copied,
-/// while the image (code, FLID table) and its block decode stay shared.
-/// Code that needs many fresh machines of one image forks one reset
-/// machine instead of calling [`Machine::new`] again, so every run of
-/// that image shares one decode.
+/// Cloning is a cheap fork: SRAM (4.25 KiB on a Mica2), registers and
+/// device state are copied, while the image (code, FLID table), its
+/// block decode and the flash window stay shared. Code that needs many
+/// fresh machines of one image forks one reset machine instead of
+/// calling [`Machine::new`] again, so every run of that image shares one
+/// decode and one flash window.
 #[derive(Debug, Clone)]
 pub struct Machine {
     pub(crate) img: Arc<Image>,
-    /// Fixed-size address space: indexing with a `u16`-derived offset
-    /// needs no bounds re-check in either engine.
-    pub(crate) ram: Box<[u8; RAM_BYTES]>,
+    /// The writable window `0..sram_end`, null page included so an
+    /// address indexes it directly. Every fork owns a copy.
+    pub(crate) sram: Box<[u8]>,
+    /// The flash window from `FLASH_BASE` (`.rodata`, read-only to
+    /// programs) up to its last placed byte; the rest of the window reads
+    /// as zero. Built by [`Machine::new`], shared by every fork, and
+    /// copied by each [`Machine::ram_poke`] that writes it.
+    pub(crate) flash: Arc<[u8]>,
     pub(crate) cur_func: u32,
     pub(crate) pc: u32,
     pub(crate) fp: u16,
@@ -159,6 +229,8 @@ pub struct Machine {
     /// shared by every clone, filled by the first block-engine run of
     /// any of them.
     pub(crate) bbcache: Arc<OnceLock<BlockCache>>,
+    /// SRAM read stamps while recording (see [`Machine::stamp_reads`]).
+    pub(crate) reads: ReadLog,
 }
 
 impl Machine {
@@ -171,22 +243,27 @@ impl Machine {
     pub fn new(image: &Image) -> Machine {
         let img = Arc::new(image.clone());
         let entry = img.entry.expect("image has no entry function");
-        let mut ram: Box<[u8; RAM_BYTES]> = vec![0u8; RAM_BYTES]
-            .into_boxed_slice()
-            .try_into()
-            .expect("RAM_BYTES-long vec");
-        for (addr, bytes) in &img.rodata {
-            ram[*addr as usize..*addr as usize + bytes.len()].copy_from_slice(bytes);
-        }
-        for (addr, bytes) in &img.data_init {
-            ram[*addr as usize..*addr as usize + bytes.len()].copy_from_slice(bytes);
-        }
         let sram_base = img.profile.sram_base();
         let sram_end = img.profile.sram_end();
         let frame = img.functions[entry as usize].frame_size;
+        // Bytes placed outside SRAM and the flash window can never be
+        // read, so placing drops them.
+        let mut sram = vec![0u8; sram_end as usize].into_boxed_slice();
+        let mut flash = Vec::new();
+        for (addr, bytes) in img.rodata.iter().chain(&img.data_init) {
+            for (i, &b) in bytes.iter().enumerate() {
+                let a = addr.wrapping_add(i as u16);
+                if let Some(cell) = sram.get_mut(a as usize) {
+                    *cell = b;
+                } else if (FLASH_BASE..MMIO_BASE).contains(&a) {
+                    put_flash(&mut flash, a, b);
+                }
+            }
+        }
         let mut m = Machine {
             img,
-            ram,
+            sram,
+            flash: flash.into(),
             cur_func: entry,
             pc: 0,
             fp: sram_end - frame,
@@ -211,6 +288,7 @@ impl Machine {
             mmio_sync: false,
             engine: crate::engine::Engine::from_env(),
             bbcache: Arc::default(),
+            reads: ReadLog::default(),
         };
         m.devices.adc.waveform = Waveform::default();
         m
@@ -241,10 +319,12 @@ impl Machine {
         self.bbcache.get().map(BlockCache::stats)
     }
 
-    /// The full 64 KiB address space (test/inspection helper: RAM
-    /// snapshot comparisons between engines).
+    /// The SRAM window `0..sram_end`, indexed by address (the null page
+    /// below `sram_base` reads as zeros unless poked) — everything a
+    /// program can write (test/inspection helper: RAM snapshot
+    /// comparisons between engines).
     pub fn ram_bytes(&self) -> &[u8] {
-        &self.ram[..]
+        &self.sram
     }
 
     /// Sets the ADC sensor waveform (workload context).
@@ -284,29 +364,55 @@ impl Machine {
         })
     }
 
-    /// Reads one byte of RAM without side effects (test/inspection helper).
+    /// Reads one byte of memory without side effects: SRAM or the flash
+    /// window; unmapped gaps and MMIO read as zero (test/inspection
+    /// helper).
     pub fn ram_peek(&self, addr: u16) -> u8 {
-        self.ram[addr as usize]
+        if addr >= FLASH_BASE {
+            let i = (addr - FLASH_BASE) as usize;
+            self.flash.get(i).copied().unwrap_or(0)
+        } else {
+            self.sram.get(addr as usize).copied().unwrap_or(0)
+        }
     }
 
-    /// Reads a little-endian 16-bit word of RAM without side effects.
+    /// Reads a little-endian 16-bit word without side effects (see
+    /// [`Machine::ram_peek`]).
     pub fn ram_peek16(&self, addr: u16) -> u16 {
-        u16::from_le_bytes([self.ram[addr as usize], self.ram[addr as usize + 1]])
+        self.peek_le(addr, Width::W16) as u16
     }
 
-    /// Physically overwrites one byte of RAM, bypassing the memory map
+    /// Physically overwrites one byte of memory, bypassing the memory map
     /// and write protection — this is corruption (see [`crate::faults`]),
-    /// not a store the program performed.
+    /// not a store the program performed. A poke into the flash window
+    /// first copies this machine's window, so its forks and parent keep
+    /// theirs; a poke into an unmapped gap or MMIO is dropped, since no
+    /// program could read it back.
     pub fn ram_poke(&mut self, addr: u16, value: u8) {
-        self.ram[addr as usize] = value;
+        if let Some(b) = self.sram.get_mut(addr as usize) {
+            *b = value;
+        } else if (FLASH_BASE..MMIO_BASE).contains(&addr) {
+            let mut window = self.flash.to_vec();
+            put_flash(&mut window, addr, value);
+            self.flash = window.into();
+        }
     }
 
-    /// Physically overwrites a little-endian 16-bit word of RAM
-    /// (see [`Machine::ram_poke`]).
+    /// The little-endian `width` value at `addr`, read byte by byte
+    /// through [`Machine::ram_peek`] (the caller checked the range is
+    /// mapped).
+    pub(crate) fn peek_le(&self, addr: u16, width: Width) -> u64 {
+        (0..width.bytes() as u16).rev().fold(0, |v, i| {
+            v << 8 | self.ram_peek(addr.wrapping_add(i)) as u64
+        })
+    }
+
+    /// Physically overwrites a little-endian 16-bit word (see
+    /// [`Machine::ram_poke`]).
     pub fn ram_poke16(&mut self, addr: u16, value: u16) {
         let [lo, hi] = value.to_le_bytes();
-        self.ram[addr as usize] = lo;
-        self.ram[addr as usize + 1] = hi;
+        self.ram_poke(addr, lo);
+        self.ram_poke(addr.wrapping_add(1), hi);
     }
 
     /// Flips bits in the frame-pointer register — corrupted register
@@ -400,19 +506,28 @@ impl Machine {
     /// observable included. Campaigns use this to stop an injected run
     /// as soon as it has converged back onto the golden run.
     ///
-    /// Compares the image (by identity: forks share it), RAM, registers
-    /// (`pc`, function, `fp`, `sp`), evaluation stack and call frames,
-    /// interrupt enable and pending bits, the device-event heap, the
-    /// cycle, awake-cycle and instruction counters, devices, UART and
-    /// radio output, stack watermark, `mmio_sync`, run state, fault, and
-    /// the torn watch (a fired watch counts as none). The engine and
-    /// block cache are not state: both engines are byte-identical.
+    /// Compares the image (by identity: forks share it), SRAM and the
+    /// flash window, registers (`pc`, function, `fp`, `sp`), evaluation
+    /// stack and call frames, interrupt enable and pending bits, the
+    /// device-event heap, the cycle, awake-cycle and instruction
+    /// counters, devices, UART and radio output, stack watermark,
+    /// `mmio_sync`, run state, fault, and the torn watch (a fired watch
+    /// counts as none). The engine, block cache and read stamps are not
+    /// state: both engines are byte-identical.
     ///
     /// The check is conservative, never optimistic: the heap is compared
     /// by its backing slice, so two heaps holding the same events in a
     /// different internal order count as different — a false "differs"
     /// only costs an early stop.
     pub fn same_state(&self, other: &Machine) -> bool {
+        self.same_state_except(other, |_| false)
+    }
+
+    /// [`Machine::same_state`], except that an SRAM byte at an address
+    /// for which `dead` holds may differ. Campaigns pass the bytes the
+    /// golden run never reads again: until a program reads such a byte,
+    /// it cannot steer execution.
+    pub fn same_state_except(&self, other: &Machine, dead: impl Fn(usize) -> bool) -> bool {
         Arc::ptr_eq(&self.img, &other.img)
             && self.cycles == other.cycles
             && self.awake_cycles == other.awake_cycles
@@ -434,11 +549,37 @@ impl Machine {
             && self.events.as_slice() == other.events.as_slice()
             && self.uart_out == other.uart_out
             && self.radio_out == other.radio_out
-            && self.ram[..] == other.ram[..]
+            && (Arc::ptr_eq(&self.flash, &other.flash) || *self.flash == *other.flash)
+            && same_bytes_except(&self.sram, &other.sram, dead)
+    }
+
+    /// Starts recording program reads of SRAM, or moves a recording
+    /// machine to a new epoch: from now on every SRAM byte a program
+    /// load reads — in either engine, fat pointers and `MemCpy`
+    /// included — is stamped `epoch`, replacing its older stamp.
+    /// Campaigns record the golden run, one epoch per checkpoint
+    /// segment. Clones do not record.
+    pub fn stamp_reads(&mut self, epoch: u16) {
+        match &mut self.reads.0 {
+            Some(s) => s.epoch = epoch,
+            None => {
+                self.reads.0 = Some(ReadStamps {
+                    epoch,
+                    last: vec![0; self.sram.len()].into_boxed_slice(),
+                })
+            }
+        }
+    }
+
+    /// Stops recording and returns, per SRAM address (the index), the
+    /// epoch of its last read while recording — 0 when it was never
+    /// read. `None` when the machine was not recording.
+    pub fn take_read_stamps(&mut self) -> Option<Box<[u16]>> {
+        self.reads.0.take().map(|s| s.last)
     }
 
     /// The faithful per-instruction interpreter loop.
-    pub(crate) fn run_interp(&mut self, until: u64) -> RunState {
+    pub(crate) fn run_interp(&mut self, until: u64) {
         while self.cycles < until {
             match self.state {
                 RunState::Running => {
@@ -452,7 +593,6 @@ impl Machine {
                 RunState::Halted | RunState::Faulted => break,
             }
         }
-        self.state
     }
 
     /// One iteration of the sleep state: wake on a pending enabled
@@ -871,10 +1011,10 @@ impl Machine {
             self.fail(Fault::MemFault(addr));
             return None;
         }
-        let mut v: u64 = 0;
-        for i in 0..width.bytes() as usize {
-            v |= (self.ram[addr as usize + i] as u64) << (8 * i);
+        if addr < FLASH_BASE {
+            self.reads.note(addr, width.bytes());
         }
+        let mut v = self.peek_le(addr, width);
         // Torn-read watchpoint: the symmetric hazard — an interrupt
         // between the two bus reads of a 16-bit load hands the reader a
         // half-updated value. Firing corrupts the in-flight value only;
@@ -902,7 +1042,7 @@ impl Machine {
             self.mmio_sync = true;
             return;
         }
-        if addr >= 0x8000 {
+        if addr >= FLASH_BASE {
             self.fail(Fault::IllegalWrite(addr));
             return;
         }
@@ -912,7 +1052,7 @@ impl Machine {
         }
         let uv = width.wrap(v, false) as u64;
         for i in 0..width.bytes() as usize {
-            self.ram[addr as usize + i] = (uv >> (8 * i)) as u8;
+            self.sram[addr as usize + i] = (uv >> (8 * i)) as u8;
         }
         // Torn-update watchpoint: a 16-bit store with interrupts enabled
         // is exactly the two-bus-write hazard window the watch models.
@@ -924,7 +1064,7 @@ impl Machine {
                         w.fired = true;
                         let byte = addr.wrapping_add(w.hi as u16);
                         let mask = w.mask;
-                        self.ram[byte as usize] ^= mask;
+                        self.sram[byte as usize] ^= mask;
                     }
                 }
             }
@@ -938,7 +1078,7 @@ impl Machine {
         let end = self.sram_end;
         let last = addr.checked_add(len - 1);
         let Some(last) = last else { return false };
-        (addr >= base && last < end) || (0x8000..MMIO_BASE).contains(&addr) && last < MMIO_BASE
+        (addr >= base && last < end) || (FLASH_BASE..MMIO_BASE).contains(&addr) && last < MMIO_BASE
     }
 
     // ----- devices -----
@@ -1493,6 +1633,145 @@ mod tests {
         // A separately loaded machine is conservatively "different":
         // equality of images is decided by identity only.
         assert!(!Machine::new(&m.img).same_state(&Machine::new(&m.img)));
+    }
+
+    /// A machine whose program copies the flash byte at `0x8000` into
+    /// `0x0200` and halts; its image places 42 there.
+    fn flash_reader() -> Machine {
+        let mut img = image_with(vec![
+            Instr::PushI(0x8000),
+            Instr::Ld {
+                width: Width::W8,
+                signed: false,
+            },
+            Instr::StGlobal {
+                addr: 0x0200,
+                width: Width::W8,
+            },
+            Instr::Halt,
+        ]);
+        img.rodata.push((0x8000, vec![42]));
+        Machine::new(&img)
+    }
+
+    #[test]
+    fn a_machine_owns_its_sram_and_shares_its_flash() {
+        let parent = flash_reader();
+        assert_eq!(parent.ram_bytes().len(), parent.sram_end as usize);
+        let mut fork = parent.clone();
+        assert!(Arc::ptr_eq(&parent.flash, &fork.flash));
+        fork.ram_poke(0x0300, 9);
+        fork.run(100);
+        assert_eq!((fork.ram_peek(0x0200), fork.ram_peek(0x0300)), (42, 9));
+        assert_eq!((parent.ram_peek(0x0200), parent.ram_peek(0x0300)), (0, 0));
+        assert!(
+            Arc::ptr_eq(&parent.flash, &fork.flash),
+            "runs never copy flash"
+        );
+    }
+
+    #[test]
+    fn a_flash_poke_is_seen_only_by_the_machine_that_made_it() {
+        let parent = flash_reader();
+        let mut poked = parent.clone();
+        poked.ram_poke(0x8000, 7);
+        assert!(!Arc::ptr_eq(&parent.flash, &poked.flash));
+        assert!(!poked.same_state(&parent));
+        let (mut a, mut b) = (parent.clone(), poked.clone());
+        a.run(100);
+        b.run(100);
+        assert_eq!((parent.ram_peek(0x8000), a.ram_peek(0x0200)), (42, 42));
+        assert_eq!((poked.ram_peek(0x8000), b.ram_peek(0x0200)), (7, 7));
+        // A poke past the placed bytes grows only the poker's window.
+        poked.ram_poke(0x9000, 5);
+        assert_eq!((poked.ram_peek(0x9000), parent.ram_peek(0x9000)), (5, 0));
+    }
+
+    #[test]
+    fn pokes_nothing_could_read_are_dropped() {
+        let parent = flash_reader();
+        let mut m = parent.clone();
+        for addr in [parent.sram_end, 0x7FFF, MMIO_BASE, LED_REG, 0xFFFF] {
+            m.ram_poke(addr, 0xAA);
+            assert_eq!(m.ram_peek(addr), 0, "{addr:#06x}");
+        }
+        assert!(m.same_state(&parent));
+    }
+
+    #[test]
+    fn same_state_except_excuses_only_the_dead_bytes() {
+        let base = sleeping_machine();
+        let mut m = base.clone();
+        m.ram_poke(0x0200, 1);
+        m.ram_poke(0x0A41, 2);
+        let dead = |addrs: &'static [usize]| move |a: usize| addrs.contains(&a);
+        assert!(m.same_state_except(&base, dead(&[0x0200, 0x0A41])));
+        assert!(!m.same_state_except(&base, dead(&[0x0200])));
+        assert!(!m.same_state_except(&base, dead(&[0x0A41])));
+        // Only SRAM is excusable: a register difference still counts.
+        m.corrupt_fp(1);
+        assert!(!m.same_state_except(&base, |_| true));
+    }
+
+    #[test]
+    fn recording_stamps_reads_and_never_forks() {
+        // A timer handler increments the byte at 0x0200 on every tick:
+        // the only SRAM the program ever reads.
+        let mut img = Image::new(Profile::mica2());
+        let mut h = CodeFunction::new("tick");
+        h.interrupt = Some(crate::vectors::TIMER0);
+        h.code = vec![
+            Instr::LdGlobal {
+                addr: 0x0200,
+                width: Width::W8,
+                signed: false,
+            },
+            Instr::PushI(1),
+            Instr::Bin {
+                op: AluOp::Add,
+                width: Width::W8,
+                signed: false,
+            },
+            Instr::StGlobal {
+                addr: 0x0200,
+                width: Width::W8,
+            },
+            Instr::Reti,
+        ];
+        img.add_function(h);
+        let mut main = CodeFunction::new("main");
+        main.code = vec![
+            Instr::PushI(10),
+            Instr::PushI(TIMER0_COMPARE as i64),
+            Instr::St { width: Width::W16 },
+            Instr::PushI(1),
+            Instr::PushI(TIMER0_CTRL as i64),
+            Instr::St { width: Width::W16 },
+            Instr::IrqEnable,
+            Instr::Sleep,
+            Instr::Jmp { target: 7 },
+        ];
+        img.entry = Some(img.add_function(main));
+        let mut m = Machine::new(&img);
+        m.stamp_reads(3);
+        let fork = m.clone();
+        assert!(!fork.reads.on(), "a clone does not record");
+        assert!(m.same_state(&fork), "recording is not state");
+        for engine in [crate::engine::Engine::Interp, crate::engine::Engine::Bt] {
+            let mut m = m.clone();
+            m.set_engine(engine);
+            m.stamp_reads(3);
+            m.run(1_000);
+            m.stamp_reads(4);
+            m.run(5_000);
+            let stamps = m.take_read_stamps().expect("recording");
+            assert!(m.take_read_stamps().is_none(), "taking stops recording");
+            let read: Vec<(usize, u16)> = (0..stamps.len())
+                .filter(|&a| stamps[a] != 0)
+                .map(|a| (a, stamps[a]))
+                .collect();
+            assert_eq!(read, [(0x0200, 4)], "{engine:?}");
+        }
     }
 
     #[test]

@@ -75,6 +75,19 @@ const CAMPAIGN_APPS: [&str; 5] = [
     "BlinkTask_Mica2",
 ];
 
+/// A Surge node one simulated second into its workload, shared by the
+/// SRAM-comparison property.
+fn running_machine() -> &'static mcu::Machine {
+    static MACHINE: OnceLock<mcu::Machine> = OnceLock::new();
+    MACHINE.get_or_init(|| {
+        let spec = tosapps::spec("Surge_Mica2").unwrap();
+        let build = campaign_build(&spec, &Pipeline::safe_flid());
+        let (mut m, _) = prepare_machine(&build, &spec, 1);
+        m.run(build.image.profile.clock_hz);
+        m
+    })
+}
+
 fn campaign_build(spec: &AppSpec, pipeline: &Pipeline) -> Build {
     static SERVICE: OnceLock<BuildService> = OnceLock::new();
     SERVICE
@@ -321,17 +334,21 @@ proptest! {
     fn runs_compose_at_any_cut(seed in 1u64..5000, a in 0u64..200_000, b in 0u64..200_000) {
         // The segmentation property campaign checkpoints rest on: for
         // a <= b, `run(a); run(b)` leaves the very state `run(b)` does,
-        // under either engine, on any generated program.
+        // under either engine, on any generated program — and both
+        // engines leave the same state at every cut.
         let (a, b) = (a.min(b), a.max(b));
         let program = safe_tinyos::difftest::generate_program(seed).unwrap();
         let build = Pipeline::safe_flid_inline_cxprop()
             .build(program, mcu::Profile::mica2())
             .unwrap();
+        let reset = mcu::Machine::new(&build.image);
+        let mut cuts = Vec::new();
         for engine in [Engine::Interp, Engine::Bt] {
-            let mut fresh = mcu::Machine::new(&build.image);
+            let mut fresh = reset.clone();
             fresh.set_engine(engine);
             let mut cut = fresh.clone();
             cut.run(a);
+            let at_a = cut.clone();
             cut.run(b);
             let mut whole = fresh;
             whole.run(b);
@@ -340,7 +357,27 @@ proptest! {
                 "seed {} under {:?}: run({}); run({}) differs from run({})",
                 seed, engine, a, b, b
             );
+            cuts.push((at_a, cut));
         }
+        let ((interp_a, interp_b), (bt_a, bt_b)) = (&cuts[0], &cuts[1]);
+        prop_assert!(interp_a.same_state(bt_a), "seed {}: engines differ at run({})", seed, a);
+        prop_assert!(interp_b.same_state(bt_b), "seed {}: engines differ at run({})", seed, b);
+    }
+
+    #[test]
+    fn same_state_sees_every_sram_byte(
+        addr in 0u16..mcu::Profile::mica2().sram_end(),
+        flip in 1u8..=255,
+    ) {
+        // A machine owns its whole SRAM window, null page included: a
+        // one-byte difference anywhere in it is another state, which
+        // only an excuse for that very byte forgives.
+        let base = running_machine();
+        let mut m = base.clone();
+        m.ram_poke(addr, m.ram_peek(addr) ^ flip);
+        prop_assert!(!m.same_state(base) && !base.same_state(&m));
+        prop_assert!(m.same_state_except(base, |a| a == addr as usize));
+        prop_assert!(!m.same_state_except(base, |a| a != addr as usize));
     }
 
     #[test]
