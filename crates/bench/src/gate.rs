@@ -141,7 +141,12 @@ const CONTRACTS: &[Contract] = &[
     },
     Contract {
         figure: "sim_speed",
-        pinned: &[],
+        // Work counters: the kernels' at one `kernel_cycles`, the apps'
+        // (decode included) at one simulated `seconds`.
+        pinned: &[
+            Pin::When("counters.kernels", "kernel_cycles"),
+            Pin::When("counters.apps", "seconds"),
+        ],
         invariants: &[
             ("engines-identical", True("engines_identical")),
             ("kernel-speedup-floor", AtLeast("kernel_speedup", SPEEDUP_MIN)),
@@ -830,6 +835,30 @@ mod tests {
         assert!(fails(SIM, &lowered).contains("kernel-speedup-floor"));
         let diverged = SIM.replace("true", "false");
         assert!(fails(SIM, &diverged).contains("engines-identical"));
+    }
+
+    const SIM_COUNTERS: &str = r#"{"figure":"sim_speed","kernel_cycles":2000,"seconds":10,"kernel_speedup":11.0,"engines_identical":true,"counters":{"kernels":[{"kernel":"count_loop","cycles":2000,"instructions":1333}],"apps":[{"app":"Blink","cycles":40000000,"awake_cycles":20919,"instructions":11274,"blocks":24,"fused_superinstructions":19}]}}"#;
+
+    #[test]
+    fn sim_speed_gate_pins_work_counters_at_equal_horizons() {
+        assert!(gate(SIM_COUNTERS, SIM_COUNTERS).is_ok());
+        let more_work = SIM_COUNTERS.replace(r#""instructions":1333"#, r#""instructions":1334"#);
+        let err = fails(SIM_COUNTERS, &more_work);
+        assert!(
+            err.contains("`counters.kernels[0].instructions` is 1333 committed, 1334 fresh"),
+            "{err}"
+        );
+        let refused = SIM_COUNTERS.replace(
+            r#""fused_superinstructions":19"#,
+            r#""fused_superinstructions":18"#,
+        );
+        assert!(fails(SIM_COUNTERS, &refused).contains("pinned `counters.apps` drifted"));
+        // Another horizon is another workload: its counters are not
+        // comparable, so they are not pinned.
+        let longer = more_work.replace(r#""kernel_cycles":2000"#, r#""kernel_cycles":4000"#);
+        assert!(gate(SIM_COUNTERS, &longer).is_ok());
+        let shorter = refused.replace(r#""seconds":10"#, r#""seconds":2"#);
+        assert!(gate(SIM_COUNTERS, &shorter).is_ok());
     }
 
     fn fault_report(detected: &[u32]) -> String {

@@ -362,10 +362,11 @@ pub(crate) enum OpKind {
         cmp: GCmpBr,
         /// Whether the compare must actually reload `cmp.addr` from RAM.
         /// When the compare reads back exactly the bytes the RMW just
-        /// stored (`cmp.addr == st_addr`, same width), the pure path
+        /// stored (`cmp.addr == st_addr`, same width), the engine
         /// derives the compared value from the stored value in-register
-        /// instead — invisible there because direct RAM reads count
-        /// nothing (the torn-aware general path always reloads).
+        /// instead — invisible because direct RAM reads count nothing.
+        /// A live torn watch always forces the reload: it may tear the
+        /// store and must count the read.
         reload: bool,
     },
     /// Call a function (the pc after the call is always a block leader).

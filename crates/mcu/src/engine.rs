@@ -36,6 +36,29 @@
 //! access through the interpreter's counting `load_mem`/`store_mem`
 //! path until they fire, so watch counters advance identically under
 //! both engines; a fired watch is inert and the fast paths return.
+//!
+//! # One executor, two loops
+//!
+//! An admitted block runs in one of two loops. The *pure* loop takes
+//! blocks whose ops can neither fault nor reach a device, while no torn
+//! watch is live and the block's frame window is proven SRAM: it
+//! charges the whole block at once and dispatches with no per-op
+//! bookkeeping. The *checked* loop charges op by op and flushes its
+//! counters before every op that can fault, reach a device or leave the
+//! block. Both hand every op that cannot fail to one executor,
+//! `Machine::exec_pure`, so each op's semantics is written once; a
+//! const parameter selects its instance — direct SRAM access for the
+//! pure loop (its proven frame slots included), torn-watch-aware access
+//! for the checked loop. The checked loop keeps only what the executor
+//! hands back: the frame-slot and dynamic-address accesses (one body
+//! per access kind, whatever its address source), `Slow`, `Call` and
+//! `Term`.
+//!
+//! [`Machine::step`] (with its `exec` and `alu`) stays a separate copy
+//! on purpose: it is the reference the interp≡bt identity checks, and
+//! this module's per-op property, compare the block engine against.
+//! Deriving it from the same executor would make the identity hold by
+//! construction and blind those oracles.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -113,6 +136,29 @@ impl Engine {
         match self {
             Engine::Interp => "interp",
             Engine::Bt => "bt",
+        }
+    }
+}
+
+/// Where control goes after [`Machine::exec_pure`] saw an op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// The op ran; on to the next one (or the fallthrough leader).
+    Next,
+    /// A terminator ran and branched to this pc.
+    Branch(u32),
+    /// The op can fault, reach a device or leave the block: the checked
+    /// loop runs it.
+    Fallible,
+}
+
+impl Flow {
+    #[inline(always)]
+    fn branch_if(taken: bool, target: u32) -> Flow {
+        if taken {
+            Flow::Branch(target)
+        } else {
+            Flow::Next
         }
     }
 }
@@ -260,6 +306,28 @@ impl Machine {
                 cur_func = self.cur_func;
             };
         }
+        // After a faithful op: leave the fast path if it faulted,
+        // halted or slept the machine.
+        macro_rules! exit_if_stopped {
+            () => {
+                if self.state != RunState::Running {
+                    return progressed;
+                }
+            };
+        }
+        // After a faithful op that may have stored to MMIO: the device
+        // may have scheduled an event, so re-derive the horizon and
+        // re-admit from the current pc (labels are hygienic, so the
+        // caller names the chain loop).
+        macro_rules! resync_after_mmio {
+            ($chain:lifetime) => {
+                if self.mmio_sync {
+                    self.mmio_sync = false;
+                    horizon = self.next_horizon(until);
+                    continue $chain;
+                }
+            };
+        }
         'chain: loop {
             // An enabled pending interrupt must be dispatched by the
             // faithful outer loop before the next instruction.
@@ -288,210 +356,10 @@ impl Machine {
                     instrs += block.n_instrs as u64;
                     let mut next = pc + block.n_instrs;
                     for op in block.ops.iter() {
-                        match op.kind {
-                            OpKind::PushI(v) => self.eval.push(v),
-                            OpKind::LdG {
-                                addr,
-                                width,
-                                signed,
-                            } => {
-                                let v = self.sram_read::<R>(addr, width, signed);
-                                self.eval.push(v);
-                            }
-                            OpKind::StG { addr, width } => {
-                                let v = self.bpop();
-                                self.sram_write(addr, v, width);
-                            }
-                            OpKind::LdL { off, width, signed } => {
-                                let v =
-                                    self.sram_read::<R>(self.fp.wrapping_add(off), width, signed);
-                                self.eval.push(v);
-                            }
-                            OpKind::StL { off, width } => {
-                                let v = self.bpop();
-                                self.sram_write(self.fp.wrapping_add(off), v, width);
-                            }
-                            OpKind::AddrL { off } => {
-                                self.eval.push(self.fp.wrapping_add(off) as i64)
-                            }
-                            OpKind::Bin { op, width, signed } => {
-                                let b = self.bpop();
-                                let a = self.bpop();
-                                self.eval.push(alu_nodiv(op, a, b, width, signed));
-                            }
-                            OpKind::Un { op, width } => {
-                                let a = self.bpop();
-                                let v = match op {
-                                    UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
-                                    UnAluOp::BitNot => width.wrap(!a, false),
-                                    UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
-                                };
-                                self.eval.push(v);
-                            }
-                            OpKind::Wrap { width, signed } => {
-                                let a = self.bpop();
-                                self.eval.push(width.wrap(a, signed));
-                            }
-                            OpKind::Pop => {
-                                self.bpop();
-                            }
-                            OpKind::Dup => {
-                                let v = self.bpop();
-                                self.eval.push(v);
-                                self.eval.push(v);
-                            }
-                            OpKind::Nop => {}
-                            OpKind::IrqSave => {
-                                self.eval.push(self.irq_enabled as i64);
-                                self.irq_enabled = false;
-                            }
-                            OpKind::IrqDisable => self.irq_enabled = false,
-                            OpKind::MkFat { seq } => {
-                                let end = self.bpop() as u16;
-                                let base = if seq { self.bpop() as u16 } else { 0 };
-                                let val = self.bpop() as u16;
-                                self.eval.push(fat_pack(val, base, end));
-                            }
-                            OpKind::FatVal => {
-                                let (v, _, _) = fat_unpack(self.bpop());
-                                self.eval.push(v as i64);
-                            }
-                            OpKind::FatEnd => {
-                                let (_, _, e) = fat_unpack(self.bpop());
-                                self.eval.push(e as i64);
-                            }
-                            OpKind::FatBase => {
-                                let (_, b, _) = fat_unpack(self.bpop());
-                                self.eval.push(b as i64);
-                            }
-                            OpKind::FatAdd => {
-                                let delta = self.bpop();
-                                let (v, b, e) = fat_unpack(self.bpop());
-                                let nv = (v as i64).wrapping_add(delta) as u16;
-                                self.eval.push(fat_pack(nv, b, e));
-                            }
-                            OpKind::LdGF { addr, seq } => self.fat_read_direct::<R>(addr, seq),
-                            OpKind::StGF { addr, seq } => {
-                                let cell = self.bpop();
-                                self.fat_write_direct(addr, cell, seq);
-                            }
-                            OpKind::LdLF { off, seq } => {
-                                self.fat_read_direct::<R>(self.fp.wrapping_add(off), seq)
-                            }
-                            OpKind::StLF { off, seq } => {
-                                let cell = self.bpop();
-                                self.fat_write_direct(self.fp.wrapping_add(off), cell, seq);
-                            }
-                            OpKind::StGK { addr, width, k } => self.sram_write(addr, k, width),
-                            OpKind::BinK {
-                                op,
-                                width,
-                                signed,
-                                k,
-                            } => {
-                                let a = self.bpop();
-                                self.eval.push(alu_nodiv(op, a, k, width, signed));
-                            }
-                            OpKind::RmwGK {
-                                ld_addr,
-                                ld_width,
-                                ld_signed,
-                                k,
-                                op,
-                                width,
-                                signed,
-                                st_addr,
-                                st_width,
-                            } => {
-                                let a = self.sram_read::<R>(ld_addr, ld_width, ld_signed);
-                                let v = alu_nodiv(op, a, k, width, signed);
-                                self.sram_write(st_addr, v, st_width);
-                            }
-                            OpKind::CpGG {
-                                ld_addr,
-                                ld_width,
-                                ld_signed,
-                                st_addr,
-                                st_width,
-                            } => {
-                                let v = self.sram_read::<R>(ld_addr, ld_width, ld_signed);
-                                self.sram_write(st_addr, v, st_width);
-                            }
-                            OpKind::Jmp(target) => next = target,
-                            OpKind::Jz(target) => {
-                                if self.bpop() == 0 {
-                                    next = target;
-                                }
-                            }
-                            OpKind::Jnz(target) => {
-                                if self.bpop() != 0 {
-                                    next = target;
-                                }
-                            }
-                            OpKind::CmpGKBr {
-                                addr,
-                                ld_width,
-                                ld_signed,
-                                k,
-                                op,
-                                width,
-                                signed,
-                                br_if_zero,
-                                target,
-                            } => {
-                                let a = self.sram_read::<R>(addr, ld_width, ld_signed);
-                                let v = alu_nodiv(op, a, k, width, signed);
-                                if (v == 0) == br_if_zero {
-                                    next = target;
-                                }
-                            }
-                            OpKind::CmpTopKBr {
-                                k,
-                                op,
-                                width,
-                                signed,
-                                br_if_zero,
-                                target,
-                            } => {
-                                let a = *self.eval.last().expect("stack_in covers CmpTopKBr");
-                                let v = alu_nodiv(op, a, k, width, signed);
-                                if (v == 0) == br_if_zero {
-                                    next = target;
-                                }
-                            }
-                            OpKind::RmwGKBr { rmw, cmp, reload } => {
-                                let a =
-                                    self.sram_read::<R>(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
-                                let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
-                                self.sram_write(rmw.st_addr, v, rmw.st_width);
-                                // When the compare reloads exactly the bytes the
-                                // store just wrote, the reload is a pure
-                                // re-materialisation of `v` — direct reads are
-                                // uncounted, so eliding it is unobservable.
-                                // A recording run still stamps those bytes, as
-                                // the interpreter's reload does.
-                                let b = if reload {
-                                    self.sram_read::<R>(cmp.addr, cmp.ld_width, cmp.ld_signed)
-                                } else {
-                                    if R {
-                                        self.reads.note(cmp.addr, cmp.ld_width.bytes());
-                                    }
-                                    cmp.ld_width.wrap(v, cmp.ld_signed)
-                                };
-                                let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
-                                if (f == 0) == cmp.br_if_zero {
-                                    next = cmp.target;
-                                }
-                            }
-                            OpKind::LdDyn { .. }
-                            | OpKind::StDyn { .. }
-                            | OpKind::LdFDyn { .. }
-                            | OpKind::StFDyn { .. }
-                            | OpKind::Slow(_)
-                            | OpKind::Call(_)
-                            | OpKind::Term(_) => {
-                                unreachable!("impure op in a pure block (decode invariant)")
-                            }
+                        match self.exec_pure::<R, false>(&op.kind) {
+                            Flow::Next => {}
+                            Flow::Branch(target) => next = target,
+                            Flow::Fallible => unreachable!("impure op in a pure block"),
                         }
                     }
                     // Self-loop — the dominant tight-loop shape: the
@@ -517,134 +385,23 @@ impl Machine {
                 awake += op.cost as u64;
                 instrs += op.n as u64;
                 pc += op.n as u32;
+                let flow = self.exec_pure::<R, true>(&op.kind);
+                if let Flow::Branch(target) = flow {
+                    pc = target;
+                }
+                if flow != Flow::Fallible {
+                    continue;
+                }
+                // Memory ops compute their address (`fp + off`, or
+                // popped), then take the direct path when the access is
+                // plain SRAM (or flash, for a scalar load) and no torn
+                // watch can count it; otherwise flush and go faithful.
                 match op.kind {
-                    // -- infallible ops: locals stay hot, no exit test --
-                    OpKind::PushI(v) => self.eval.push(v),
-                    OpKind::LdG {
-                        addr,
-                        width,
-                        signed,
-                    } => {
-                        let v = self.g_load::<R>(addr, width, signed);
-                        self.eval.push(v);
-                    }
-                    OpKind::StG { addr, width } => {
-                        let v = self.bpop();
-                        self.g_store(addr, v, width);
-                    }
-                    OpKind::AddrL { off } => self.eval.push(self.fp.wrapping_add(off) as i64),
-                    OpKind::Bin { op, width, signed } => {
-                        let b = self.bpop();
-                        let a = self.bpop();
-                        // Never Div/Mod (decode guarantee): cannot fault.
-                        let v = alu_nodiv(op, a, b, width, signed);
-                        self.eval.push(v);
-                    }
-                    OpKind::Un { op, width } => {
-                        let a = self.bpop();
-                        let v = match op {
-                            UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
-                            UnAluOp::BitNot => width.wrap(!a, false),
-                            UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
+                    OpKind::LdL { width, signed, .. } | OpKind::LdDyn { width, signed } => {
+                        let addr = match op.kind {
+                            OpKind::LdL { off, .. } => self.fp.wrapping_add(off),
+                            _ => self.bpop() as u16,
                         };
-                        self.eval.push(v);
-                    }
-                    OpKind::Wrap { width, signed } => {
-                        let a = self.bpop();
-                        self.eval.push(width.wrap(a, signed));
-                    }
-                    OpKind::Pop => {
-                        self.bpop();
-                    }
-                    OpKind::Dup => {
-                        let v = self.bpop();
-                        self.eval.push(v);
-                        self.eval.push(v);
-                    }
-                    OpKind::Nop => {}
-                    OpKind::IrqSave => {
-                        self.eval.push(self.irq_enabled as i64);
-                        self.irq_enabled = false;
-                    }
-                    OpKind::IrqDisable => self.irq_enabled = false,
-                    OpKind::MkFat { seq } => {
-                        let end = self.bpop() as u16;
-                        let base = if seq { self.bpop() as u16 } else { 0 };
-                        let val = self.bpop() as u16;
-                        self.eval.push(fat_pack(val, base, end));
-                    }
-                    OpKind::FatVal => {
-                        let (v, _, _) = fat_unpack(self.bpop());
-                        self.eval.push(v as i64);
-                    }
-                    OpKind::FatEnd => {
-                        let (_, _, e) = fat_unpack(self.bpop());
-                        self.eval.push(e as i64);
-                    }
-                    OpKind::FatBase => {
-                        let (_, b, _) = fat_unpack(self.bpop());
-                        self.eval.push(b as i64);
-                    }
-                    OpKind::FatAdd => {
-                        let delta = self.bpop();
-                        let (v, b, e) = fat_unpack(self.bpop());
-                        let nv = (v as i64).wrapping_add(delta) as u16;
-                        self.eval.push(fat_pack(nv, b, e));
-                    }
-                    OpKind::LdGF { addr, seq } => {
-                        if self.live_watch().is_some() {
-                            self.fat_load(addr, seq);
-                        } else {
-                            self.fat_read_direct::<R>(addr, seq);
-                        }
-                    }
-                    OpKind::StGF { addr, seq } => {
-                        let cell = self.bpop();
-                        if self.live_watch().is_some() {
-                            self.fat_store(addr, cell, seq);
-                        } else {
-                            self.fat_write_direct(addr, cell, seq);
-                        }
-                    }
-                    OpKind::StGK { addr, width, k } => self.g_store(addr, k, width),
-                    OpKind::BinK {
-                        op,
-                        width,
-                        signed,
-                        k,
-                    } => {
-                        let a = self.bpop();
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        self.eval.push(v);
-                    }
-                    OpKind::RmwGK {
-                        ld_addr,
-                        ld_width,
-                        ld_signed,
-                        k,
-                        op,
-                        width,
-                        signed,
-                        st_addr,
-                        st_width,
-                    } => {
-                        let a = self.g_load::<R>(ld_addr, ld_width, ld_signed);
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        self.g_store(st_addr, v, st_width);
-                    }
-                    OpKind::CpGG {
-                        ld_addr,
-                        ld_width,
-                        ld_signed,
-                        st_addr,
-                        st_width,
-                    } => {
-                        let v = self.g_load::<R>(ld_addr, ld_width, ld_signed);
-                        self.g_store(st_addr, v, st_width);
-                    }
-                    // -- fallible / observing ops: flush, run, test --
-                    OpKind::LdL { off, width, signed } => {
-                        let addr = self.fp.wrapping_add(off);
                         if let Some(v) = self.dyn_load::<R>(addr, width, signed) {
                             self.eval.push(v);
                         } else {
@@ -652,240 +409,298 @@ impl Machine {
                             if let Some(v) = self.load_mem(addr, width, signed) {
                                 self.eval.push(v);
                             }
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
+                            exit_if_stopped!();
                         }
                     }
-                    OpKind::StL { off, width } => {
-                        let v = self.bpop();
-                        let addr = self.fp.wrapping_add(off);
+                    OpKind::StL { width, .. } | OpKind::StDyn { width } => {
+                        let (addr, v) = match op.kind {
+                            OpKind::StL { off, .. } => (self.fp.wrapping_add(off), self.bpop()),
+                            _ => (self.bpop() as u16, self.bpop()),
+                        };
                         if self.dyn_writable(addr, width.bytes()) && !self.torn_guard(width) {
                             self.sram_write(addr, v, width);
                         } else {
                             sync_out!();
                             self.store_mem(addr, v, width);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
+                            exit_if_stopped!();
+                            resync_after_mmio!('chain);
                         }
                     }
-                    OpKind::LdDyn { width, signed } => {
-                        let addr = self.bpop() as u16;
-                        if let Some(v) = self.dyn_load::<R>(addr, width, signed) {
-                            self.eval.push(v);
-                        } else {
-                            sync_out!();
-                            if let Some(v) = self.load_mem(addr, width, signed) {
-                                self.eval.push(v);
-                            }
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                        }
-                    }
-                    OpKind::StDyn { width } => {
-                        let addr = self.bpop() as u16;
-                        let v = self.bpop();
-                        if self.dyn_writable(addr, width.bytes()) && !self.torn_guard(width) {
-                            self.sram_write(addr, v, width);
-                        } else {
-                            sync_out!();
-                            self.store_mem(addr, v, width);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
-                        }
-                    }
-                    OpKind::LdLF { off, seq } => {
-                        let addr = self.fp.wrapping_add(off);
-                        if self.live_watch().is_none()
-                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
-                        {
+                    OpKind::LdLF { seq, .. } | OpKind::LdFDyn { seq } => {
+                        let addr = match op.kind {
+                            OpKind::LdLF { off, .. } => self.fp.wrapping_add(off),
+                            _ => self.bpop() as u16,
+                        };
+                        if self.fat_direct(addr, seq) {
                             self.fat_read_direct::<R>(addr, seq);
                         } else {
                             sync_out!();
                             self.fat_load(addr, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
+                            exit_if_stopped!();
                         }
                     }
-                    OpKind::StLF { off, seq } => {
-                        let addr = self.fp.wrapping_add(off);
-                        let cell = self.bpop();
-                        if self.live_watch().is_none()
-                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
-                        {
+                    OpKind::StLF { seq, .. } | OpKind::StFDyn { seq } => {
+                        let (addr, cell) = match op.kind {
+                            OpKind::StLF { off, .. } => (self.fp.wrapping_add(off), self.bpop()),
+                            _ => (self.bpop() as u16, self.bpop()),
+                        };
+                        if self.fat_direct(addr, seq) {
                             self.fat_write_direct(addr, cell, seq);
                         } else {
                             sync_out!();
                             self.fat_store(addr, cell, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
+                            exit_if_stopped!();
+                            resync_after_mmio!('chain);
                         }
                     }
-                    OpKind::LdFDyn { seq } => {
-                        let addr = self.bpop() as u16;
-                        if self.live_watch().is_none()
-                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
-                        {
-                            self.fat_read_direct::<R>(addr, seq);
-                        } else {
-                            sync_out!();
-                            self.fat_load(addr, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                        }
-                    }
-                    OpKind::StFDyn { seq } => {
-                        let addr = self.bpop() as u16;
-                        let cell = self.bpop();
-                        if self.live_watch().is_none()
-                            && self.dyn_writable(addr, fat_bytes(seq) as u32)
-                        {
-                            self.fat_write_direct(addr, cell, seq);
-                        } else {
-                            sync_out!();
-                            self.fat_store(addr, cell, seq);
-                            if self.state != RunState::Running {
-                                return progressed;
-                            }
-                            if self.mmio_sync {
-                                self.mmio_sync = false;
-                                horizon = self.next_horizon(until);
-                                continue 'chain;
-                            }
-                        }
-                    }
-                    OpKind::Slow(ins) => {
+                    // `exec` charges nothing, so re-reading the counters
+                    // after a `Slow` op is a no-op; a `Term` is the last
+                    // op, so the chain continues at its new pc.
+                    OpKind::Slow(ins) | OpKind::Term(ins) => {
                         sync_out!();
                         self.exec(&ins);
-                        if self.state != RunState::Running {
-                            return progressed;
-                        }
-                        if self.mmio_sync {
-                            self.mmio_sync = false;
-                            horizon = self.next_horizon(until);
-                            continue 'chain;
-                        }
-                        // No Slow instruction moves control, but staying
-                        // synced with the machine is free here.
-                        pc = self.pc;
-                    }
-                    // -- terminators (always the last op of the block) --
-                    OpKind::Jmp(target) => {
-                        pc = target;
-                        continue 'chain;
-                    }
-                    OpKind::Jz(target) => {
-                        if self.bpop() == 0 {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::Jnz(target) => {
-                        if self.bpop() != 0 {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::CmpGKBr {
-                        addr,
-                        ld_width,
-                        ld_signed,
-                        k,
-                        op,
-                        width,
-                        signed,
-                        br_if_zero,
-                        target,
-                    } => {
-                        let a = self.g_load::<R>(addr, ld_width, ld_signed);
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        if (v == 0) == br_if_zero {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::CmpTopKBr {
-                        k,
-                        op,
-                        width,
-                        signed,
-                        br_if_zero,
-                        target,
-                    } => {
-                        // `Dup; PushI; Bin; Jz/Jnz` keeps the original
-                        // top of stack (the copy got consumed); entry
-                        // depth >= stack_in guarantees it exists.
-                        let a = *self.eval.last().expect("stack_in covers CmpTopKBr");
-                        let v = alu_nodiv(op, a, k, width, signed);
-                        if (v == 0) == br_if_zero {
-                            pc = target;
-                        }
-                        continue 'chain;
-                    }
-                    OpKind::RmwGKBr {
-                        rmw,
-                        cmp,
-                        reload: _,
-                    } => {
-                        let a = self.g_load::<R>(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
-                        let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
-                        self.g_store(rmw.st_addr, v, rmw.st_width);
-                        let b = self.g_load::<R>(cmp.addr, cmp.ld_width, cmp.ld_signed);
-                        let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
-                        if (f == 0) == cmp.br_if_zero {
-                            pc = cmp.target;
-                        }
-                        continue 'chain;
+                        exit_if_stopped!();
+                        sync_in!();
+                        resync_after_mmio!('chain);
                     }
                     OpKind::Call(func) => {
                         sync_out!();
                         self.do_call(func, false);
-                        if self.state != RunState::Running {
-                            return progressed;
-                        }
+                        exit_if_stopped!();
                         sync_in!();
-                        continue 'chain;
                     }
-                    OpKind::Term(ins) => {
-                        sync_out!();
-                        self.exec(&ins);
-                        if self.state != RunState::Running {
-                            return progressed;
-                        }
-                        if self.mmio_sync {
-                            self.mmio_sync = false;
-                            horizon = self.next_horizon(until);
-                        }
-                        sync_in!();
-                        continue 'chain;
-                    }
+                    _ => unreachable!("the executor runs every infallible op"),
                 }
             }
-            // Fallthrough into the next leader: `pc` already advanced.
+            // The terminator's target, or the fallthrough into the next
+            // leader: `pc` already advanced.
         }
         sync_out!();
         progressed
+    }
+
+    /// The one executor of the infallible ops both loops of
+    /// [`Machine::run_blocks`] share: everything but the frame-slot and
+    /// dynamic-address accesses, `Slow`, `Call` and `Term`, which it
+    /// hands back to the checked loop as [`Flow::Fallible`]. A taken
+    /// terminator returns its target.
+    ///
+    /// `C` selects the checked loop's instance: its static accesses go
+    /// through the torn-watch-aware [`Machine::g_load`] family, so an
+    /// armed watch counts them as the interpreter's `load_mem` does. The
+    /// pure loop's instance (`!C`) runs only while no watch is live and
+    /// reads and writes SRAM directly. It also runs the pure loop's
+    /// frame slots, which `Block::local_span` proved SRAM, so that loop
+    /// dispatches every op with one `match`: a second `match` in front
+    /// of the executor cost the gated kernels about 14%.
+    #[inline(always)]
+    fn exec_pure<const R: bool, const C: bool>(&mut self, kind: &OpKind) -> Flow {
+        match *kind {
+            OpKind::PushI(v) => self.eval.push(v),
+            OpKind::LdG {
+                addr,
+                width,
+                signed,
+            } => {
+                let v = self.g_load::<R, C>(addr, width, signed);
+                self.eval.push(v);
+            }
+            OpKind::StG { addr, width } => {
+                let v = self.bpop();
+                self.g_store::<C>(addr, v, width);
+            }
+            OpKind::AddrL { off } => self.eval.push(self.fp.wrapping_add(off) as i64),
+            OpKind::Bin { op, width, signed } => {
+                let b = self.bpop();
+                let a = self.bpop();
+                self.eval.push(alu_nodiv(op, a, b, width, signed));
+            }
+            OpKind::Un { op, width } => {
+                let a = self.bpop();
+                let v = match op {
+                    UnAluOp::Neg => width.wrap(a.wrapping_neg(), false),
+                    UnAluOp::BitNot => width.wrap(!a, false),
+                    UnAluOp::Not => (width.wrap(a, false) == 0) as i64,
+                };
+                self.eval.push(v);
+            }
+            OpKind::Wrap { width, signed } => {
+                let a = self.bpop();
+                self.eval.push(width.wrap(a, signed));
+            }
+            OpKind::Pop => {
+                self.bpop();
+            }
+            OpKind::Dup => {
+                let v = self.bpop();
+                self.eval.push(v);
+                self.eval.push(v);
+            }
+            OpKind::Nop => {}
+            OpKind::IrqSave => {
+                self.eval.push(self.irq_enabled as i64);
+                self.irq_enabled = false;
+            }
+            OpKind::IrqDisable => self.irq_enabled = false,
+            OpKind::MkFat { seq } => {
+                let end = self.bpop() as u16;
+                let base = if seq { self.bpop() as u16 } else { 0 };
+                let val = self.bpop() as u16;
+                self.eval.push(fat_pack(val, base, end));
+            }
+            OpKind::FatVal => {
+                let (v, _, _) = fat_unpack(self.bpop());
+                self.eval.push(v as i64);
+            }
+            OpKind::FatEnd => {
+                let (_, _, e) = fat_unpack(self.bpop());
+                self.eval.push(e as i64);
+            }
+            OpKind::FatBase => {
+                let (_, b, _) = fat_unpack(self.bpop());
+                self.eval.push(b as i64);
+            }
+            OpKind::FatAdd => {
+                let delta = self.bpop();
+                let (v, b, e) = fat_unpack(self.bpop());
+                let nv = (v as i64).wrapping_add(delta) as u16;
+                self.eval.push(fat_pack(nv, b, e));
+            }
+            OpKind::LdGF { addr, seq } => {
+                if C && self.live_watch().is_some() {
+                    self.fat_load(addr, seq);
+                } else {
+                    self.fat_read_direct::<R>(addr, seq);
+                }
+            }
+            OpKind::StGF { addr, seq } => {
+                let cell = self.bpop();
+                if C && self.live_watch().is_some() {
+                    self.fat_store(addr, cell, seq);
+                } else {
+                    self.fat_write_direct(addr, cell, seq);
+                }
+            }
+            OpKind::StGK { addr, width, k } => self.g_store::<C>(addr, k, width),
+            OpKind::BinK {
+                op,
+                width,
+                signed,
+                k,
+            } => {
+                let a = self.bpop();
+                self.eval.push(alu_nodiv(op, a, k, width, signed));
+            }
+            OpKind::RmwGK {
+                ld_addr,
+                ld_width,
+                ld_signed,
+                k,
+                op,
+                width,
+                signed,
+                st_addr,
+                st_width,
+            } => {
+                let a = self.g_load::<R, C>(ld_addr, ld_width, ld_signed);
+                let v = alu_nodiv(op, a, k, width, signed);
+                self.g_store::<C>(st_addr, v, st_width);
+            }
+            OpKind::CpGG {
+                ld_addr,
+                ld_width,
+                ld_signed,
+                st_addr,
+                st_width,
+            } => {
+                let v = self.g_load::<R, C>(ld_addr, ld_width, ld_signed);
+                self.g_store::<C>(st_addr, v, st_width);
+            }
+            // -- terminators (always the last op of the block) --
+            OpKind::Jmp(target) => return Flow::Branch(target),
+            OpKind::Jz(target) => return Flow::branch_if(self.bpop() == 0, target),
+            OpKind::Jnz(target) => return Flow::branch_if(self.bpop() != 0, target),
+            OpKind::CmpGKBr {
+                addr,
+                ld_width,
+                ld_signed,
+                k,
+                op,
+                width,
+                signed,
+                br_if_zero,
+                target,
+            } => {
+                let a = self.g_load::<R, C>(addr, ld_width, ld_signed);
+                let v = alu_nodiv(op, a, k, width, signed);
+                return Flow::branch_if((v == 0) == br_if_zero, target);
+            }
+            OpKind::CmpTopKBr {
+                k,
+                op,
+                width,
+                signed,
+                br_if_zero,
+                target,
+            } => {
+                // `Dup; PushI; Bin; Jz/Jnz` keeps the original top of
+                // stack (the copy got consumed); entry depth >= stack_in
+                // guarantees it exists.
+                let a = *self.eval.last().expect("stack_in covers CmpTopKBr");
+                let v = alu_nodiv(op, a, k, width, signed);
+                return Flow::branch_if((v == 0) == br_if_zero, target);
+            }
+            OpKind::RmwGKBr { rmw, cmp, reload } => {
+                // A live watch may count (and tear) the store and must
+                // count the reload, so it forces the reload.
+                let watched = C && self.live_watch().is_some();
+                let a = self.g_load::<R, C>(rmw.ld_addr, rmw.ld_width, rmw.ld_signed);
+                let v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
+                self.g_store::<C>(rmw.st_addr, v, rmw.st_width);
+                // When the compare reloads exactly the bytes the store
+                // just wrote, the reload is a pure re-materialisation of
+                // `v` — direct reads are uncounted, so eliding it is
+                // unobservable. A recording run still stamps those
+                // bytes, as the interpreter's reload does.
+                let b = if reload || watched {
+                    self.g_load::<R, C>(cmp.addr, cmp.ld_width, cmp.ld_signed)
+                } else {
+                    if R {
+                        self.reads.note(cmp.addr, cmp.ld_width.bytes());
+                    }
+                    cmp.ld_width.wrap(v, cmp.ld_signed)
+                };
+                let f = alu_nodiv(cmp.op, b, cmp.k, cmp.width, cmp.signed);
+                return Flow::branch_if((f == 0) == cmp.br_if_zero, cmp.target);
+            }
+            OpKind::LdL { off, width, signed } if !C => {
+                let v = self.sram_read::<R>(self.fp.wrapping_add(off), width, signed);
+                self.eval.push(v);
+            }
+            OpKind::StL { off, width } if !C => {
+                let v = self.bpop();
+                self.sram_write(self.fp.wrapping_add(off), v, width);
+            }
+            OpKind::LdLF { off, seq } if !C => {
+                self.fat_read_direct::<R>(self.fp.wrapping_add(off), seq)
+            }
+            OpKind::StLF { off, seq } if !C => {
+                let cell = self.bpop();
+                self.fat_write_direct(self.fp.wrapping_add(off), cell, seq);
+            }
+            OpKind::LdL { .. }
+            | OpKind::StL { .. }
+            | OpKind::LdLF { .. }
+            | OpKind::StLF { .. }
+            | OpKind::LdDyn { .. }
+            | OpKind::StDyn { .. }
+            | OpKind::LdFDyn { .. }
+            | OpKind::StFDyn { .. }
+            | OpKind::Slow(_)
+            | OpKind::Call(_)
+            | OpKind::Term(_) => return Flow::Fallible,
+        }
+        Flow::Next
     }
 
     /// `min(until, next scheduled event time)`: the fast loop must stop
@@ -1005,11 +820,17 @@ impl Machine {
         }
     }
 
-    /// Static SRAM global load: direct unless a torn watchpoint forces
-    /// the counting path for 16-bit accesses.
+    /// Static SRAM global load. The checked instance (`C`) detours a
+    /// 16-bit access through the counting `load_mem` while a torn watch
+    /// is live; the pure instance runs only when none is.
     #[inline(always)]
-    fn g_load<const R: bool>(&mut self, addr: u16, width: Width, signed: bool) -> i64 {
-        if self.torn_guard(width) {
+    fn g_load<const R: bool, const C: bool>(
+        &mut self,
+        addr: u16,
+        width: Width,
+        signed: bool,
+    ) -> i64 {
+        if C && self.torn_guard(width) {
             // Statically mapped: never None.
             self.load_mem(addr, width, signed).unwrap_or(0)
         } else {
@@ -1017,14 +838,21 @@ impl Machine {
         }
     }
 
-    /// Static SRAM global store, torn-aware (see [`Machine::g_load`]).
+    /// Static SRAM global store (see [`Machine::g_load`]).
     #[inline(always)]
-    fn g_store(&mut self, addr: u16, v: i64, width: Width) {
-        if self.torn_guard(width) {
+    fn g_store<const C: bool>(&mut self, addr: u16, v: i64, width: Width) {
+        if C && self.torn_guard(width) {
             self.store_mem(addr, v, width);
         } else {
             self.sram_write(addr, v, width);
         }
+    }
+
+    /// Whether a fat access at `addr` may take the direct path: its
+    /// cells are SRAM and no torn watch is live to count them.
+    #[inline(always)]
+    fn fat_direct(&self, addr: u16, seq: bool) -> bool {
+        self.live_watch().is_none() && self.dyn_writable(addr, fat_bytes(seq) as u32)
     }
 
     /// Direct fat-pointer read (range proved SRAM, no torn watch):
@@ -1288,6 +1116,461 @@ mod tests {
             assert_eq!(a.instr_count, b.instr_count);
         }
         assert_eq!(observe(&a), observe(&b));
+    }
+
+    /// Draws operands and machine states for the per-op property.
+    struct Gen(crate::faults::SplitMix64);
+
+    /// The words every drawn value, constant and SRAM state favours.
+    const EDGES: [i64; 5] = [0, -1, 0x7fff, 0x8000, 0xffff];
+
+    /// A branch target that is a block leader already: the function's
+    /// entry, or past its end.
+    const TARGETS: [u32; 2] = [0, 1000];
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0.below(n)
+        }
+
+        fn coin(&mut self) -> bool {
+            self.below(2) == 0
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+
+        /// An edge value, a small signed number, or any word.
+        fn word(&mut self) -> i64 {
+            match self.below(3) {
+                0 => self.pick(&EDGES),
+                1 => self.below(256) as i64 - 128,
+                _ => self.0.next_u64() as i64,
+            }
+        }
+
+        fn width(&mut self) -> Width {
+            self.pick(&[Width::W8, Width::W16, Width::W32])
+        }
+
+        /// An ALU op decode keeps in the block (never `Div`/`Mod`).
+        fn alu(&mut self) -> AluOp {
+            use AluOp::*;
+            self.pick(&[Add, Sub, Mul, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le])
+        }
+
+        fn un(&mut self) -> UnAluOp {
+            self.pick(&[UnAluOp::Neg, UnAluOp::BitNot, UnAluOp::Not])
+        }
+
+        /// A static SRAM address for `len` bytes: mostly a few low cells,
+        /// so ops in one span (and the torn watch) collide, else the top.
+        fn sram(&mut self, len: u32) -> u16 {
+            let (base, end) = (Profile::mica2().sram_base(), Profile::mica2().sram_end());
+            if self.below(4) == 0 {
+                end - len as u16
+            } else {
+                base + self.below(8) as u16
+            }
+        }
+
+        /// A dynamic address: SRAM, the flash window, MMIO, the null
+        /// page, or an edge value (straddling and unmapped included).
+        fn addr(&mut self, len: u32) -> u16 {
+            match self.below(6) {
+                0 | 1 => self.sram(len),
+                2 => FLASH_BASE + self.below(12) as u16,
+                3 => MMIO_BASE + self.below(0x48) as u16,
+                4 => self.below(0x100) as u16,
+                _ => self.pick(&EDGES) as u16,
+            }
+        }
+
+        /// A frame offset within the test function's 16-byte frame.
+        fn off(&mut self) -> u16 {
+            self.below(10) as u16
+        }
+
+        /// `(branch-if-zero, Jz/Jnz)` with a leader target.
+        fn branch(&mut self) -> (bool, Instr) {
+            let target = self.pick(&TARGETS);
+            if self.coin() {
+                (true, Instr::Jz { target })
+            } else {
+                (false, Instr::Jnz { target })
+            }
+        }
+    }
+
+    /// Every block-engine op kind, numbered `0..KINDS`. The match is
+    /// exhaustive, so a new variant does not compile until it gets the
+    /// next number, `KINDS` counts it and [`template`] decodes to it.
+    fn kind_index(kind: &OpKind) -> usize {
+        match kind {
+            OpKind::PushI(_) => 0,
+            OpKind::LdG { .. } => 1,
+            OpKind::StG { .. } => 2,
+            OpKind::LdL { .. } => 3,
+            OpKind::StL { .. } => 4,
+            OpKind::AddrL { .. } => 5,
+            OpKind::LdDyn { .. } => 6,
+            OpKind::StDyn { .. } => 7,
+            OpKind::Bin { .. } => 8,
+            OpKind::Un { .. } => 9,
+            OpKind::Wrap { .. } => 10,
+            OpKind::Pop => 11,
+            OpKind::Dup => 12,
+            OpKind::Nop => 13,
+            OpKind::IrqSave => 14,
+            OpKind::IrqDisable => 15,
+            OpKind::MkFat { .. } => 16,
+            OpKind::FatVal => 17,
+            OpKind::FatEnd => 18,
+            OpKind::FatBase => 19,
+            OpKind::FatAdd => 20,
+            OpKind::LdGF { .. } => 21,
+            OpKind::StGF { .. } => 22,
+            OpKind::LdLF { .. } => 23,
+            OpKind::StLF { .. } => 24,
+            OpKind::LdFDyn { .. } => 25,
+            OpKind::StFDyn { .. } => 26,
+            OpKind::StGK { .. } => 27,
+            OpKind::BinK { .. } => 28,
+            OpKind::RmwGK { .. } => 29,
+            OpKind::CpGG { .. } => 30,
+            OpKind::Slow(_) => 31,
+            OpKind::Jmp(_) => 32,
+            OpKind::Jz(_) => 33,
+            OpKind::Jnz(_) => 34,
+            OpKind::CmpGKBr { .. } => 35,
+            OpKind::CmpTopKBr { .. } => 36,
+            OpKind::RmwGKBr { .. } => 37,
+            OpKind::Call(_) => 38,
+            OpKind::Term(_) => 39,
+        }
+    }
+
+    const KINDS: usize = 40;
+
+    /// An instruction span that decodes to op kind `i` (see
+    /// [`kind_index`]), with random operands, and the address the op
+    /// touches, if any (where the torn watch goes).
+    fn template(i: usize, g: &mut Gen, fp: u16) -> (Vec<Instr>, Option<u16>) {
+        use Instr::*;
+        let w = g.width();
+        let s = g.coin();
+        let seq = g.coin();
+        let fat = fat_bytes(seq) as u32;
+        let a = g.sram(4);
+        let off = g.off();
+        let local = Some(fp.wrapping_add(off));
+        let ld = |addr| LdGlobal {
+            addr,
+            width: w,
+            signed: s,
+        };
+        let bin = |g: &mut Gen| Bin {
+            op: g.alu(),
+            width: g.width(),
+            signed: g.coin(),
+        };
+        match i {
+            0 => (vec![PushI(g.word())], None),
+            1 => (vec![ld(a)], Some(a)),
+            2 => (vec![StGlobal { addr: a, width: w }], Some(a)),
+            3 => (
+                vec![LdLocal {
+                    off,
+                    width: w,
+                    signed: s,
+                }],
+                local,
+            ),
+            4 => (vec![StLocal { off, width: w }], local),
+            5 => (vec![AddrLocal { off }], None),
+            6 | 7 | 25 | 26 => {
+                let d = g.addr(if i > 7 { fat } else { w.bytes() });
+                let access = match i {
+                    6 => Ld {
+                        width: w,
+                        signed: s,
+                    },
+                    7 => St { width: w },
+                    25 => LdFat { seq },
+                    _ => StFat { seq },
+                };
+                (vec![PushI(d as i64), access], Some(d))
+            }
+            8 => (vec![bin(g)], None),
+            9 => (
+                vec![Un {
+                    op: g.un(),
+                    width: w,
+                }],
+                None,
+            ),
+            10 => (
+                vec![Wrap {
+                    width: w,
+                    signed: s,
+                }],
+                None,
+            ),
+            11 => (vec![Pop], None),
+            12 => (vec![Dup], None),
+            13 => (vec![Nop], None),
+            14 => (vec![IrqSave], None),
+            15 => (vec![IrqDisable], None),
+            16 => (vec![MkFat { seq }], None),
+            17 => (vec![FatVal], None),
+            18 => (vec![FatEnd], None),
+            19 => (vec![FatBase], None),
+            20 => (vec![FatAdd], None),
+            21 | 22 => {
+                let f = g.sram(fat);
+                let op = if i == 21 {
+                    LdGlobalFat { addr: f, seq }
+                } else {
+                    StGlobalFat { addr: f, seq }
+                };
+                (vec![op], Some(f))
+            }
+            23 => (vec![LdLocalFat { off, seq }], local),
+            24 => (vec![StLocalFat { off, seq }], local),
+            27 => (
+                vec![PushI(g.word()), StGlobal { addr: a, width: w }],
+                Some(a),
+            ),
+            28 => (vec![PushI(g.word()), bin(g)], None),
+            29 | 30 => {
+                let st_width = g.width();
+                let st = StGlobal {
+                    addr: if g.coin() {
+                        a
+                    } else {
+                        g.sram(st_width.bytes())
+                    },
+                    width: st_width,
+                };
+                if i == 29 {
+                    (vec![ld(a), PushI(g.word()), bin(g), st], Some(a))
+                } else {
+                    (vec![ld(a), st], Some(a))
+                }
+            }
+            31 => match g.below(3) {
+                0 => (
+                    vec![Bin {
+                        op: g.pick(&[AluOp::Div, AluOp::Mod]),
+                        width: w,
+                        signed: s,
+                    }],
+                    None,
+                ),
+                1 => {
+                    let (src, dst) = (g.addr(4), g.addr(4));
+                    let copy = MemCpy {
+                        bytes: 1 + g.below(4) as u16,
+                    };
+                    (vec![PushI(src as i64), PushI(dst as i64), copy], Some(dst))
+                }
+                _ => {
+                    let d = g.pick(&[FLASH_BASE, crate::devices::LED_REG, UART_DATA, 0x0040]);
+                    (vec![StGlobal { addr: d, width: w }], Some(d))
+                }
+            },
+            32 => (
+                vec![Jmp {
+                    target: g.pick(&TARGETS),
+                }],
+                None,
+            ),
+            33 => (
+                vec![Jz {
+                    target: g.pick(&TARGETS),
+                }],
+                None,
+            ),
+            34 => (
+                vec![Jnz {
+                    target: g.pick(&TARGETS),
+                }],
+                None,
+            ),
+            35 => (vec![ld(a), PushI(g.word()), bin(g), g.branch().1], Some(a)),
+            36 => (vec![Dup, PushI(g.word()), bin(g), g.branch().1], None),
+            37 => {
+                // Half the spans compare exactly the stored bytes (the
+                // reload is elided), the rest any cell and width.
+                let (st, cmp) = if g.coin() {
+                    (StGlobal { addr: a, width: w }, ld(a))
+                } else {
+                    let width = g.width();
+                    let st = StGlobal {
+                        addr: g.sram(4),
+                        width,
+                    };
+                    (st, ld(g.sram(4)))
+                };
+                let span = vec![
+                    ld(a),
+                    PushI(g.word()),
+                    bin(g),
+                    st,
+                    cmp,
+                    PushI(g.word()),
+                    bin(g),
+                    g.branch().1,
+                ];
+                (span, Some(a))
+            }
+            38 => (vec![Call { func: 1 }], None),
+            39 => (
+                vec![g.pick(&[
+                    Ret,
+                    Reti,
+                    Trap { flid: 7 },
+                    Halt,
+                    Sleep,
+                    IrqEnable,
+                    IrqRestore,
+                ])],
+                None,
+            ),
+            _ => unreachable!("{i} is not an op kind"),
+        }
+    }
+
+    /// How a property case enters the block engine.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Way {
+        /// The span alone: a pure kind runs in the pure loop whenever
+        /// its frame window is SRAM.
+        Pure,
+        /// Behind a dynamic load, which sends the block down the
+        /// checked loop.
+        Checked,
+        /// With a torn watch armed on the op's address (interrupts on),
+        /// which also forces the checked loop.
+        Torn,
+    }
+
+    /// One case: a random span of kind `i` entered `way`, run once
+    /// through `run_blocks` and once by `step` over the same
+    /// instructions; the two machines must end in the same state, with
+    /// the same torn watch and, when `record`, the same read stamps.
+    fn check_op(i: usize, way: Way, record: bool, g: &mut Gen) {
+        let (base, end) = (Profile::mica2().sram_base(), Profile::mica2().sram_end());
+        let fp = if g.below(6) == 0 {
+            g.pick(&[0, 0xffff, 0x7fff, 0x8000, end - 4])
+        } else {
+            base + 8 + g.below((end - base - 40) as u64) as u16
+        };
+        let mut code = Vec::new();
+        if way == Way::Checked {
+            code.extend([
+                Instr::PushI(g.sram(1) as i64),
+                Instr::Ld {
+                    width: Width::W8,
+                    signed: false,
+                },
+                Instr::Pop,
+            ]);
+        }
+        let (span, touched) = template(i, g, fp);
+        code.extend(span);
+
+        let mut img = image_with(code.clone());
+        let mut callee = CodeFunction::new("callee");
+        callee.code = vec![Instr::Ret];
+        callee.frame_size = 12;
+        callee.params = (0..g.below(3) as u16)
+            .map(|k| crate::image::ParamSlot {
+                off: 6 * k,
+                kind: if g.coin() {
+                    crate::image::SlotKind::Scalar(g.width())
+                } else {
+                    crate::image::SlotKind::Fat { seq: g.coin() }
+                },
+            })
+            .collect();
+        img.add_function(callee);
+        img.rodata
+            .push((FLASH_BASE, (0..16).map(|_| g.below(256) as u8).collect()));
+        let cache = BlockCache::build(&img);
+        let block = cache.lookup(0, 0).expect("pc 0 leads a block");
+        assert_eq!(block.n_instrs as usize, code.len(), "one block: {code:?}");
+        assert!(
+            block.ops.iter().any(|o| kind_index(&o.kind) == i),
+            "kind {i}: {code:?} decoded to {:?}",
+            block.ops
+        );
+        // A `Pure` case of a pure kind takes the pure loop whenever its
+        // frame window is SRAM; the dynamic load makes a `Checked` case
+        // impure. (Dynamic accesses, `Slow`, `Call` and `Term` are the
+        // impure kinds.)
+        let impure_kind = matches!(i, 6 | 7 | 25 | 26 | 31 | 38 | 39);
+        assert_eq!(block.pure, way != Way::Checked && !impure_kind, "{code:?}");
+
+        let mut m = Machine::new(&img);
+        for a in base..end {
+            m.sram[a as usize] = g.below(256) as u8;
+        }
+        for _ in 0..4 {
+            let a = g.sram(2);
+            m.sram[a as usize..][..2].copy_from_slice(&(g.pick(&EDGES) as u16).to_le_bytes());
+        }
+        m.fp = fp;
+        m.eval = (0..block.stack_in + g.below(3) as u32)
+            .map(|_| g.word())
+            .collect();
+        m.irq_enabled = g.coin();
+        if way == Way::Torn {
+            m.irq_enabled = true;
+            let at = touched.unwrap_or_else(|| g.sram(2));
+            m.arm_torn_watch(at, 1 + g.below(2) as u32, 1 + g.below(255) as u8, g.coin());
+        }
+        let mut want = m.clone();
+        let mut got = m;
+        if record {
+            want.stamp_reads(1);
+            got.stamp_reads(1);
+        }
+        for _ in 0..block.n_instrs {
+            if want.state != RunState::Running {
+                break;
+            }
+            want.step();
+        }
+        // Nothing else is admitted: every next block costs at least a
+        // cycle more than the horizon leaves.
+        let until = got.cycles + block.cost + 1;
+        let ran = if record {
+            got.run_blocks::<true>(&cache, until)
+        } else {
+            got.run_blocks::<false>(&cache, until)
+        };
+        assert!(ran, "kind {i} {way:?}: block not admitted");
+        // `run` clears the resync request after either engine's run.
+        want.mmio_sync = false;
+        got.mmio_sync = false;
+        let case = format!("kind {i} {way:?} record={record}: {code:?}");
+        assert!(got.same_state(&want), "{case}\nbt {got:?}\nstep {want:?}");
+        assert_eq!(got.torn_watch(), want.torn_watch(), "{case}");
+        assert_eq!(got.take_read_stamps(), want.take_read_stamps(), "{case}");
+    }
+
+    #[test]
+    fn every_op_kind_matches_single_stepping() {
+        let mut g = Gen(crate::faults::SplitMix64::new(0x0b5e_55ed));
+        for i in 0..KINDS {
+            for way in [Way::Pure, Way::Checked, Way::Torn] {
+                for case in 0..256 {
+                    check_op(i, way, case % 2 == 1, &mut g);
+                }
+            }
+        }
     }
 
     #[test]
