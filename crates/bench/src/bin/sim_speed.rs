@@ -13,9 +13,11 @@
 //!   (10×). Non-gated kernels are published for honesty but excluded
 //!   from the gate.
 //! * **apps** — every Mica2 app built under the paper's full stack and
-//!   simulated for `STOS_SECONDS` per engine. Apps sleep most of the
-//!   time, and the sleep pump is engine-independent, so app speedups
-//!   are reported but not speedup-gated.
+//!   simulated for `STOS_SECONDS`, [`SAMPLES`] times per engine with
+//!   the engines alternating, timed by the median run like a kernel.
+//!   Apps sleep most of the time, and the sleep pump is
+//!   engine-independent, so app speedups are reported but not
+//!   speedup-gated.
 //!
 //! Both sections enforce identity: the engines must agree on `cycles`,
 //! `awake_cycles`, `instr_count`, final state, and fault message for
@@ -35,9 +37,10 @@ use bench::gate::{self, SPEEDUP_MIN};
 use bench::{emit_json, json, kernels, row, Knobs};
 use safe_tinyos::{prepare_machine, BuildSession, Pipeline};
 
-/// Timed runs per engine of each kernel. A constant, not a knob: the
-/// median of three keeps one descheduled run on a loaded host from
-/// moving the gated speedup.
+/// Timed runs per engine of each kernel and app. A constant, not a
+/// knob: the median of three keeps one descheduled run on a loaded host
+/// from moving the gated speedup (or an app's sub-millisecond bt run
+/// from moving the reported one).
 const SAMPLES: usize = 3;
 
 /// One engine's measurement for one subject.
@@ -85,6 +88,23 @@ fn measure(reset: &mcu::Machine, until: u64, engine: mcu::Engine) -> Sample {
 fn median(mut runs: Vec<Sample>) -> Sample {
     runs.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
     runs.swap_remove(runs.len() / 2)
+}
+
+/// [`SAMPLES`] runs of `reset` to `until` per engine, interp and bt
+/// alternating: each engine's median-wall run, and whether every run
+/// agreed with the first (a divergence is reported under `name`).
+fn alternating(name: &str, reset: &mcu::Machine, until: u64) -> (Sample, Sample, bool) {
+    let (mut interp, mut bt) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        interp.push(measure(reset, until, mcu::Engine::Interp));
+        bt.push(measure(reset, until, mcu::Engine::Bt));
+    }
+    let off = interp.iter().chain(&bt).find(|s| !s.matches(&interp[0]));
+    if let Some(off) = off {
+        report_divergence(name, &interp[0], off);
+    }
+    let same = off.is_none();
+    (median(interp), median(bt), same)
 }
 
 fn report_divergence(name: &str, a: &Sample, b: &Sample) {
@@ -137,18 +157,8 @@ fn main() {
         let reset = mcu::Machine::new(&k.image);
         measure(&reset, kernel_cycles / 50, mcu::Engine::Interp);
         measure(&reset, kernel_cycles / 50, mcu::Engine::Bt);
-        let (mut interp, mut bt) = (Vec::new(), Vec::new());
-        for _ in 0..SAMPLES {
-            interp.push(measure(&reset, kernel_cycles, mcu::Engine::Interp));
-            bt.push(measure(&reset, kernel_cycles, mcu::Engine::Bt));
-        }
-        let off = interp.iter().chain(&bt).find(|s| !s.matches(&interp[0]));
-        let same = off.is_none();
-        if let Some(off) = off {
-            identical = false;
-            report_divergence(k.name, &interp[0], off);
-        }
-        let (a, b) = (median(interp), median(bt));
+        let (a, b, same) = alternating(k.name, &reset, kernel_cycles);
+        identical &= same;
         if k.gated {
             gated_interp += a.wall_s;
             gated_bt += b.wall_s;
@@ -202,7 +212,7 @@ fn main() {
     let pipeline = Pipeline::safe_flid_inline_cxprop();
     let apps = tosapps::mica2_apps();
     println!(
-        "Mica2 apps — {} apps, {seconds}s simulated, pipeline {}",
+        "Mica2 apps — {} apps, {seconds}s simulated, pipeline {}, median of {SAMPLES} runs per engine",
         apps.len(),
         pipeline.name()
     );
@@ -236,14 +246,9 @@ fn main() {
         let warm = until.min(build.image.profile.clock_hz);
         measure(&prepared, warm, mcu::Engine::Interp);
         measure(&prepared, warm, mcu::Engine::Bt);
-        let a = measure(&prepared, until, mcu::Engine::Interp);
-        let b = measure(&prepared, until, mcu::Engine::Bt);
+        let (a, b, same) = alternating(name, &prepared, until);
+        identical &= same;
         let stats = prepared.block_stats().expect("the bt warm-up decoded");
-        let same = a.matches(&b);
-        if !same {
-            identical = false;
-            report_divergence(name, &a, &b);
-        }
         wall_interp += a.wall_s;
         wall_bt += b.wall_s;
         let speedup = a.wall_s / b.wall_s.max(1e-12);

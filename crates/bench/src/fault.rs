@@ -22,7 +22,9 @@
 //! to be exactly zero, so the collapse stays measurable instead of
 //! becoming folklore.
 
-use safe_tinyos::{run_campaign, BuildService, CampaignConfig, CampaignReport, Pipeline};
+use safe_tinyos::{
+    run_campaign_with_work, BuildService, CampaignConfig, CampaignReport, CampaignWork, Pipeline,
+};
 
 use crate::{grid, json, row};
 
@@ -57,39 +59,43 @@ pub fn default_pipelines() -> Vec<Pipeline> {
     ]
 }
 
-/// Runs the campaign grid: one [`CampaignReport`] per app × pipeline
-/// cell, in deterministic grid order.
+/// Runs the campaign grid: one [`CampaignReport`] and its
+/// [`CampaignWork`] per app × pipeline cell, in deterministic grid order.
 pub fn campaign_grid(
     service: &BuildService,
     apps: &[&'static str],
     pipelines: &[Pipeline],
     config: &CampaignConfig,
-) -> Vec<Vec<CampaignReport>> {
+) -> Vec<Vec<(CampaignReport, CampaignWork)>> {
     grid(service, apps, pipelines, |spec, pipeline| {
         let build = service
             .build(spec, pipeline)
             .unwrap_or_else(|e| panic!("{}: {e}", pipeline.name()));
-        run_campaign(&build, spec, config)
+        run_campaign_with_work(&build, spec, config)
     })
 }
 
 /// Renders the campaign grid as the `BENCH_fault_injection.json` body:
 /// per-pipeline rollups (injection counts, verdict tally, detection
 /// rate) with per-app breakdowns, every detection carrying its site,
-/// cycle point, FLID, and decoded message.
+/// cycle point, FLID, and decoded message; then the per-pipeline work
+/// `counters` (golden and fork instructions, fork ends by kind).
 pub fn render_json(
     apps: &[&'static str],
     pipelines: &[Pipeline],
     config: &CampaignConfig,
-    grid: &[Vec<CampaignReport>],
+    grid: &[Vec<(CampaignReport, CampaignWork)>],
 ) -> String {
     let mut pipeline_rows = Vec::new();
+    let mut counter_rows = Vec::new();
     for (ci, pipeline) in pipelines.iter().enumerate() {
         let mut totals = ccured::VerdictCounts::default();
+        let mut work = CampaignWork::default();
         let mut app_rows = Vec::new();
         for (ai, app) in apps.iter().enumerate() {
-            let report = &grid[ai][ci];
+            let (report, cell_work) = &grid[ai][ci];
             totals.add(&report.counts);
+            work.add(cell_work);
             let detections = report.detections().map(|(site, flid, message)| {
                 json::Obj::new()
                     .str("site", &site.site)
@@ -121,6 +127,22 @@ pub fn render_json(
                 .raw("apps", &json::arr(app_rows))
                 .build(),
         );
+        counter_rows.push(
+            json::Obj::new()
+                .str("pipeline", pipeline.name())
+                .int("golden_instructions", work.golden_instructions as i64)
+                .int("fork_instructions", work.fork_instructions as i64)
+                .raw(
+                    "fork_ends",
+                    &json::Obj::new()
+                        .int("converged", work.converged as i64)
+                        .int("dead_bytes", work.dead_bytes as i64)
+                        .int("rejoined", work.rejoined as i64)
+                        .int("horizon", work.horizon as i64)
+                        .build(),
+                )
+                .build(),
+        );
     }
     json::Obj::new()
         .str("figure", "fault_injection")
@@ -128,12 +150,17 @@ pub fn render_json(
         .int("sites", config.sites as i64)
         .int("seed", config.seed as i64)
         .raw("pipelines", &json::arr(pipeline_rows))
+        .raw("counters", &json::arr(counter_rows))
         .build()
 }
 
 /// Prints the campaign's summary table (apps down, pipelines across,
 /// `detected/silent` per cell, rollup row at the bottom).
-pub fn print_table(apps: &[&'static str], pipelines: &[Pipeline], grid: &[Vec<CampaignReport>]) {
+pub fn print_table(
+    apps: &[&'static str],
+    pipelines: &[Pipeline],
+    grid: &[Vec<(CampaignReport, CampaignWork)>],
+) {
     let labels: Vec<String> = pipelines.iter().map(|p| p.name().to_string()).collect();
     println!("{}", row("app (det/silent)", &labels));
     let mut totals = vec![ccured::VerdictCounts::default(); pipelines.len()];
@@ -141,7 +168,7 @@ pub fn print_table(apps: &[&'static str], pipelines: &[Pipeline], grid: &[Vec<Ca
         let cells: Vec<String> = grid[ai]
             .iter()
             .enumerate()
-            .map(|(ci, r)| {
+            .map(|(ci, (r, _))| {
                 totals[ci].add(&r.counts);
                 format!("{}/{}", r.counts.detected, r.counts.silent)
             })

@@ -45,9 +45,10 @@ enum Pin {
     /// by these key members instead of position; the fresh run may hold
     /// a subset of the committed rows.
     Keyed(&'static str, &'static [&'static str]),
-    /// The value at the first path, when the value at the second (the
-    /// simulated horizon) is equal in both reports.
-    When(&'static str, &'static str),
+    /// The value at the path, when the values at the listed paths (the
+    /// simulated horizon, the workload's size) are present and equal in
+    /// both reports.
+    When(&'static str, &'static [&'static str]),
     /// The timing at this path may grow to at most this multiple of the
     /// committed one.
     Slower(&'static str, f64),
@@ -110,7 +111,8 @@ const CONTRACTS: &[Contract] = &[
     },
     Contract {
         figure: "fault_injection",
-        pinned: &[],
+        // Work counters, at one horizon, site count and site seed.
+        pinned: &[Pin::When("counters", &["seconds", "sites", "seed"])],
         invariants: &[("detection-on-default-grid", Custom(fault_detection))],
     },
     Contract {
@@ -127,7 +129,7 @@ const CONTRACTS: &[Contract] = &[
     },
     Contract {
         figure: "stack_analysis",
-        pinned: &[Pin::Whole("analysis"), Pin::When("dynamics.watermarks", "dynamics.seconds")],
+        pinned: &[Pin::Whole("analysis"), Pin::When("dynamics.watermarks", &["dynamics.seconds"])],
         invariants: &[
             ("zero-watermark-violations", Zero("dynamics.watermark_violations")),
             ("every-cell-bounded", Each(APPS, &Each("presets", &AtLeast("bound", 0.0)))),
@@ -144,8 +146,8 @@ const CONTRACTS: &[Contract] = &[
         // Work counters: the kernels' at one `kernel_cycles`, the apps'
         // (decode included) at one simulated `seconds`.
         pinned: &[
-            Pin::When("counters.kernels", "kernel_cycles"),
-            Pin::When("counters.apps", "seconds"),
+            Pin::When("counters.kernels", &["kernel_cycles"]),
+            Pin::When("counters.apps", &["seconds"]),
         ],
         invariants: &[
             ("engines-identical", True("engines_identical")),
@@ -207,8 +209,11 @@ impl Pin {
             Pin::Whole(path) => (path, &[][..]),
             Pin::Keyed(path, key) => (path, key),
             Pin::When(path, when) => {
-                let horizon = committed.path(when);
-                if horizon.is_none() || horizon != fresh.path(when) {
+                let comparable = when.iter().all(|w| {
+                    let want = committed.path(w);
+                    want.is_some() && want == fresh.path(w)
+                });
+                if !comparable {
                     return None;
                 }
                 (path, &[][..])
@@ -888,6 +893,32 @@ mod tests {
         assert!(noharden.contains(NOHARDEN_STACK), "{noharden}");
         // A swept subset (STOS_PIPELINE) may hold zero-coverage stacks.
         assert!(gate(&good, &fault_report(&[0, 0, 0])).is_ok());
+    }
+
+    const FAULT_COUNTERS: &str = r#"{"figure":"fault_injection","seconds":10,"sites":16,"seed":49374,"pipelines":[],"counters":[{"pipeline":"gcc","golden_instructions":1147586,"fork_instructions":2364963,"fork_ends":{"converged":97,"dead_bytes":40,"rejoined":14,"horizon":25}}]}"#;
+
+    #[test]
+    fn fault_gate_pins_work_counters_of_one_workload() {
+        assert!(gate(FAULT_COUNTERS, FAULT_COUNTERS).is_ok());
+        let more_work = FAULT_COUNTERS.replace("2364963", "2364964");
+        let err = fails(FAULT_COUNTERS, &more_work);
+        assert!(
+            err.contains("`counters[0].fork_instructions` is 2364963 committed, 2364964 fresh"),
+            "{err}"
+        );
+        let rejoined = FAULT_COUNTERS.replace(r#""rejoined":14"#, r#""rejoined":15"#);
+        assert!(fails(FAULT_COUNTERS, &rejoined).contains("pinned `counters` drifted"));
+        // Another horizon, site count or seed is another workload.
+        for (from, to) in [
+            ("\"seconds\":10", "\"seconds\":2"),
+            ("\"sites\":16", "\"sites\":4"),
+            ("\"seed\":49374", "\"seed\":7"),
+        ] {
+            assert!(
+                gate(FAULT_COUNTERS, &more_work.replace(from, to)).is_ok(),
+                "{to}"
+            );
+        }
     }
 
     const FIG2: &str = r#"{"figure":"fig2_checks","apps":[{"app":"A","checks_inserted":4,"removed_pct":{"gcc":0.0000,"ccured+cxprop+gcc":50.0000}}],"total":{"checks_inserted":4,"gcc":0.0000,"ccured+cxprop+gcc":50.0000}}"#;

@@ -25,9 +25,11 @@
 //! over the horizon — and keeps a [`Machine`] snapshot there. An
 //! injected run clones its site's snapshot, applies the fault, and at
 //! each later checkpoint compares itself with the golden snapshot
-//! ([`Machine::same_state`]). The simulator is deterministic, so a run
-//! whose whole state equals the golden run's has the golden future:
-//! it stops there as [`Verdict::Benign`]. Runs compose
+//! ([`Machine::same_future_except`]). The simulator is deterministic,
+//! so a run that equals the golden run in everything the program can
+//! read has the golden future: it stops there, [`Verdict::Benign`] if
+//! its output so far is the golden output, and otherwise triaged on its
+//! output spliced onto the golden run's remainder. Runs compose
 //! (`run(a); run(b)` ≡ `run(b)`), so every fork reproduces exactly the
 //! boot-to-horizon replay it stands for.
 //!
@@ -205,10 +207,21 @@ pub fn target_names(build: &Build) -> Vec<String> {
 /// comparability across pipelines comes from the shared seed, site
 /// mix, and target roles, not from identical addresses.
 pub fn run_campaign(build: &Build, spec: &AppSpec, config: &CampaignConfig) -> CampaignReport {
+    run_campaign_with_work(build, spec, config).0
+}
+
+/// [`run_campaign`], also returning the campaign's work counters.
+pub fn run_campaign_with_work(
+    build: &Build,
+    spec: &AppSpec,
+    config: &CampaignConfig,
+) -> (CampaignReport, CampaignWork) {
     let (machine, until) = prepare_machine(build, spec, config.seconds);
     let targets = target_cells(build);
     let plans = faults::enumerate_sites(&build.image, &targets, config.seed, config.sites, until);
-    report(&plans, fork_replay((machine, until), &plans))
+    let replay = fork_replay((machine, until), &plans);
+    let work = replay.work();
+    (report(&plans, replay), work)
 }
 
 /// Tallies [`fork_replay`]'s verdicts into a report, one row per plan.
@@ -235,18 +248,25 @@ fn report(plans: &[FaultPlan], replay: Replay) -> CampaignReport {
 
 /// Evenly spaced golden checkpoints on top of the site cycles, so runs
 /// injected late — or all at boot, like torn plans — still meet later
-/// checkpoints to converge at.
-const GRID_CHECKPOINTS: u64 = 8;
+/// checkpoints to stop at (every 0.31 s of a 10 s run).
+const GRID_CHECKPOINTS: u64 = 32;
 
-/// How one injected run of [`fork_replay`] ended.
+/// How one injected run of [`fork_replay`] ended. Each index is a
+/// checkpoint: an index into the sorted checkpoint cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForkEnd {
-    /// Its whole state equalled the golden snapshot at this checkpoint
-    /// (an index into the sorted checkpoint cycles).
+    /// At this checkpoint it had the golden snapshot's future
+    /// ([`Machine::same_future_except`]) with every SRAM byte and all
+    /// output so far equal: [`Verdict::Benign`].
     Converged(usize),
-    /// At this checkpoint it differed from the golden snapshot only in
-    /// SRAM bytes the golden run never reads again.
+    /// At this checkpoint it had the golden snapshot's future and
+    /// output, differing only in SRAM bytes the golden run never reads
+    /// again: [`Verdict::Benign`].
     DeadBytes(usize),
+    /// At this checkpoint it had the golden snapshot's future but had
+    /// already sent different output; it was triaged on its output so
+    /// far followed by the golden run's output after the checkpoint.
+    Rejoined(usize),
     /// It ran to the horizon and was triaged.
     Horizon,
 }
@@ -273,22 +293,80 @@ pub struct Replay {
     pub forks: Vec<Fork>,
 }
 
+impl Replay {
+    /// The replay's work, summed over its golden run and forks.
+    pub fn work(&self) -> CampaignWork {
+        let mut work = CampaignWork {
+            golden_instructions: self.golden.instr_count,
+            ..CampaignWork::default()
+        };
+        for fork in &self.forks {
+            work.fork_instructions += fork.instructions;
+            *match fork.end {
+                ForkEnd::Converged(_) => &mut work.converged,
+                ForkEnd::DeadBytes(_) => &mut work.dead_bytes,
+                ForkEnd::Rejoined(_) => &mut work.rejoined,
+                ForkEnd::Horizon => &mut work.horizon,
+            } += 1;
+        }
+        work
+    }
+}
+
+/// The work of one or more campaigns: instructions simulated and how
+/// the forks ended. Pure functions of the inputs, identical under both
+/// engines and any worker count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CampaignWork {
+    /// Instructions of the golden runs, boot to horizon.
+    pub golden_instructions: u64,
+    /// Instructions of the injected runs, fork to stop.
+    pub fork_instructions: u64,
+    /// Forks that ended [`ForkEnd::Converged`].
+    pub converged: usize,
+    /// Forks that ended [`ForkEnd::DeadBytes`].
+    pub dead_bytes: usize,
+    /// Forks that ended [`ForkEnd::Rejoined`].
+    pub rejoined: usize,
+    /// Forks that ran to the horizon.
+    pub horizon: usize,
+}
+
+impl CampaignWork {
+    /// Folds another campaign's work into this one.
+    pub fn add(&mut self, other: &CampaignWork) {
+        self.golden_instructions += other.golden_instructions;
+        self.fork_instructions += other.fork_instructions;
+        self.converged += other.converged;
+        self.dead_bytes += other.dead_bytes;
+        self.rejoined += other.rejoined;
+        self.horizon += other.horizon;
+    }
+}
+
 /// The one replay engine, shared by the campaigns and the differential
 /// oracle: a golden run of the prepared machine to the horizon `until`
 /// that keeps a snapshot at every checkpoint, then one injected run per
-/// plan forked from its site's snapshot and stopped early as
-/// [`Verdict::Benign`] at the first later checkpoint where it differs
-/// from the golden snapshot in nothing but dead SRAM bytes — none at
-/// all, or only bytes the golden run never reads after that checkpoint
-/// — and otherwise triaged at the horizon.
+/// plan forked from its site's snapshot and stopped at the first later
+/// checkpoint where it has the golden snapshot's future
+/// ([`Machine::same_future_except`]): it differs in nothing the program
+/// can read but dead SRAM bytes — none at all, or only bytes the golden
+/// run never reads after that checkpoint. A fork that stops with the
+/// golden output so far is [`Verdict::Benign`]; one that stops having
+/// sent different output is triaged on a splice, its own output up to
+/// the checkpoint followed by the golden run's after it, with the golden
+/// run's final state, fault and LED count. A fork that never stops is
+/// triaged at the horizon.
 ///
 /// The golden run stamps every SRAM byte it reads with the index of the
 /// checkpoint it is heading for ([`Machine::stamp_reads`]; the tail
 /// after the last checkpoint gets one more), so a byte stamped at most
 /// `k` is dead at checkpoint `k`. A fork that differs only in dead bytes
-/// executes the golden run's instructions until it reads one, and the
-/// golden run never does: its future and its observation are the golden
-/// run's, and triage never looks at raw RAM.
+/// and write-only counters executes the golden run's instructions until
+/// it reads one, and the golden run never does: from the checkpoint on,
+/// it emits the golden run's output at the golden run's cycles, so the
+/// splice is exactly the observation a run to the horizon would make,
+/// and triage never looks at raw RAM.
 pub fn fork_replay((mut golden_machine, until): (Machine, u64), plans: &[FaultPlan]) -> Replay {
     let mut stops: Vec<u64> = plans
         .iter()
@@ -325,13 +403,28 @@ pub fn fork_replay((mut golden_machine, until): (Machine, u64), plans: &[FaultPl
             let stop = (first..stops.len()).find(|&k| {
                 m.run(stops[k]);
                 let dead = epoch(k);
-                m.same_state_except(&checkpoints[k], |addr| last_read[addr] <= dead)
+                m.same_future_except(&checkpoints[k], |addr| last_read[addr] <= dead)
             });
             let (verdict, end) = match stop {
-                Some(k) if m.ram_bytes() == checkpoints[k].ram_bytes() => {
-                    (Verdict::Benign, ForkEnd::Converged(k))
+                Some(k) => {
+                    let at = &checkpoints[k];
+                    if m.uart_out != at.uart_out || m.radio_out != at.radio_out {
+                        let spliced = RunObservation {
+                            uart: [&m.uart_out, &golden.uart[at.uart_out.len()..]].concat(),
+                            radio: [&m.radio_out, &golden.radio[at.radio_out.len()..]].concat(),
+                            fault: golden.fault.clone(),
+                            ..golden
+                        };
+                        (
+                            triage::triage(&golden, &spliced, flids),
+                            ForkEnd::Rejoined(k),
+                        )
+                    } else if m.ram_bytes() == at.ram_bytes() {
+                        (Verdict::Benign, ForkEnd::Converged(k))
+                    } else {
+                        (Verdict::Benign, ForkEnd::DeadBytes(k))
+                    }
                 }
-                Some(k) => (Verdict::Benign, ForkEnd::DeadBytes(k)),
                 None => {
                     m.run(until);
                     let observed = RunObservation::capture(&m);
@@ -435,6 +528,7 @@ pub fn run_torn_campaign(
 mod tests {
     use super::*;
     use crate::{BuildSession, Pipeline};
+    use mcu::isa::{AluOp, Instr, Width};
 
     fn campaign(pipeline: &Pipeline, cfg: &CampaignConfig) -> CampaignReport {
         let spec = tosapps::spec("SenseToRfm_Mica2").unwrap();
@@ -497,39 +591,15 @@ mod tests {
     }
 
     /// A timer-driven node: `main` sets the byte at `0x0200` to 7, arms
-    /// timer 0 and sleeps; each tick the handler bumps a counter at
-    /// `0x0210` and transmits a byte over the radio — the counter, or,
-    /// when `sends_0x0200`, the byte `main` set.
-    fn ticker(sends_0x0200: bool) -> Machine {
-        use mcu::devices::{RADIO_TX, TIMER0_COMPARE, TIMER0_CTRL};
-        use mcu::isa::{AluOp, Instr, Width};
-        let ld = |addr| Instr::LdGlobal {
-            addr,
-            width: Width::W8,
-            signed: false,
-        };
-        let st = |addr| Instr::StGlobal {
-            addr,
-            width: Width::W8,
-        };
+    /// timer 0 (a tick every 1 600 cycles) and sleeps; each tick runs
+    /// `tick`, which ends in `Reti`.
+    fn ticker(tick: Vec<Instr>) -> Machine {
+        use mcu::devices::{TIMER0_COMPARE, TIMER0_CTRL};
         let mut img = mcu::Image::new(mcu::Profile::mica2());
-        let mut tick = mcu::CodeFunction::new("tick");
-        tick.interrupt = Some(mcu::vectors::TIMER0);
-        tick.code = vec![
-            ld(0x0210),
-            Instr::PushI(1),
-            Instr::Bin {
-                op: AluOp::Add,
-                width: Width::W8,
-                signed: false,
-            },
-            st(0x0210),
-            ld(if sends_0x0200 { 0x0200 } else { 0x0210 }),
-            Instr::PushI(RADIO_TX as i64),
-            Instr::St { width: Width::W8 },
-            Instr::Reti,
-        ];
-        img.add_function(tick);
+        let mut handler = mcu::CodeFunction::new("tick");
+        handler.interrupt = Some(mcu::vectors::TIMER0);
+        handler.code = tick;
+        img.add_function(handler);
         let mut main = mcu::CodeFunction::new("main");
         main.code = vec![
             Instr::PushI(7),
@@ -548,9 +618,52 @@ mod tests {
         Machine::new(&img)
     }
 
+    fn ld(addr: u16) -> Instr {
+        Instr::LdGlobal {
+            addr,
+            width: Width::W8,
+            signed: false,
+        }
+    }
+
+    fn st(addr: u16) -> Instr {
+        Instr::StGlobal {
+            addr,
+            width: Width::W8,
+        }
+    }
+
+    fn add() -> Instr {
+        Instr::Bin {
+            op: AluOp::Add,
+            width: Width::W8,
+            signed: false,
+        }
+    }
+
+    /// A tick that bumps a counter at `0x0210` and transmits a byte over
+    /// the radio — the counter, or, when `sends_0x0200`, the byte `main`
+    /// set, which it then sets back to 7 when `restores`.
+    fn sender(sends_0x0200: bool, restores: bool) -> Vec<Instr> {
+        let mut code = vec![
+            ld(0x0210),
+            Instr::PushI(1),
+            add(),
+            st(0x0210),
+            ld(if sends_0x0200 { 0x0200 } else { 0x0210 }),
+            Instr::PushI(mcu::devices::RADIO_TX as i64),
+            Instr::St { width: Width::W8 },
+        ];
+        if restores {
+            code.extend([Instr::PushI(7), st(0x0200)]);
+        }
+        code.push(Instr::Reti);
+        code
+    }
+
     /// A flip of the byte `main` set, injected at cycle 20 000 — the
-    /// second checkpoint of a 100 000-cycle run (the grid's first is
-    /// 12 500).
+    /// seventh checkpoint of a 100 000-cycle run (the grid's are every
+    /// 3 125 cycles), 800 cycles before a tick.
     const FLIP: FaultPlan = FaultPlan {
         at_cycle: 20_000,
         kind: FaultKind::BitFlip {
@@ -559,14 +672,30 @@ mod tests {
         },
     };
 
+    /// What a replay of `plan` from boot says, triaged against a golden
+    /// run from boot.
+    fn replay_from_boot(reset: &Machine, plan: &FaultPlan, until: u64) -> Verdict {
+        let mut golden = reset.clone();
+        golden.run(until);
+        let mut injected = reset.clone();
+        injected.run(plan.at_cycle);
+        faults::apply(&mut injected, plan);
+        injected.run(until);
+        triage::triage(
+            &RunObservation::capture(&golden),
+            &RunObservation::capture(&injected),
+            &golden.image().flid_table,
+        )
+    }
+
     #[test]
     fn a_fork_whose_corruption_is_never_read_stops_at_its_first_checkpoint() {
-        let replay = fork_replay((ticker(false), 100_000), &[FLIP]);
+        let replay = fork_replay((ticker(sender(false, false)), 100_000), &[FLIP]);
         assert_eq!(replay.verdicts, [Verdict::Benign]);
         assert_eq!(
             replay.forks,
             [Fork {
-                end: ForkEnd::DeadBytes(1),
+                end: ForkEnd::DeadBytes(6),
                 instructions: 0,
             }]
         );
@@ -574,22 +703,87 @@ mod tests {
 
     #[test]
     fn a_fork_whose_corruption_is_read_later_runs_to_the_horizon() {
-        let replay = fork_replay((ticker(true), 100_000), &[FLIP]);
+        let reset = ticker(sender(true, false));
+        let replay = fork_replay((reset.clone(), 100_000), &[FLIP]);
         assert_eq!(replay.forks[0].end, ForkEnd::Horizon);
         assert_eq!(replay.verdicts, [Verdict::SilentCorruption]);
-        // Exactly what a replay from boot says.
-        let mut golden = ticker(true);
-        golden.run(100_000);
-        let mut injected = ticker(true);
+        assert_eq!(replay.verdicts, [replay_from_boot(&reset, &FLIP, 100_000)]);
+    }
+
+    #[test]
+    fn a_fork_that_sends_one_corrupted_byte_rejoins_with_the_boot_verdict() {
+        // The tick after the flip transmits the corrupted byte and
+        // restores it: by the next checkpoint the fork has the golden
+        // future, and only its radio history differs.
+        let reset = ticker(sender(true, true));
+        let replay = fork_replay((reset.clone(), 100_000), &[FLIP]);
+        assert_eq!(replay.forks[0].end, ForkEnd::Rejoined(7));
+        assert_eq!(replay.verdicts, [Verdict::SilentCorruption]);
+        assert_eq!(replay.verdicts, [replay_from_boot(&reset, &FLIP, 100_000)]);
+        // The splice is what a run to the horizon observes: the fork's
+        // radio bytes up to the checkpoint (cycle 21 875), then the
+        // golden run's.
+        let (mut golden, mut injected) = (reset.clone(), reset);
+        golden.run(FLIP.at_cycle);
         injected.run(FLIP.at_cycle);
         faults::apply(&mut injected, &FLIP);
+        golden.run(21_875);
+        injected.run(21_875);
+        let (golden_sent, fork_sent) = (golden.radio_out.len(), injected.radio_out.clone());
+        golden.run(100_000);
         injected.run(100_000);
-        let verdict = triage::triage(
-            &RunObservation::capture(&golden),
-            &RunObservation::capture(&injected),
-            &golden.image().flid_table,
+        assert_ne!(fork_sent, golden.radio_out[..golden_sent]);
+        assert_eq!(
+            injected.radio_out,
+            [&fork_sent[..], &golden.radio_out[golden_sent..]].concat()
         );
-        assert_eq!(replay.verdicts, [verdict]);
+        // The horizon twin (no restore) runs every tick to 100 000.
+        let horizon = fork_replay((ticker(sender(true, false)), 100_000), &[FLIP]);
+        assert!(replay.forks[0].instructions * 10 < horizon.forks[0].instructions);
+    }
+
+    #[test]
+    fn a_fork_that_differs_only_in_counters_stops_at_its_next_checkpoint() {
+        // Each tick counts the byte at 0x0220 down to zero. The golden
+        // run finds it zero; a flip to 1 costs the next tick one extra
+        // loop pass, after which only the instruction and awake-cycle
+        // counters tell the fork from the golden run.
+        let reset = ticker(vec![
+            ld(0x0220),
+            Instr::Jz { target: 7 },
+            ld(0x0220),
+            Instr::PushI(-1),
+            add(),
+            st(0x0220),
+            Instr::Jmp { target: 0 },
+            Instr::Reti,
+        ]);
+        let plan = FaultPlan {
+            at_cycle: 20_000,
+            kind: FaultKind::BitFlip {
+                addr: 0x0220,
+                mask: 0x01,
+            },
+        };
+        let replay = fork_replay((reset.clone(), 100_000), &[plan]);
+        assert_eq!(replay.verdicts, [Verdict::Benign]);
+        assert_eq!(replay.forks[0].end, ForkEnd::Converged(7));
+        // At that checkpoint (cycle 21 875) the exact oracle still sees
+        // the extra pass; the future predicate does not.
+        let (mut golden, mut injected) = (reset.clone(), reset);
+        golden.run(20_000);
+        injected.run(20_000);
+        faults::apply(&mut injected, &plan);
+        golden.run(21_875);
+        injected.run(21_875);
+        assert_eq!(
+            injected.instr_count - golden.instr_count,
+            7,
+            "one loop pass"
+        );
+        assert!(injected.awake_cycles > golden.awake_cycles);
+        assert!(!injected.same_state(&golden));
+        assert!(injected.same_future_except(&golden, |_| false));
     }
 
     #[test]
@@ -611,7 +805,7 @@ mod tests {
         let ends = |end: fn(&ForkEnd) -> bool| bt.forks.iter().filter(|f| end(&f.end)).count();
         let dead = ends(|e| matches!(e, ForkEnd::DeadBytes(_)));
         let converged = ends(|e| matches!(e, ForkEnd::Converged(_)));
-        assert_eq!((dead, converged), (6, 5), "pinned");
+        assert_eq!((dead, converged), (6, 6), "pinned");
         for (fork, verdict) in bt.forks.iter().zip(&bt.verdicts) {
             if fork.end != ForkEnd::Horizon {
                 assert_eq!(*verdict, Verdict::Benign);

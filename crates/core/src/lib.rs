@@ -60,8 +60,8 @@ use tosapps::AppSpec;
 
 pub use cache::{ir_digest, CacheKey, CacheStats, PassCache, PassCounters};
 pub use campaign::{
-    run_campaign, run_torn_campaign, torn_plans, torn_target_names, CampaignConfig, CampaignReport,
-    SiteResult,
+    run_campaign, run_campaign_with_work, run_torn_campaign, torn_plans, torn_target_names,
+    CampaignConfig, CampaignReport, CampaignWork, SiteResult,
 };
 pub use diag::{Diagnostic, Severity};
 pub use difftest::{DiffCase, DiffConfig, DiffCounts, DiffVerdict, SubjectReport};

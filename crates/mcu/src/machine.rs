@@ -503,35 +503,56 @@ impl Machine {
 
     /// Whether `self` and `other` are in the same whole-machine state: a
     /// deterministic simulator then runs both to the same future, every
-    /// observable included. Campaigns use this to stop an injected run
-    /// as soon as it has converged back onto the golden run.
+    /// observable included — the engine-identity oracle.
     ///
-    /// Compares the image (by identity: forks share it), SRAM and the
-    /// flash window, registers (`pc`, function, `fp`, `sp`), evaluation
-    /// stack and call frames, interrupt enable and pending bits, the
-    /// device-event heap, the cycle, awake-cycle and instruction
-    /// counters, devices, UART and radio output, stack watermark,
-    /// `mmio_sync`, run state, fault, and the torn watch (a fired watch
-    /// counts as none). The engine, block cache and read stamps are not
-    /// state: both engines are byte-identical.
-    ///
-    /// The check is conservative, never optimistic: the heap is compared
-    /// by its backing slice, so two heaps holding the same events in a
-    /// different internal order count as different — a false "differs"
-    /// only costs an early stop.
+    /// [`Machine::same_future_except`] with no dead bytes, plus equal
+    /// write-only counters (instructions, awake cycles, stack watermark)
+    /// and equal UART and radio output histories. The engine, block
+    /// cache and read stamps are not state: both engines are
+    /// byte-identical.
     pub fn same_state(&self, other: &Machine) -> bool {
         self.same_state_except(other, |_| false)
     }
 
     /// [`Machine::same_state`], except that an SRAM byte at an address
-    /// for which `dead` holds may differ. Campaigns pass the bytes the
-    /// golden run never reads again: until a program reads such a byte,
-    /// it cannot steer execution.
+    /// for which `dead` holds may differ (see
+    /// [`Machine::same_future_except`]).
     pub fn same_state_except(&self, other: &Machine, dead: impl Fn(usize) -> bool) -> bool {
+        self.instr_count == other.instr_count
+            && self.awake_cycles == other.awake_cycles
+            && self.stack_peak == other.stack_peak
+            && self.uart_out == other.uart_out
+            && self.radio_out == other.radio_out
+            && self.same_future_except(other, dead)
+    }
+
+    /// Whether `self` and `other` have the same future: from here a
+    /// deterministic simulator runs both through the same instructions,
+    /// device events and output bytes. Campaigns use this to stop an
+    /// injected run once it has rejoined the golden run.
+    ///
+    /// Compares everything a program can read or that decides its next
+    /// step: the image (by identity: forks share it), the cycle counter,
+    /// registers (`pc`, function, `fp`, `sp`), evaluation stack and call
+    /// frames, interrupt enable and pending bits, `mmio_sync`, the live
+    /// torn watch (a fired watch counts as none), devices, the
+    /// device-event heap, run state, fault, the flash window, and SRAM
+    /// but for the bytes at addresses for which `dead` holds — until a
+    /// program reads such a byte, it cannot steer execution. Campaigns
+    /// pass the bytes the golden run never reads again.
+    ///
+    /// It leaves out what the machine only ever writes: the instruction,
+    /// awake-cycle and stack-watermark counters and the UART and radio
+    /// histories (the outputs' *future* bytes and timestamps coincide,
+    /// since `cycles` and the devices are compared).
+    ///
+    /// The check is conservative, never optimistic: the heap is compared
+    /// by its backing slice, so two heaps holding the same events in a
+    /// different internal order count as different — a false "differs"
+    /// only costs an early stop.
+    pub fn same_future_except(&self, other: &Machine, dead: impl Fn(usize) -> bool) -> bool {
         Arc::ptr_eq(&self.img, &other.img)
             && self.cycles == other.cycles
-            && self.awake_cycles == other.awake_cycles
-            && self.instr_count == other.instr_count
             && self.state == other.state
             && self.cur_func == other.cur_func
             && self.pc == other.pc
@@ -539,7 +560,6 @@ impl Machine {
             && self.sp == other.sp
             && self.irq_enabled == other.irq_enabled
             && self.pending == other.pending
-            && self.stack_peak == other.stack_peak
             && self.mmio_sync == other.mmio_sync
             && self.fault == other.fault
             && self.live_watch() == other.live_watch()
@@ -547,8 +567,6 @@ impl Machine {
             && self.frames == other.frames
             && self.devices == other.devices
             && self.events.as_slice() == other.events.as_slice()
-            && self.uart_out == other.uart_out
-            && self.radio_out == other.radio_out
             && (Arc::ptr_eq(&self.flash, &other.flash) || *self.flash == *other.flash)
             && same_bytes_except(&self.sram, &other.sram, dead)
     }
@@ -1801,12 +1819,18 @@ mod tests {
     #[test]
     fn same_state_rejects_each_single_difference() {
         let base = sleeping_machine();
+        // A difference in state the program can read breaks both
+        // predicates, both ways.
         let differs = |change: &dyn Fn(&mut Machine)| {
             let mut m = base.clone();
             change(&mut m);
-            !m.same_state(&base) && !base.same_state(&m)
+            !m.same_state(&base)
+                && !base.same_state(&m)
+                && !m.same_future_except(&base, |_| false)
+                && !base.same_future_except(&m, |_| false)
         };
         assert!(differs(&|m| m.ram_poke(0x0200, 1)), "one RAM byte");
+        assert!(differs(&|m| m.cycles += 1), "the cycle counter");
         assert!(
             differs(&|m| m.inject_rx_bytes(5_000, &[0xAB])),
             "one heap event"
@@ -1816,6 +1840,32 @@ mod tests {
             differs(&|m| m.arm_torn_watch(0x0200, 1, 0x80, false)),
             "an armed watch"
         );
+    }
+
+    #[test]
+    fn same_future_ignores_only_write_only_counters_and_outputs() {
+        let base = sleeping_machine();
+        let excused = |what: &str, change: fn(&mut Machine)| {
+            let mut m = base.clone();
+            change(&mut m);
+            assert!(!m.same_state(&base) && !base.same_state(&m), "{what}");
+            assert!(m.same_future_except(&base, |_| false), "{what}");
+            assert!(base.same_future_except(&m, |_| false), "{what}");
+        };
+        excused("instructions", |m| m.instr_count += 1);
+        excused("awake cycles", |m| m.awake_cycles += 1);
+        excused("stack watermark", |m| m.stack_peak += 2);
+        excused("uart output", |m| m.uart_out.push(b'x'));
+        excused("radio output", |m| m.radio_out.push((1, 0xAB)));
+        // The counters do not decide the future: one run of each to a
+        // later cycle stays in step.
+        let (mut a, mut b) = (base.clone(), base.clone());
+        b.instr_count += 5;
+        b.awake_cycles += 7;
+        a.run(50_000);
+        b.run(50_000);
+        assert!(a.same_future_except(&b, |_| false));
+        assert_eq!(b.instr_count - a.instr_count, 5);
     }
 
     #[test]

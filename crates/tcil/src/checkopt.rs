@@ -31,21 +31,15 @@ pub fn remove_local_checks(program: &mut Program) -> usize {
 
 fn optimize_block(block: &mut Block) -> usize {
     let mut removed = 0;
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen: Vec<CheckKind> = Vec::new();
     for s in block.iter_mut() {
         match s {
             Stmt::Check(c) => {
-                if check_never_fails(&c.kind) {
-                    *s = Stmt::Nop;
-                    removed += 1;
-                    continue;
-                }
-                let key = format!("{:?}", c.kind);
-                if seen.contains(&key) {
+                if check_never_fails(&c.kind) || seen.contains(&c.kind) {
                     *s = Stmt::Nop;
                     removed += 1;
                 } else {
-                    seen.push(key);
+                    seen.push(c.kind.clone());
                 }
             }
             Stmt::Assign(place, _) => invalidate(&mut seen, place),
@@ -115,16 +109,34 @@ fn whole_object_fat(e: &Expr, _len: u32) -> bool {
     }
 }
 
-fn invalidate(seen: &mut Vec<String>, place: &Place) {
-    let root = match &place.base {
-        PlaceBase::Local(id) => format!("Local({})", id.0),
-        PlaceBase::Global(g) => format!("Global({})", g.0),
-        PlaceBase::Deref(_) => {
-            seen.clear();
-            return;
-        }
-    };
-    seen.retain(|k| !k.contains(&root));
+/// Forgets the seen checks a write to `place` may falsify: every one,
+/// for a write through a pointer; otherwise those that load a place with
+/// the same root variable, or load through any pointer (which may alias
+/// it).
+fn invalidate(seen: &mut Vec<CheckKind>, place: &Place) {
+    if matches!(place.base, PlaceBase::Deref(_)) {
+        seen.clear();
+        return;
+    }
+    seen.retain(|kind| {
+        let mut reads = false;
+        visit::walk_expr(operand(kind), &mut |e| {
+            if let ExprKind::Load(p) = &e.kind {
+                reads |= matches!(p.base, PlaceBase::Deref(_)) || p.base == place.base;
+            }
+        });
+        !reads
+    });
+}
+
+/// The one expression a check evaluates.
+fn operand(kind: &CheckKind) -> &Expr {
+    match kind {
+        CheckKind::NonNull(e)
+        | CheckKind::Upper { ptr: e, .. }
+        | CheckKind::Bounds { ptr: e, .. }
+        | CheckKind::IndexBound { idx: e, .. } => e,
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +151,31 @@ mod tests {
         assert!(!check_never_fails(&CheckKind::NonNull(Expr::load(
             Place::local(LocalId(0), Type::thin_ptr(Type::u8()))
         ))));
+    }
+
+    #[test]
+    fn a_write_to_a_checked_variable_keeps_the_next_check() {
+        // check(i < 4); i = 9; check(i < 4): the second check guards a
+        // different `i`. With no write between, it is redundant.
+        let i = || Place::local(LocalId(3), Type::u8());
+        let check = || {
+            Stmt::Check(Check {
+                kind: CheckKind::IndexBound {
+                    idx: Expr::load(i()),
+                    n: 4,
+                },
+                flid: Flid(1),
+            })
+        };
+        let write = |place: Place| Stmt::Assign(place, Expr::const_int(9, IntKind::U8));
+        let mut block = vec![check(), write(i()), check()];
+        assert_eq!(optimize_block(&mut block), 0);
+        let mut block = vec![check(), check()];
+        assert_eq!(optimize_block(&mut block), 1);
+        // A write to another variable leaves it redundant.
+        let j = Place::local(LocalId(30), Type::u8());
+        let mut block = vec![check(), write(j), check()];
+        assert_eq!(optimize_block(&mut block), 1);
     }
 
     #[test]
