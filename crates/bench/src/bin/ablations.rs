@@ -5,52 +5,23 @@
 //! * copy propagation feeds precision,
 //! * atomic-section optimization removes/demotes sections.
 //!
-//! Each ablation arm is just a [`Pipeline`] — the composite
-//! `cxprop(inline,...)` pass with one knob turned — so the whole grid
-//! goes through [`bench::grid`] like every other figure.
+//! Each ablation arm is just a labeled pipeline spec — the composite
+//! `cxprop(inline,...)` pass (the inliner inside the fixpoint, like the
+//! paper's tool) with one knob turned — so the whole grid goes through
+//! [`bench::grid`] like every other figure.
 
 use bench::{emit_json, emit_speed, grid, json, pct_change, Knobs};
-use cxprop::CxpropOptions;
-use safe_tinyos::{BuildService, Metrics, Pipeline};
+use safe_tinyos::{parse_pipeline_list, BuildService, Metrics};
 
-/// An ablation arm: the full safe stack with `options` swapped into the
-/// composite cXprop pass (which runs the inliner inside the fixpoint,
-/// like the paper's tool).
-fn ablated(name: &str, options: CxpropOptions) -> Pipeline {
-    Pipeline::builder(name)
-        .cure()
-        .cxprop_with(options)
-        .prune()
-        .build()
-}
+/// The grid's columns: the two reference presets, then the ablation arms.
+const VARIANTS: &str = "safe-flid-inline-cxprop; safe-flid-cxprop; \
+    no-dce:cure(flid)|cxprop(inline,nodce)|prune; \
+    domain-constants:cure(flid)|cxprop(inline,domain=constants)|prune; \
+    domain-intervals:cure(flid)|cxprop(inline)|prune";
 
 fn main() {
     let service = BuildService::with_threads(Knobs::from_env().threads);
-    let variants = [
-        Pipeline::safe_flid_inline_cxprop(),
-        Pipeline::safe_flid_cxprop(),
-        ablated(
-            "no-dce",
-            CxpropOptions {
-                dce: false,
-                ..CxpropOptions::default()
-            },
-        ),
-        ablated(
-            "domain-constants",
-            CxpropOptions {
-                domain: cxprop::DomainKind::Constants,
-                ..CxpropOptions::default()
-            },
-        ),
-        ablated(
-            "domain-intervals",
-            CxpropOptions {
-                domain: cxprop::DomainKind::Intervals,
-                ..CxpropOptions::default()
-            },
-        ),
-    ];
+    let variants = parse_pipeline_list(VARIANTS).expect("ablation specs parse");
     let grid: Vec<Vec<Metrics>> = grid(&service, tosapps::APP_NAMES, &variants, |spec, p| {
         service
             .build(spec, p)

@@ -4,8 +4,7 @@
 
 use bench::{emit_json, emit_speed, grid, json, Knobs};
 use ccured::runtime::{footprint_at, RuntimeStage, NAIVE_COMPONENTS};
-use ccured::CureOptions;
-use safe_tinyos::{BuildService, Pipeline};
+use safe_tinyos::{parse_pipeline_list, BuildService};
 
 fn main() {
     println!("§2.3 — CCured runtime library footprint (modeled components)");
@@ -33,18 +32,11 @@ fn main() {
     // naive build is *expected* to fail to link, so the job returns a
     // Result instead of panicking.
     let service = BuildService::with_threads(Knobs::from_env().threads);
-    let configs = [
-        Pipeline::safe_flid_inline_cxprop(),
-        Pipeline::builder("safe-flid-inline-cxprop-naive")
-            .cure_with(CureOptions {
-                naive_runtime: true,
-                ..CureOptions::default()
-            })
-            .inline()
-            .cxprop()
-            .prune()
-            .build(),
-    ];
+    let configs = parse_pipeline_list(
+        "safe-flid-inline-cxprop; \
+         safe-flid-inline-cxprop-naive:cure(flid,naive)|inline|cxprop|prune",
+    )
+    .expect("footprint specs parse");
     let grid = grid(&service, &["BlinkTask_Mica2"], &configs, |spec, p| {
         service
             .build(spec, p)

@@ -185,6 +185,26 @@ const CONTRACTS: &[Contract] = &[
         pinned: &[Pin::Whole("apps")],
         invariants: &[],
     },
+    // The §2.1 ablation and §2.3 runtime-footprint reports: no timing
+    // fields, so every member is pinned.
+    Contract {
+        figure: "ablations",
+        pinned: &[
+            Pin::Whole("inline_code_delta_pct"),
+            Pin::Whole("dce_code_delta_pct"),
+            Pin::Whole("atomics_removed"),
+            Pin::Whole("atomics_demoted"),
+            Pin::Whole("copies_propagated"),
+            Pin::Whole("checks_inserted"),
+            Pin::Whole("domain_surviving_checks"),
+        ],
+        invariants: &[],
+    },
+    Contract {
+        figure: "runtime_footprint",
+        pinned: &[Pin::Whole("stages"), Pin::Whole("measured_blinktask")],
+        invariants: &[],
+    },
 ];
 
 /// The contract for a `"figure"` value.
@@ -664,6 +684,24 @@ mod tests {
         assert!(fails(SPEED, &gutted).contains("no `cache.warm_wall_ms`"));
     }
 
+    const FOOTPRINT: &str = r#"{"figure":"runtime_footprint","stages":{"after_dce":{"ram":2,"rom":314}},"measured_blinktask":{"tuned_sram_bytes":19}}"#;
+    const ABLATIONS: &str = r#"{"figure":"ablations","dce_code_delta_pct":-38.1265,"domain_surviving_checks":{"constants":121}}"#;
+
+    #[test]
+    fn ablation_and_footprint_bodies_are_pinned() {
+        assert!(gate(FOOTPRINT, FOOTPRINT).is_ok());
+        let err = fails(FOOTPRINT, &FOOTPRINT.replace("314", "315"));
+        assert!(
+            err.contains("`stages.after_dce.rom` is 314 committed, 315 fresh"),
+            "{err}"
+        );
+        assert!(gate(ABLATIONS, ABLATIONS).is_ok());
+        let err = fails(ABLATIONS, &ABLATIONS.replace("121", "120"));
+        assert!(err.contains("`domain_surviving_checks.constants`"), "{err}");
+        let err = fails(ABLATIONS, &ABLATIONS.replace("-38.1265", "-38.1266"));
+        assert!(err.contains("`dce_code_delta_pct`"), "{err}");
+    }
+
     const RACES: &str = r#"{"figure":"race_analysis","analysis":{"apps":[{"app":"A","r001":2,"diagnostics":2,"fix_residual":0}],"totals":{"r001":2}},"dynamics":{"hardened_divergences":0,"unhardened_divergences":5,"oracle_miscompiles":0,"apps":[{"app":"A","hardened_divergences":0}]}}"#;
 
     #[test]
@@ -970,7 +1008,8 @@ mod tests {
             }
         }
         // 13 toolchain-speed reports plus races, stack, fleet, sim_speed,
-        // difftest, fault_injection, fig2, fig3a and fig3b.
-        assert_eq!(gated.len(), 22, "{gated:?}");
+        // difftest, fault_injection, fig2, fig3a, fig3b, ablations and
+        // runtime_footprint.
+        assert_eq!(gated.len(), 24, "{gated:?}");
     }
 }

@@ -445,7 +445,7 @@ pub(crate) struct PassOutput {
     /// Approximate serialized size of `program` in bytes.
     pub bytes: usize,
     /// What the pass deposited into a fresh [`Metrics`] (zero times; the
-    /// consuming build replays the merge via [`crate::Pass::absorb`]).
+    /// consuming build replays the merge through the pass's `absorb`).
     pub effect: Metrics,
     /// The backend-prepared program, when this entry is a backend pass.
     pub prepared: Option<Arc<Program>>,

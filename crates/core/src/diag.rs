@@ -1,5 +1,5 @@
 //! Structured diagnostics: the typed finding record analysis passes
-//! deposit into a [`crate::PassCx`].
+//! emit.
 //!
 //! The toolchain's first-class analyses (today the `races` pass; the
 //! design is pass-agnostic) report findings as [`Diagnostic`]s rather

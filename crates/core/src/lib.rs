@@ -70,10 +70,7 @@ pub use fleet::{
     FleetCampaignConfig, FleetCampaignReport, FleetSpec, FleetVerdict, FleetVerdictCounts,
     SinkReport,
 };
-pub use pipeline::{
-    BackendPass, CurePass, CxpropPass, InlinePass, Pass, PassCx, PassTimes, Pipeline,
-    PipelineBuilder, PruneErrmsgPass, RacesPass, StackboundPass, PRESET_NAMES,
-};
+pub use pipeline::{Pass, PassTimes, Pipeline, PRESET_NAMES};
 pub use service::{BuildRequest, BuildResult, BuildService};
 pub use spec::{parse_pipeline_list, SpecError};
 pub use stackbound::{StackReport, StackStats};
@@ -230,7 +227,7 @@ pub struct BuildSession {
     frontend_compiles: AtomicUsize,
     /// The shared pass-output cache (`None` for [`BuildSession::uncached`]
     /// sessions). Builds through this session consult it before every
-    /// cacheable pass, so pipeline prefixes shared across the session's
+    /// pass, so pipeline prefixes shared across the session's
     /// builds are computed once.
     pass_cache: Option<Arc<PassCache>>,
     /// Every successful build's [`Metrics::pass_times`], summed.

@@ -52,16 +52,12 @@
 //! with the parsed one.
 
 use std::fmt;
-use std::sync::Arc;
 
 use backend::BackendOptions;
 use ccured::{CureOptions, ErrorMode};
 use cxprop::{CxpropOptions, DomainKind, InlineOptions};
 
-use crate::pipeline::{
-    BackendPass, CurePass, CxpropPass, InlinePass, Pass, Pipeline, PruneErrmsgPass, RacesPass,
-    StackboundPass,
-};
+use crate::pipeline::{Pass, Pipeline};
 
 /// A pipeline-spec parse error, with the offending fragment named.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,16 +102,23 @@ pub fn parse(spec: &str) -> Result<Pipeline, SpecError> {
             "empty spec (for a bare-backend build, use \"backend\")",
         ));
     }
-    let mut passes: Vec<Arc<dyn Pass>> = Vec::new();
-    for segment in trimmed.split('|') {
-        passes.push(parse_pass(segment.trim())?);
+    let passes = trimmed
+        .split('|')
+        .map(|segment| parse_pass(segment.trim()))
+        .collect::<Result<_, _>>()?;
+    let pipeline = Pipeline::from_parts(String::new(), passes);
+    let name = pipeline.spec();
+    Ok(pipeline.with_name(name))
+}
+
+/// The `cxprop` pass's defaults. Unlike [`CxpropOptions::default`], the
+/// standalone pass does *not* inline — `inline` is its own pass in the
+/// spec language.
+fn cxprop_defaults() -> CxpropOptions {
+    CxpropOptions {
+        inline: false,
+        ..CxpropOptions::default()
     }
-    let name = passes
-        .iter()
-        .map(|p| p.spec())
-        .collect::<Vec<_>>()
-        .join("|");
-    Ok(Pipeline::from_parts(name, passes))
 }
 
 /// Splits one segment into `(name, options)`. Options are normalized
@@ -210,7 +213,7 @@ impl SeenOpts {
     }
 }
 
-fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
+fn parse_pass(segment: &str) -> Result<Pass, SpecError> {
     let (name, opts) = split_segment(segment)?;
     match name {
         "cure" => {
@@ -259,7 +262,7 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     )),
                 }?;
             }
-            Ok(Arc::new(CurePass { options }))
+            Ok(Pass::Cure(options))
         }
         "inline" => {
             let mut options = InlineOptions::default();
@@ -283,10 +286,10 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     ));
                 }
             }
-            Ok(Arc::new(InlinePass { options }))
+            Ok(Pass::Inline(options))
         }
         "cxprop" => {
-            let mut options = CxpropPass::default().options;
+            let mut options = cxprop_defaults();
             let mut seen = SeenOpts::new("cxprop");
             for opt in &opts {
                 let opt = opt.as_str();
@@ -323,7 +326,7 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     )),
                 }?;
             }
-            Ok(Arc::new(CxpropPass { options }))
+            Ok(Pass::Cxprop(options))
         }
         "prune" => {
             if let Some(opt) = opts.first() {
@@ -331,7 +334,7 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     "prune: takes no options, got `{opt}`"
                 )));
             }
-            Ok(Arc::new(PruneErrmsgPass))
+            Ok(Pass::Prune)
         }
         "races" => {
             let mut fix = false;
@@ -343,7 +346,7 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     _ => Err(unknown_option("races", opt, "fix")),
                 }?;
             }
-            Ok(Arc::new(RacesPass { fix }))
+            Ok(Pass::Races { fix })
         }
         "stackbound" => {
             let mut budget = None;
@@ -366,7 +369,7 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     return Err(unknown_option("stackbound", opt, "budget=N"));
                 }
             }
-            Ok(Arc::new(StackboundPass { budget }))
+            Ok(Pass::Stackbound { budget })
         }
         "backend" => {
             let mut options = BackendOptions::default();
@@ -379,7 +382,7 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
                     _ => Err(unknown_option("backend", opt, "opt, noopt")),
                 }?;
             }
-            Ok(Arc::new(BackendPass { options }))
+            Ok(Pass::Backend(options))
         }
         _ => Err(SpecError::new(format!(
             "unknown pass `{name}` (known: {})",
@@ -389,112 +392,101 @@ fn parse_pass(segment: &str) -> Result<Arc<dyn Pass>, SpecError> {
 }
 
 // ---------------------------------------------------------------------
-// Canonical renderings (each pass's `Pass::spec`). Only non-default
-// options are shown, in a fixed order, so parse → Display → parse is
-// stable after one canonicalization.
+// Canonical renderings. Only non-default options are shown, in a fixed
+// order, so parse → Display → parse is stable after one
+// canonicalization.
 // ---------------------------------------------------------------------
 
-pub(crate) fn render_cure(options: &CureOptions) -> String {
-    // The error mode is always rendered: it is the pass's headline
-    // configuration (Figure 3 bars 1–4).
-    let mut opts = vec![match options.error_mode {
-        ErrorMode::Flid => "flid",
-        ErrorMode::Terse => "terse",
-        ErrorMode::VerboseRam => "verbose-ram",
-        ErrorMode::VerboseRom => "verbose-rom",
-    }
-    .to_string()];
-    if !options.local_optimize {
-        opts.push("noopt".into());
-    }
-    if !options.lock_racy_checks {
-        opts.push("nolock".into());
-    }
-    if options.naive_runtime {
-        opts.push("naive".into());
-    }
-    format!("cure({})", opts.join(","))
-}
-
-pub(crate) fn render_inline(options: &InlineOptions) -> String {
-    let default = InlineOptions::default();
-    let mut opts = Vec::new();
-    if options.max_size != default.max_size {
-        opts.push(format!("max-size={}", options.max_size));
-    }
-    if options.max_single_site != default.max_single_site {
-        opts.push(format!("single-site={}", options.max_single_site));
-    }
-    if options.rounds != default.rounds {
-        opts.push(format!("rounds={}", options.rounds));
-    }
-    render("inline", opts)
-}
-
-pub(crate) fn render_cxprop(options: &CxpropOptions) -> String {
-    let default = CxpropPass::default().options;
-    let mut opts = Vec::new();
-    if options.inline {
-        opts.push("inline".to_string());
-    }
-    if options.domain != default.domain {
-        opts.push(match options.domain {
-            DomainKind::Constants => "domain=constants".to_string(),
-            DomainKind::Intervals => "domain=intervals".to_string(),
-        });
-    }
-    if options.max_rounds != default.max_rounds {
-        opts.push(format!("rounds={}", options.max_rounds));
-    }
-    if !options.dce {
-        opts.push("nodce".into());
-    }
-    if !options.copyprop {
-        opts.push("nocopyprop".into());
-    }
-    if !options.atomic_opt {
-        opts.push("noatomic".into());
-    }
-    if !options.refine_races {
-        opts.push("norefine".into());
-    }
-    if !options.fault_harden {
-        opts.push("noharden".into());
-    }
-    render("cxprop", opts)
-}
-
-pub(crate) fn render_races(fix: bool) -> String {
-    let opts = if fix {
-        vec!["fix".to_string()]
-    } else {
-        Vec::new()
-    };
-    render("races", opts)
-}
-
-pub(crate) fn render_stackbound(budget: Option<u32>) -> String {
-    let opts = match budget {
-        Some(n) => vec![format!("budget={n}")],
-        None => Vec::new(),
-    };
-    render("stackbound", opts)
-}
-
-pub(crate) fn render_backend(options: &BackendOptions) -> String {
-    let opts = if options.optimize {
-        Vec::new()
-    } else {
-        vec!["noopt".to_string()]
-    };
-    render("backend", opts)
-}
-
-fn render(name: &str, opts: Vec<String>) -> String {
-    if opts.is_empty() {
-        name.to_string()
-    } else {
-        format!("{name}({})", opts.join(","))
+impl Pass {
+    /// The pass's canonical spec-language rendering, including any
+    /// non-default options (e.g. `cxprop(domain=constants,rounds=1)`).
+    /// Doubles as the pass half of a [`crate::cache::CacheKey`]: two
+    /// passes with equal specs transform programs identically.
+    pub fn spec(&self) -> String {
+        let mut opts: Vec<String> = Vec::new();
+        match self {
+            Pass::Cure(options) => {
+                // The error mode is always rendered: it is the pass's
+                // headline configuration (Figure 3 bars 1–4).
+                opts.push(
+                    match options.error_mode {
+                        ErrorMode::Flid => "flid",
+                        ErrorMode::Terse => "terse",
+                        ErrorMode::VerboseRam => "verbose-ram",
+                        ErrorMode::VerboseRom => "verbose-rom",
+                    }
+                    .into(),
+                );
+                if !options.local_optimize {
+                    opts.push("noopt".into());
+                }
+                if !options.lock_racy_checks {
+                    opts.push("nolock".into());
+                }
+                if options.naive_runtime {
+                    opts.push("naive".into());
+                }
+            }
+            Pass::Inline(options) => {
+                let default = InlineOptions::default();
+                if options.max_size != default.max_size {
+                    opts.push(format!("max-size={}", options.max_size));
+                }
+                if options.max_single_site != default.max_single_site {
+                    opts.push(format!("single-site={}", options.max_single_site));
+                }
+                if options.rounds != default.rounds {
+                    opts.push(format!("rounds={}", options.rounds));
+                }
+            }
+            Pass::Cxprop(options) => {
+                let default = cxprop_defaults();
+                if options.inline {
+                    opts.push("inline".into());
+                }
+                if options.domain != default.domain {
+                    opts.push(match options.domain {
+                        DomainKind::Constants => "domain=constants".into(),
+                        DomainKind::Intervals => "domain=intervals".into(),
+                    });
+                }
+                if options.max_rounds != default.max_rounds {
+                    opts.push(format!("rounds={}", options.max_rounds));
+                }
+                for (on, flag) in [
+                    (options.dce, "nodce"),
+                    (options.copyprop, "nocopyprop"),
+                    (options.atomic_opt, "noatomic"),
+                    (options.refine_races, "norefine"),
+                    (options.fault_harden, "noharden"),
+                ] {
+                    if !on {
+                        opts.push(flag.into());
+                    }
+                }
+            }
+            Pass::Prune => {}
+            Pass::Races { fix } => {
+                if *fix {
+                    opts.push("fix".into());
+                }
+            }
+            Pass::Stackbound { budget } => {
+                if let Some(n) = budget {
+                    opts.push(format!("budget={n}"));
+                }
+            }
+            Pass::Backend(options) => {
+                if !options.optimize {
+                    opts.push("noopt".into());
+                }
+            }
+        }
+        if opts.is_empty() {
+            self.name().to_string()
+        } else {
+            format!("{}({})", self.name(), opts.join(","))
+        }
     }
 }
 

@@ -116,11 +116,31 @@ fn malformed_specs_are_rejected_with_context() {
     }
 }
 
+/// Every preset's canonical spec, pinned literally. The spec is the pass
+/// half of every cache key, so a registry edit that moves a preset's
+/// spec fails here before any figure is rebuilt.
+const PINNED_PRESETS: [(&str, &str); 12] = [
+    ("unsafe", "backend"),
+    ("unsafe+cxprop", "inline|cxprop|prune"),
+    ("safe-verbose-ram", "cure(verbose-ram)"),
+    ("safe-verbose-rom", "cure(verbose-rom)"),
+    ("safe-terse", "cure(terse)"),
+    ("safe-flid", "cure(flid)"),
+    ("safe-flid-cxprop", "cure(flid)|cxprop|prune"),
+    ("safe-flid-inline-cxprop", "cure(flid)|inline|cxprop|prune"),
+    ("gcc", "cure(flid,noopt)"),
+    ("ccured+gcc", "cure(flid)"),
+    ("ccured+cxprop+gcc", "cure(flid)|cxprop|prune"),
+    ("ccured+inline+cxprop+gcc", "cure(flid)|inline|cxprop|prune"),
+];
+
 #[test]
 fn every_preset_spec_round_trips() {
-    for name in PRESET_NAMES {
+    assert_eq!(PRESET_NAMES, PINNED_PRESETS.map(|(name, _)| name));
+    for (name, pinned) in PINNED_PRESETS {
         let preset = Pipeline::preset(name).unwrap();
         let spec = preset.spec();
+        assert_eq!(spec, pinned, "{name}: canonical spec moved");
         let reparsed = Pipeline::parse(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(reparsed.spec(), spec, "{name}");
         // A reparsed spec is named by the spec; the preset keeps its
@@ -238,5 +258,105 @@ proptest! {
             "{}: state {:?}, fault {:?}", spec_string, r.state, r.fault
         );
         prop_assert!(r.led_transitions >= 4, "{}: leds {}", spec_string, r.led_transitions);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Spec fuzzing: every input parses or is a `SpecError`, never a panic.
+// ---------------------------------------------------------------------
+
+/// The bytes spec strings are made of: pass and option words, the
+/// punctuation of specs and pipeline lists, and whitespace.
+const SPEC_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789()|,=;:- \t\n";
+
+/// `input` must parse or be rejected with a `SpecError`, both as one
+/// spec and as a pipeline list; every pipeline it yields must render to
+/// a spec that parses back to itself.
+fn parses_or_errors(input: &str) -> Result<(), TestCaseError> {
+    let outcome = std::panic::catch_unwind(|| {
+        (
+            Pipeline::parse(input),
+            safe_tinyos::parse_pipeline_list(input),
+        )
+    });
+    let Ok((one, list)) = outcome else {
+        return Err(TestCaseError::fail(format!("{input:?}: parsing panicked")));
+    };
+    let parsed: Vec<Pipeline> = one.into_iter().chain(list.into_iter().flatten()).collect();
+    for pipeline in parsed {
+        let spec = pipeline.spec();
+        let again = Pipeline::parse(&spec)
+            .map_err(|e| TestCaseError::fail(format!("{input:?} -> {spec:?}: {e}")))?;
+        prop_assert_eq!(again.spec(), spec);
+    }
+    Ok(())
+}
+
+/// Splits `s` into tokens: runs of word bytes, or one other byte.
+fn tokens(s: &[u8]) -> Vec<&[u8]> {
+    let word = |b: &u8| b.is_ascii_alphanumeric() || *b == b'-';
+    let mut out = Vec::new();
+    let mut rest = s;
+    while let Some(first) = rest.first() {
+        let len = if word(first) {
+            rest.iter().take_while(|b| word(b)).count()
+        } else {
+            1
+        };
+        out.push(&rest[..len]);
+        rest = &rest[len..];
+    }
+    out
+}
+
+/// Applies one edit to `s`: a bit flip, a token drop, a token
+/// duplication, or a truncation, at a position drawn from `at`.
+fn mutate(s: &[u8], kind: u8, at: u16, bit: u8) -> Vec<u8> {
+    if s.is_empty() {
+        return Vec::new();
+    }
+    let toks = tokens(s);
+    let byte = usize::from(at) % s.len();
+    let tok = usize::from(at) % toks.len();
+    match kind {
+        0 => {
+            let mut out = s.to_vec();
+            out[byte] ^= 1 << (bit % 8);
+            out
+        }
+        1 => [&toks[..tok], &toks[tok + 1..]].concat().concat(),
+        2 => [&toks[..=tok], &toks[tok..]].concat().concat(),
+        _ => s[..byte].to_vec(),
+    }
+}
+
+proptest! {
+    /// Byte flips, token drops and duplicates, and truncations of every
+    /// preset spec (alone, and as a labeled pipeline list), checked
+    /// after every edit.
+    #[test]
+    fn mutated_preset_specs_parse_or_error(
+        edits in prop::collection::vec((0u8..4, any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        for (name, spec) in PINNED_PRESETS {
+            for seed in [spec.to_string(), format!("{name}; label:{spec}")] {
+                let mut input = seed.into_bytes();
+                for &(kind, at, bit) in &edits {
+                    input = mutate(&input, kind, at, bit);
+                    parses_or_errors(&String::from_utf8_lossy(&input))?;
+                }
+            }
+        }
+    }
+
+    /// Random strings over the spec alphabet, and every prefix of them.
+    #[test]
+    fn random_spec_strings_parse_or_error(
+        picks in prop::collection::vec(0usize..SPEC_ALPHABET.len(), 0..48),
+    ) {
+        let input: String = picks.iter().map(|&i| char::from(SPEC_ALPHABET[i])).collect();
+        for end in 0..=input.len() {
+            parses_or_errors(&input[..end])?;
+        }
     }
 }
