@@ -181,8 +181,8 @@ impl<'a> FuncGen<'a> {
     }
 
     fn run(mut self) -> Result<CodeFunction, CompileError> {
-        let body = self.f.body.clone();
-        self.gen_block(&body)?;
+        let f = self.f;
+        self.gen_block(&f.body)?;
         // Function epilogue.
         if self.f.interrupt.is_some() {
             self.emit(Instr::Reti);
@@ -741,7 +741,7 @@ impl<'a> FuncGen<'a> {
     /// Resolves a place to a location, pushing the address on the stack
     /// only when it cannot be encoded directly.
     fn resolve_place(&mut self, p: &Place) -> Result<Loc, CompileError> {
-        let structs = &self.prog.structs.clone();
+        let structs = &self.prog.structs;
         // Static part: base + constant offset.
         let (mut loc, mut ty): (Loc, Type) = match &p.base {
             PlaceBase::Local(id) => {

@@ -23,11 +23,11 @@ use tcil::Program;
 pub fn optimize(program: &mut Program) {
     for _ in 0..4 {
         let mut changed = false;
-        let structs = program.structs.clone();
+        let structs = &program.structs;
         for f in &mut program.functions {
             visit::walk_stmts_mut(&mut f.body, &mut |s| {
                 visit::stmt_exprs_mut(s, &mut |e| {
-                    changed |= fold_expr(e, &structs, true);
+                    changed |= fold_expr(e, structs, true);
                     changed |= simplify_identities(e);
                 });
             });

@@ -50,15 +50,24 @@
 //! # Write-tracked environments
 //!
 //! A flow environment holds one abstract value per local, per hardened
-//! twin and per global, and stamps each slot with the epoch of the last
-//! write that changed it. Forking an environment (the two arms of an
-//! `if`, a loop body against its head) moves both copies past the fork
-//! epoch, so when they meet again only the slots stamped after it can
-//! differ. The `if` join, the loop's break-exit join and the loop-head
+//! twin and per global. A function walk has exactly one, changed in
+//! place, and every write appends the slot and its old value to an undo
+//! trail. A fork (the two arms of an `if`, a loop iteration or the final
+//! pass against the loop head, a `break` against the loop's exit) is a
+//! trail mark, not a copy: an arm's result is kept as the slots it wrote
+//! since the mark, and the environment rolls back to the mark for the
+//! next arm. When the sides meet again only slots either side wrote can
+//! differ, so the `if` join, the loop's break-exit join and the loop-head
 //! convergence test visit just those slots: the rest hold the same value
-//! on both sides and `join(x, x) == x`, so skipping them is exact. Loop
-//! fixpoints walk the body in place with transforms off (analysis never
-//! writes to the program) and join and widen the head in place.
+//! on both sides and `join(x, x) == x`, so skipping them is exact. Fork,
+//! join and rollback cost time in the writes since the fork, not in the
+//! size of the environment. A join counts a slot as written exactly when a
+//! per-slot write stamp in a copy per fork would be newer than the fork,
+//! so every `join` and `widen` sees the operands, in the orientation, that
+//! copying environments give them (a unit test drives both through random
+//! forks and compares). Loop fixpoints walk the body in place with
+//! transforms off (analysis never writes to the program).
+//! [`Engine::env_work`] counts this work.
 //!
 //! # Rounds and convergence
 //!
@@ -282,48 +291,53 @@ pub(crate) fn summarize(program: &Program) -> Summaries {
 
 /// The flow environment at a program point: one abstract value per
 /// slot — each local, then each local's fault-hardened twin, then each
-/// global — and per slot the epoch of the last write that changed it.
+/// global.
 ///
 /// The twin of a local is its value if every global it was computed
 /// from had been corrupted to an arbitrary value of its type (see the
 /// module docs). Globals need no twin — their hardened value is always
 /// their type's top, by definition of the fault model.
 ///
-/// [`Env::fork_point`] returns the current epoch and moves past it, so
-/// every copy taken after it stamps its writes above the fork point: a
-/// slot stamped at or below it holds the value it had at the fork.
-#[derive(Default)]
+/// A walk has one environment, changed in place. Every write appends
+/// the slot and its previous value to an undo trail, so a fork is just
+/// a trail mark ([`Env::mark`]): the slots with trail entries past the
+/// mark are the ones written since the fork, and [`Env::rollback`]
+/// restores the state at the fork. An arm's result is kept as the slots
+/// it wrote ([`Env::written_since`]). Forks are only taken in reachable
+/// code.
 struct Env {
     slots: Vec<AVal>,
-    stamps: Vec<u32>,
-    epoch: u32,
+    /// `(slot, value before the write)` per write, oldest first.
+    trail: Vec<(u32, AVal)>,
+    /// `seen[s] == tag`: the current trail walk already met slot `s`.
+    seen: Vec<u32>,
+    tag: u32,
     /// Number of locals: local `i`'s twin is slot `nl + i`, global `g`
     /// is slot `2 * nl + g`.
     nl: usize,
     reachable: bool,
+    /// Slots written by copies and rollbacks plus slots visited by
+    /// joins (see [`Engine::env_work`]).
+    work: u64,
 }
 
-impl Clone for Env {
-    fn clone(&self) -> Env {
+/// The slots an arm wrote since a fork, each once, with their values at
+/// the arm's end.
+type Writes = Vec<(u32, AVal)>;
+
+impl Env {
+    fn new(slots: Vec<AVal>, nl: usize) -> Env {
         Env {
-            slots: self.slots.clone(),
-            stamps: self.stamps.clone(),
-            ..*self
+            seen: vec![0; slots.len()],
+            slots,
+            trail: Vec::new(),
+            tag: 0,
+            nl,
+            reachable: true,
+            work: 0,
         }
     }
 
-    /// Reuses `self`'s buffers (loop iterations copy the head into the
-    /// same scratch environment every round).
-    fn clone_from(&mut self, source: &Env) {
-        self.slots.clone_from(&source.slots);
-        self.stamps.clone_from(&source.stamps);
-        self.epoch = source.epoch;
-        self.nl = source.nl;
-        self.reachable = source.reachable;
-    }
-}
-
-impl Env {
     fn hard_slot(&self, local: usize) -> usize {
         self.nl + local
     }
@@ -336,58 +350,179 @@ impl Env {
         self.slots[self.global_slot(global)]
     }
 
-    /// Writes `v` to `slot`, stamping the slot if its value changed.
+    /// Writes `v` to `slot` if that changes the slot.
     fn set(&mut self, slot: usize, v: AVal) {
         if self.slots[slot] != v {
-            self.slots[slot] = v;
-            self.stamps[slot] = self.epoch;
+            self.write(slot, v);
         }
     }
 
-    /// Marks a fork: returns the epoch that copies of `self` taken now
-    /// (and `self` itself) will all write above.
-    fn fork_point(&mut self) -> u32 {
-        self.epoch += 1;
-        self.epoch - 1
+    /// Writes `v` to `slot` and counts the slot as written even when its
+    /// value stays the same (a replayed arm's or a join's slots).
+    fn write(&mut self, slot: usize, v: AVal) {
+        self.trail.push((slot as u32, self.slots[slot]));
+        self.slots[slot] = v;
     }
 
-    /// Joins `other` into `self`, where both descend from one
-    /// environment forked at epoch `at`. Only slots either side wrote
-    /// since the fork are visited. With `widen`, a slot that grows is
+    /// Marks a fork: the writes from here on are the fork's.
+    fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// A tag no slot carries yet, for one walk over the trail.
+    fn next_tag(&mut self) -> u32 {
+        if self.tag == u32::MAX {
+            self.seen.fill(0);
+            self.tag = 0;
+        }
+        self.tag += 1;
+        self.tag
+    }
+
+    /// The slots written since `mark`, each once, with their values now.
+    fn written_since(&mut self, mark: usize) -> Writes {
+        let tag = self.next_tag();
+        let Env {
+            slots, trail, seen, ..
+        } = self;
+        let mut out = Vec::new();
+        for &(s, _) in &trail[mark..] {
+            if seen[s as usize] != tag {
+                seen[s as usize] = tag;
+                out.push((s, slots[s as usize]));
+            }
+        }
+        self.work += out.len() as u64;
+        out
+    }
+
+    /// Undoes every write since `mark`: the environment is as it was at
+    /// the fork, reachable.
+    fn rollback(&mut self, mark: usize) {
+        self.work += (self.trail.len() - mark) as u64;
+        for (s, old) in self.trail.drain(mark..).rev() {
+            self.slots[s as usize] = old;
+        }
+        self.reachable = true;
+    }
+
+    /// Writes each of `writes`.
+    fn replay(&mut self, writes: &[(u32, AVal)]) {
+        self.work += writes.len() as u64;
+        for &(s, v) in writes {
+            self.write(s as usize, v);
+        }
+    }
+
+    /// Ends the first arm of the fork at `mark`: returns its writes if
+    /// it reaches the join and rolls back to the fork.
+    fn end_arm(&mut self, mark: usize) -> Option<Writes> {
+        let first = self.reachable.then(|| self.written_since(mark));
+        self.rollback(mark);
+        first
+    }
+
+    /// Joins the first arm (`first`, from [`Env::end_arm`]) with the
+    /// second, which the environment holds, as `first ⊔ second`.
+    fn join_arms(&mut self, mark: usize, first: Option<Writes>) {
+        let Some(first) = first else {
+            return; // only the second arm reaches the join
+        };
+        if self.reachable {
+            self.join_since(mark, &first, None);
+        } else {
+            self.rollback(mark);
+            self.replay(&first);
+        }
+    }
+
+    /// Joins one loop iteration, which the environment holds, into the
+    /// loop head it forked from at `mark`, widening with `widen`.
+    /// Returns whether the head grew; either way the environment is the
+    /// new head.
+    fn join_iteration(&mut self, mark: usize, widen: Option<&dyn Fn(usize) -> IntKind>) -> bool {
+        if !self.reachable {
+            self.rollback(mark);
+            return false;
+        }
+        self.join_since(mark, &[], widen)
+    }
+
+    /// Replaces the writes since `mark` by the join `left ⊔ current`,
+    /// where `left` is the state at the fork overlaid with `left`'s
+    /// writes. Visits only `left`'s slots and the slots written since
+    /// the fork. Each of `left`'s slots stays written; another slot is
+    /// written only if it grows. With `widen`, a slot that grows is
     /// widened against the integer kind `widen` gives for it (loop
     /// heads). Returns whether any slot grew.
     fn join_since(
         &mut self,
-        other: &Env,
-        at: u32,
+        mark: usize,
+        left: &[(u32, AVal)],
         widen: Option<&dyn Fn(usize) -> IntKind>,
     ) -> bool {
-        if !other.reachable {
-            return false;
+        let tag = self.next_tag();
+        let mut grew = false;
+        let mut join = |a: AVal, b: AVal, s: usize| {
+            let j = a.join(b);
+            if j == a {
+                return None;
+            }
+            grew = true;
+            Some(match widen {
+                Some(kind) => a.widen(j, kind(s)),
+                None => j,
+            })
+        };
+        let mut result = Vec::with_capacity(left.len());
+        for &(s, a) in left {
+            self.seen[s as usize] = tag;
+            let v = join(a, self.slots[s as usize], s as usize).unwrap_or(a);
+            result.push((s, v));
         }
-        if !self.reachable {
-            self.clone_from(other);
-            return true;
-        }
-        let mut changed = false;
-        for i in 0..self.slots.len() {
-            let stamp = self.stamps[i].max(other.stamps[i]);
-            if stamp <= at {
+        let mut visited = left.len();
+        for i in mark..self.trail.len() {
+            // The first entry of a slot holds its value at the fork.
+            let (s, at_fork) = self.trail[i];
+            if self.seen[s as usize] == tag {
                 continue;
             }
-            let a = self.slots[i];
-            let j = a.join(other.slots[i]);
-            if j != a {
-                self.slots[i] = match widen {
-                    Some(kind) => a.widen(j, kind(i)),
-                    None => j,
-                };
-                self.stamps[i] = stamp;
-                changed = true;
+            self.seen[s as usize] = tag;
+            visited += 1;
+            if let Some(v) = join(at_fork, self.slots[s as usize], s as usize) {
+                result.push((s, v));
             }
         }
-        self.epoch = self.epoch.max(other.epoch);
-        changed
+        self.work += visited as u64;
+        self.rollback(mark);
+        self.replay(&result);
+        grew
+    }
+
+    /// Joins `other` — the state at the fork `mark` overlaid with
+    /// `other`'s writes — into the environment in place, as
+    /// `current ⊔ other`, visiting only the slots either side wrote since
+    /// the fork.
+    fn join_in(&mut self, mark: usize, other: &[(u32, AVal)]) {
+        let tag = self.next_tag();
+        let end = self.trail.len();
+        for &(s, b) in other {
+            self.seen[s as usize] = tag;
+            let j = self.slots[s as usize].join(b);
+            self.set(s as usize, j);
+        }
+        let mut visited = other.len();
+        for i in mark..end {
+            let (s, at_fork) = self.trail[i];
+            if self.seen[s as usize] == tag {
+                continue;
+            }
+            self.seen[s as usize] = tag;
+            visited += 1;
+            let j = self.slots[s as usize].join(at_fork);
+            self.set(s as usize, j);
+        }
+        self.work += visited as u64;
     }
 }
 
@@ -428,6 +563,11 @@ pub struct Engine {
     pub quiet: bool,
     /// Function walks the analysis made across all its rounds.
     pub walks: usize,
+    /// Environment work of every walk so far (analysis and transform):
+    /// slots written by copying an arm's writes out, by rollbacks and by
+    /// replays, plus slots visited by joins. Building a walk's entry
+    /// environment is not counted.
+    pub env_work: u64,
     changed: bool,
     /// `gdeps[g]`: functions whose walk reads global `g` — the ones a
     /// change to `wpv[g]` can re-derive facts in.
@@ -506,6 +646,7 @@ impl Engine {
             rounds: 0,
             quiet: false,
             walks: 0,
+            env_work: 0,
             changed: true,
             gdeps,
             callers,
@@ -616,13 +757,7 @@ impl Engine {
         for (i, v) in self.entry_hard[fi].iter().flatten().take(nl).enumerate() {
             slots[nl + i] = *v;
         }
-        Env {
-            stamps: vec![0; slots.len()],
-            slots,
-            epoch: 0,
-            nl,
-            reachable: true,
-        }
+        Env::new(slots, nl)
     }
 
     fn walk_function(
@@ -643,6 +778,7 @@ impl Engine {
             loop_breaks: Vec::new(),
         };
         w.walk_block(body, &mut env, stats);
+        self.env_work += env.work;
     }
 }
 
@@ -674,7 +810,15 @@ struct Walker<'a> {
     transform: bool,
     /// The break states of each enclosing loop; `None` while a loop's
     /// fixpoint iterates (only its final pass needs them).
-    loop_breaks: Vec<Option<Vec<Env>>>,
+    loop_breaks: Vec<Option<Breaks>>,
+}
+
+/// The break states of a loop's final pass over its body.
+struct Breaks {
+    /// The trail mark of the pass's fork from the loop head.
+    mark: usize,
+    /// Per `break`, the slots written since the fork.
+    states: Vec<Writes>,
 }
 
 impl Walker<'_> {
@@ -1013,18 +1157,19 @@ impl Walker<'_> {
                     self.walk_block(b, env, stats);
                     return;
                 }
-                // `env` walks the `then` arm, a fork of it the `else` arm.
-                let at = env.fork_point();
-                let mut env_f = env.clone();
+                // Both arms walk `env` in place from one fork. The `else`
+                // refinement is taken first: it reads the state at the
+                // fork, before the `then` arm can widen a global summary
+                // it evaluates.
+                let at = env.mark();
+                self.refine_cond(cond, false, env);
+                let refined_else = env.end_arm(at).unwrap_or_default();
                 self.refine_cond(cond, true, env);
-                self.refine_cond(cond, false, &mut env_f);
                 self.walk_block(then_, env, stats);
-                self.walk_block(else_, &mut env_f, stats);
-                if env.reachable {
-                    env.join_since(&env_f, at, None);
-                } else {
-                    *env = env_f;
-                }
+                let then_state = env.end_arm(at);
+                env.replay(&refined_else);
+                self.walk_block(else_, env, stats);
+                env.join_arms(at, then_state);
             }
             Stmt::While { cond, body } => {
                 self.walk_while(cond, body, env, stats);
@@ -1052,7 +1197,7 @@ impl Walker<'_> {
             }
             Stmt::Break => {
                 if let Some(Some(breaks)) = self.loop_breaks.last_mut() {
-                    breaks.push(env.clone());
+                    breaks.states.push(env.written_since(breaks.mark));
                 }
                 env.reachable = false;
             }
@@ -1119,61 +1264,67 @@ impl Walker<'_> {
     ) {
         // Fixpoint over the loop head with analysis semantics: transforms
         // are off, so the body is walked in place and left unchanged.
+        // Each iteration forks from the head in `env` and is joined back
+        // into it.
         let transform = std::mem::replace(&mut self.transform, false);
-        let mut head = env.clone();
-        let mut iter_env = Env::default();
+        let entry = env.mark();
         let mut sink = EngineStats::default();
         for round in 0..4 {
-            let at = head.fork_point();
-            iter_env.clone_from(&head);
-            self.refine_cond(cond, true, &mut iter_env);
+            let at = env.mark();
+            self.refine_cond(cond, true, env);
             self.loop_breaks.push(None);
-            self.walk_block(body, &mut iter_env, &mut sink);
+            self.walk_block(body, env, &mut sink);
             self.loop_breaks.pop();
             let changed = if round >= 1 {
                 // Widen to guarantee termination.
-                head.join_since(&iter_env, at, Some(&|slot| self.slot_kind(slot)))
+                env.join_iteration(at, Some(&|slot| self.slot_kind(slot)))
             } else {
-                head.join_since(&iter_env, at, None)
+                env.join_iteration(at, None)
             };
             if !changed {
                 break;
             }
         }
         self.transform = transform;
-        // Decided loop condition?
-        if self.transform
-            && self.eval(cond, &head).truth() == Some(false)
-            && self.eval(cond, env).truth() == Some(false)
-        {
-            // Loop never runs at all.
-            stats.branches_folded += 1;
-            self.refine_cond(cond, false, env);
-            cond.kind = ExprKind::Const(0);
-            body.clear();
-            return;
+        // Decided loop condition, at the head and before the loop?
+        if self.transform && self.eval(cond, env).truth() == Some(false) {
+            let head = env.written_since(entry);
+            env.rollback(entry);
+            if self.eval(cond, env).truth() == Some(false) {
+                // Loop never runs at all.
+                stats.branches_folded += 1;
+                self.refine_cond(cond, false, env);
+                cond.kind = ExprKind::Const(0);
+                body.clear();
+                return;
+            }
+            env.replay(&head);
         }
         // Final pass over the body with the stable invariant (transforming
         // if enabled).
-        let at = head.fork_point();
-        let mut body_env = iter_env;
-        body_env.clone_from(&head);
-        self.refine_cond(cond, true, &mut body_env);
-        self.loop_breaks.push(Some(Vec::new()));
-        self.walk_block(body, &mut body_env, stats);
-        let breaks = self.loop_breaks.pop().flatten().unwrap_or_default();
+        let at = env.mark();
+        self.refine_cond(cond, true, env);
+        self.loop_breaks.push(Some(Breaks {
+            mark: at,
+            states: Vec::new(),
+        }));
+        self.walk_block(body, env, stats);
+        let breaks = self
+            .loop_breaks
+            .pop()
+            .flatten()
+            .map_or(Vec::new(), |b| b.states);
         // Exit env: head refined by !cond, joined with break states.
-        let mut exit = head;
-        self.refine_cond(cond, false, &mut exit);
-        let cond_can_be_false = self.eval(cond, &exit).truth() != Some(true);
+        env.rollback(at);
+        self.refine_cond(cond, false, env);
+        let cond_can_be_false = self.eval(cond, env).truth() != Some(true);
         if !cond_can_be_false && breaks.is_empty() {
             // while(1) with no breaks: nothing after the loop runs.
-            exit.reachable = false;
+            env.reachable = false;
         }
         for b in &breaks {
-            exit.join_since(b, at, None);
+            env.join_in(at, b);
         }
-        *env = exit;
     }
 
     // ----- refinement -----
@@ -1554,6 +1705,295 @@ mod tests {
                 consts_folded: 2,
             }
         );
+    }
+
+    /// The copy-per-fork environment the trail replaced, kept as the
+    /// reference: a fork copies every slot, each slot carries the epoch
+    /// of the last write that changed it, and a join visits the slots
+    /// either copy stamped after the fork.
+    #[derive(Clone)]
+    struct CopyEnv {
+        slots: Vec<AVal>,
+        stamps: Vec<u32>,
+        epoch: u32,
+        reachable: bool,
+    }
+
+    impl CopyEnv {
+        fn set(&mut self, slot: usize, v: AVal) {
+            if self.slots[slot] != v {
+                self.slots[slot] = v;
+                self.stamps[slot] = self.epoch;
+            }
+        }
+
+        fn fork_point(&mut self) -> u32 {
+            self.epoch += 1;
+            self.epoch - 1
+        }
+
+        fn join_since(
+            &mut self,
+            other: &CopyEnv,
+            at: u32,
+            widen: Option<&dyn Fn(usize) -> IntKind>,
+        ) -> bool {
+            if !other.reachable {
+                return false;
+            }
+            if !self.reachable {
+                *self = other.clone();
+                return true;
+            }
+            let mut changed = false;
+            for i in 0..self.slots.len() {
+                let stamp = self.stamps[i].max(other.stamps[i]);
+                if stamp <= at {
+                    continue;
+                }
+                let a = self.slots[i];
+                let j = a.join(other.slots[i]);
+                if j != a {
+                    self.slots[i] = match widen {
+                        Some(kind) => a.widen(j, kind(i)),
+                        None => j,
+                    };
+                    self.stamps[i] = stamp;
+                    changed = true;
+                }
+            }
+            self.epoch = self.epoch.max(other.epoch);
+            changed
+        }
+    }
+
+    /// A random walk over the statements the walker forks at. `Set`s
+    /// stand for assignments and refinements alike.
+    enum Op {
+        Set(usize, AVal),
+        /// `return` or `continue`: the rest of the block is unreachable.
+        Leave,
+        Break,
+        If {
+            refine_then: Vec<(usize, AVal)>,
+            refine_else: Vec<(usize, AVal)>,
+            then_: Vec<Op>,
+            else_: Vec<Op>,
+        },
+        While {
+            refine_in: Vec<(usize, AVal)>,
+            refine_out: Vec<(usize, AVal)>,
+            /// The condition can be false (else only breaks leave).
+            exits: bool,
+            body: Vec<Op>,
+        },
+    }
+
+    const SLOTS: usize = 9;
+
+    fn slot_kind(slot: usize) -> IntKind {
+        [IntKind::U8, IntKind::I16, IntKind::U16][slot % 3]
+    }
+
+    fn value(rng: &mut mcu::faults::SplitMix64) -> AVal {
+        let k = rng.below(6) as i64;
+        match rng.below(6) {
+            0 => AVal::Bot,
+            1 => AVal::Top,
+            2 => AVal::Int(Ival::const_(k)),
+            3 => range(k - 3, k),
+            4 => AVal::Ptr(APtr::null()),
+            _ => AVal::Ptr(APtr::object(Ival::Range(k, 8), Ival::const_(0))),
+        }
+    }
+
+    fn sets(rng: &mut mcu::faults::SplitMix64) -> Vec<(usize, AVal)> {
+        (0..rng.below(3))
+            .map(|_| (rng.below(SLOTS as u64) as usize, value(rng)))
+            .collect()
+    }
+
+    fn ops(rng: &mut mcu::faults::SplitMix64, depth: u32, in_loop: bool) -> Vec<Op> {
+        (0..1 + rng.below(5))
+            .map(|_| match rng.below(if depth == 0 { 8 } else { 12 }) {
+                0 => Op::Leave,
+                1 if in_loop => Op::Break,
+                8 | 9 => Op::If {
+                    refine_then: sets(rng),
+                    refine_else: sets(rng),
+                    then_: ops(rng, depth - 1, in_loop),
+                    else_: ops(rng, depth - 1, in_loop),
+                },
+                10 | 11 => Op::While {
+                    refine_in: sets(rng),
+                    refine_out: sets(rng),
+                    exits: rng.below(4) != 0,
+                    body: ops(rng, depth - 1, true),
+                },
+                _ => Op::Set(rng.below(SLOTS as u64) as usize, value(rng)),
+            })
+            .collect()
+    }
+
+    /// The reference and the trail environment in lockstep, each through
+    /// the protocol its walker uses.
+    struct Lockstep {
+        /// Open forks: the reference's fork epoch and the trail's mark.
+        forks: Vec<(u32, usize)>,
+        /// Per enclosing loop, its final pass's fork and break states.
+        breaks: Vec<Option<BreakStates>>,
+    }
+
+    /// A loop's final-pass fork mark and its break states, both ways.
+    type BreakStates = (usize, Vec<CopyEnv>, Vec<Writes>);
+
+    impl Lockstep {
+        /// Both environments hold the same slots and reachability, and
+        /// for every open fork the reference's slots stamped after it are
+        /// exactly the trail's slots written since its mark.
+        fn check(&self, r: &CopyEnv, t: &Env) {
+            assert_eq!(r.slots, t.slots);
+            assert_eq!(r.reachable, t.reachable);
+            for &(at, mark) in &self.forks {
+                let stamped: Vec<bool> = r.stamps.iter().map(|&s| s > at).collect();
+                let mut written = vec![false; SLOTS];
+                for &(s, _) in &t.trail[mark..] {
+                    written[s as usize] = true;
+                }
+                assert_eq!(stamped, written, "slots written since fork {at}");
+            }
+        }
+
+        fn walk(&mut self, ops: &[Op], r: &mut CopyEnv, t: &mut Env) {
+            for op in ops {
+                if !r.reachable {
+                    break;
+                }
+                self.walk_op(op, r, t);
+                self.check(r, t);
+            }
+        }
+
+        fn walk_op(&mut self, op: &Op, r: &mut CopyEnv, t: &mut Env) {
+            let apply = |sets: &[(usize, AVal)], r: &mut CopyEnv, t: &mut Env| {
+                for &(s, v) in sets {
+                    r.set(s, v);
+                    t.set(s, v);
+                }
+            };
+            match op {
+                Op::Set(s, v) => apply(&[(*s, *v)], r, t),
+                Op::Leave => {
+                    r.reachable = false;
+                    t.reachable = false;
+                }
+                Op::Break => {
+                    if let Some(Some((mark, copies, writes))) = self.breaks.last_mut() {
+                        copies.push(r.clone());
+                        writes.push(t.written_since(*mark));
+                    }
+                    r.reachable = false;
+                    t.reachable = false;
+                }
+                Op::If {
+                    refine_then,
+                    refine_else,
+                    then_,
+                    else_,
+                } => {
+                    let at = r.fork_point();
+                    let mut r_else = r.clone();
+                    let mark = t.mark();
+                    self.forks.push((at, mark));
+                    apply(refine_else, &mut r_else, t);
+                    let refined_else = t.end_arm(mark).unwrap_or_default();
+                    apply(refine_then, r, t);
+                    self.walk(then_, r, t);
+                    let then_state = t.end_arm(mark);
+                    t.replay(&refined_else);
+                    self.check(&r_else, t);
+                    self.walk(else_, &mut r_else, t);
+                    self.forks.pop();
+                    if r.reachable {
+                        r.join_since(&r_else, at, None);
+                    } else {
+                        *r = r_else;
+                    }
+                    t.join_arms(mark, then_state);
+                }
+                Op::While {
+                    refine_in,
+                    refine_out,
+                    exits,
+                    body,
+                } => {
+                    let kind: &dyn Fn(usize) -> IntKind = &slot_kind;
+                    let mut head = r.clone();
+                    for round in 0..4 {
+                        let at = head.fork_point();
+                        let mut iter = head.clone();
+                        let mark = t.mark();
+                        self.forks.push((at, mark));
+                        apply(refine_in, &mut iter, t);
+                        self.breaks.push(None);
+                        self.walk(body, &mut iter, t);
+                        self.breaks.pop();
+                        self.forks.pop();
+                        let widen = (round >= 1).then_some(kind);
+                        let changed = head.join_since(&iter, at, widen);
+                        assert_eq!(changed, t.join_iteration(mark, widen));
+                        self.check(&head, t);
+                        if !changed {
+                            break;
+                        }
+                    }
+                    let at = head.fork_point();
+                    let mut pass = head.clone();
+                    let mark = t.mark();
+                    self.forks.push((at, mark));
+                    apply(refine_in, &mut pass, t);
+                    self.breaks.push(Some((mark, Vec::new(), Vec::new())));
+                    self.walk(body, &mut pass, t);
+                    let (_, copies, writes) = self.breaks.pop().flatten().unwrap();
+                    let mut exit = head;
+                    t.rollback(mark);
+                    apply(refine_out, &mut exit, t);
+                    if !exits && copies.is_empty() {
+                        exit.reachable = false;
+                        t.reachable = false;
+                    }
+                    for (copy, w) in copies.iter().zip(&writes) {
+                        exit.join_since(copy, at, None);
+                        t.join_in(mark, w);
+                        self.check(&exit, t);
+                    }
+                    self.forks.pop();
+                    *r = exit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trail_environment_matches_the_copying_one() {
+        for seed in 0..400 {
+            let mut rng = mcu::faults::SplitMix64::new(seed);
+            let program = ops(&mut rng, 3, false);
+            let slots: Vec<AVal> = (0..SLOTS).map(|_| value(&mut rng)).collect();
+            let mut r = CopyEnv {
+                slots: slots.clone(),
+                stamps: vec![0; SLOTS],
+                epoch: 0,
+                reachable: true,
+            };
+            let mut t = Env::new(slots, 3);
+            let mut lockstep = Lockstep {
+                forks: Vec::new(),
+                breaks: Vec::new(),
+            };
+            lockstep.walk(&program, &mut r, &mut t);
+            lockstep.check(&r, &t);
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! globally least-awake mote and grants it a window bounded by
 //!
 //! * `second + RADIO_BYTE_CYCLES` — no *other* mote can execute (and
-//!   hence transmit) before `second`, the least wake time left in the
-//!   heap, so nothing can arrive here earlier than one byte-time later;
+//!   hence transmit) before `second`, the least wake of any other mote,
+//!   so nothing can arrive here earlier than one byte-time later;
 //! * `wake + 2 * RADIO_BYTE_CYCLES` — anything this mote's *own*
 //!   transmissions provoke needs one byte-time to reach a neighbour and
 //!   one more for the earliest reply to come back.
@@ -27,6 +27,17 @@
 //! `t <= cycles`), which is the same instruction boundary the lockstep
 //! reference delivers at — the two engines are byte-identical on lossless
 //! full-mesh topologies, and `tests` below holds the reference to that.
+//!
+//! # One live entry per mote
+//!
+//! The fleet keeps each mote's queued wake: the key of its one live heap
+//! entry. An advance queues the mote's new wake; a delivery queues one
+//! only when it pulls the receiver's wake earlier, which supersedes the
+//! old entry. A popped entry that is not its mote's queued wake is
+//! dropped, never re-pushed (re-pushing let duplicates pile up and cost
+//! O(traffic) per pop), and superseded entries on top of the heap are
+//! dropped before `second` is read, so a stale key never shortens a
+//! window. [`FleetStats::stale`] counts the dropped entries.
 //!
 //! # Topology, loss, and churn
 //!
@@ -270,6 +281,9 @@ impl MoteSetup {
 pub struct FleetStats {
     /// Scheduler heap pops that granted a mote an execution window.
     pub pops: u64,
+    /// Superseded heap entries dropped unread: a mote's entry goes stale
+    /// when a delivery pulls its wake earlier and a new one is queued.
+    pub stale: u64,
     /// Churn reboots (initial boots are not counted).
     pub reboots: u64,
     /// Bytes offered to the air by all motes.
@@ -343,6 +357,9 @@ pub struct Fleet {
     /// (every mote starts powered).
     churn: Vec<Vec<u64>>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per mote, the wake of its one live heap entry (`u64::MAX`: none);
+    /// any other entry of the mote is stale.
+    queued: Vec<u64>,
     /// One reset machine per distinct image: the fleet image first,
     /// then each distinct [`Fleet::set_image`] override.
     resets: Vec<Machine>,
@@ -379,6 +396,7 @@ impl Fleet {
             motes,
             churn: vec![Vec::new(); n],
             heap: BinaryHeap::new(),
+            queued: vec![u64::MAX; n],
             resets: vec![reset],
             fault: None,
             fault_applied: false,
@@ -522,10 +540,11 @@ impl Fleet {
     /// Runs the fleet to `until` cycles of global time.
     pub fn run(&mut self, until: u64) {
         self.heap.clear();
+        self.queued.fill(u64::MAX);
         for id in 0..self.motes.len() {
             if let Some(w) = self.wake_of(id) {
                 if w < until {
-                    self.heap.push(Reverse((w, id as u32)));
+                    self.queue_wake(id, w);
                 }
             }
         }
@@ -534,26 +553,30 @@ impl Fleet {
                 break;
             }
             let id = id as usize;
-            // Lazy deletion: every mutation of a mote's state (an
-            // advance, a delivery, a boot) is immediately followed by a
-            // push of its new true wake, so the heap always holds an
-            // entry exactly at each live mote's current wake. A popped
-            // entry that no longer matches is therefore a dead
-            // duplicate and is dropped — re-pushing it instead would
-            // let duplicates survive forever and cost O(duplicates) on
-            // every pop (quadratic in traffic).
-            let cur = match self.wake_of(id) {
-                Some(c) if c < until => c,
-                _ => continue,
-            };
-            if cur != wake {
+            // One live entry per mote: every change to a mote's wake
+            // (its own advance, a delivery into it) queues the new wake
+            // unless the live entry already holds it, so an entry that
+            // is not the mote's queued wake is superseded.
+            if self.queued[id] != wake {
+                self.stats.stale += 1;
                 continue;
             }
+            self.queued[id] = u64::MAX;
             self.stats.pops += 1;
-            let second = match self.heap.peek() {
-                Some(&Reverse((w, _))) => w,
-                None => u64::MAX,
+            // `second` is the least wake of any other mote: superseded
+            // entries on top would shorten the window.
+            let second = loop {
+                match self.heap.peek() {
+                    Some(&Reverse((w, m))) if self.queued[m as usize] != w => {
+                        self.heap.pop();
+                        self.stats.stale += 1;
+                    }
+                    Some(&Reverse((w, _))) => break w,
+                    None => break u64::MAX,
+                }
             };
+            #[cfg(test)]
+            self.assert_least_other_wake(id, second, until);
             // The conservative window (see the module docs).
             let grant = until
                 .min(second.saturating_add(RADIO_BYTE_CYCLES))
@@ -561,7 +584,7 @@ impl Fleet {
             self.advance(id, grant);
             if let Some(w) = self.wake_of(id) {
                 if w < until {
-                    self.heap.push(Reverse((w, id as u32)));
+                    self.queue_wake(id, w);
                 }
             }
         }
@@ -576,6 +599,27 @@ impl Fleet {
                 self.advance(id, until);
             }
         }
+    }
+
+    /// Makes `w` mote `id`'s live heap entry unless it already is; the
+    /// entry it replaces goes stale.
+    fn queue_wake(&mut self, id: usize, w: u64) {
+        if self.queued[id] != w {
+            self.queued[id] = w;
+            self.heap.push(Reverse((w, id as u32)));
+        }
+    }
+
+    /// Checks the scheduler's `second` against every other mote's true
+    /// wake: the window the module docs describe, not a shorter one.
+    #[cfg(test)]
+    fn assert_least_other_wake(&self, id: usize, second: u64, until: u64) {
+        let least = (0..self.motes.len())
+            .filter(|&m| m != id)
+            .filter_map(|m| self.wake_of(m))
+            .min()
+            .unwrap_or(u64::MAX);
+        assert_eq!(second.min(until), least.min(until), "mote {id}'s window");
     }
 
     /// The mote's next wake in global time: the machine's own wake
@@ -731,7 +775,9 @@ impl Fleet {
             self.stats.delivered += 1;
             // The delivery may have pulled the receiver's wake earlier.
             if let Some(w) = self.wake_of(dst) {
-                self.heap.push(Reverse((w, dst as u32)));
+                if w < self.queued[dst] {
+                    self.queue_wake(dst, w);
+                }
             }
         } else {
             mote.inbox.push(Reverse((at, byte)));
@@ -934,6 +980,36 @@ mod tests {
                 m_fleet.ram_bytes(),
                 "mote {i} RAM diverged"
             );
+        }
+    }
+
+    /// A delivery that pulls a receiver's wake earlier supersedes its
+    /// heap entry: under heavy reordering a delayed byte queues the
+    /// receiver's wake late and the next byte pulls it earlier. The
+    /// superseded entries are dropped before the scheduler reads
+    /// `second`, so every window is the documented one (`run` checks
+    /// `second` against every other mote's true wake under `cfg(test)`)
+    /// and every byte still arrives.
+    #[test]
+    fn superseded_wakes_do_not_shorten_windows() {
+        let img_tx = tx_burst_image(16, 0);
+        let img_rx = rx_recorder_image();
+        let quality = LinkQuality {
+            reorder_ppm: 500_000,
+            ..LinkQuality::LOSSLESS
+        };
+        let mut fleet = heterogeneous_fleet(
+            &[&img_tx, &img_rx, &img_rx, &img_rx],
+            Topology::full_mesh(4, quality),
+            0x5EED,
+        );
+        fleet.run(60_000);
+        let stats = fleet.stats();
+        assert!(stats.stale > 0, "{stats:?}");
+        assert!(stats.reordered > 0, "{stats:?}");
+        assert_eq!(stats.delivered, 3 * 16, "{stats:?}");
+        for m in 1..4 {
+            assert_eq!(fleet.machine(m).ram_peek(0x0300), 16, "mote {m}");
         }
     }
 
