@@ -25,7 +25,8 @@
 //! invisible). The work counters go to the report's `counters` object,
 //! which the contract pins: kernels' cycles and instructions, apps'
 //! cycles, awake cycles, instructions, blocks and fused
-//! superinstructions.
+//! superinstructions, and the block engine's op dispatches and
+//! single-step fallbacks.
 //!
 //! Emits `BENCH_sim_speed.json` and self-gates it with the `sim_speed`
 //! contract, which the `gate` binary re-checks from the published bytes
@@ -51,6 +52,8 @@ struct Sample {
     instrs: u64,
     state: String,
     fault: Option<String>,
+    /// The block engine's work (zero under the interpreter).
+    work: mcu::EngineWork,
 }
 
 impl Sample {
@@ -71,6 +74,7 @@ fn sample(m: &mcu::Machine, wall_s: f64) -> Sample {
         instrs: m.instr_count,
         state: format!("{:?}", m.state),
         fault: m.fault_message(),
+        work: m.engine_work(),
     }
 }
 
@@ -273,6 +277,8 @@ fn main() {
                 .int("instructions", a.instrs as i64)
                 .int("blocks", stats.blocks as i64)
                 .int("fused_superinstructions", stats.fused as i64)
+                .int("dispatches", b.work.dispatches as i64)
+                .int("single_steps", b.work.single_steps() as i64)
                 .build(),
         );
         app_rows.push(

@@ -71,8 +71,9 @@
 //!
 //! # Rounds and convergence
 //!
-//! The analysis repeats whole-program rounds while any summary grows, up
-//! to [`MAX_ROUNDS`]. On the stock applications it never goes quiet
+//! The analysis repeats whole-program rounds while any summary grows or
+//! a call site reaches a callee for the first time (the new callee needs
+//! a walk), up to [`MAX_ROUNDS`]. On the stock applications it never goes quiet
 //! before the cap: whole-program values of counters such as a timer's
 //! elapsed time (`TimerM__elapsed0`) or the radio's receive position
 //! (`RadioM__rx_pos`) grow by one per round (each round joins one more
@@ -1082,9 +1083,11 @@ impl Walker<'_> {
                 let params = self.prog.functions[callee].params as usize;
                 // First call site discovered for this callee: it needs a
                 // walk even if every slot join below is a no-op (a
-                // 0-param callee has no slots at all). Note that mere
-                // discovery does not set `eng.changed` — the dense
-                // engine didn't either, and the round count must match.
+                // 0-param callee has no slots at all), and the round
+                // loop must run again to give it one — a callee first
+                // reached in a round's last walk would otherwise never
+                // be analysed, and its transform would fold from the
+                // initial values of the globals it writes.
                 let created = self.eng.entry[callee].is_none();
                 if created {
                     self.eng.entry[callee] = Some(vec![AVal::Bot; params]);
@@ -1109,10 +1112,8 @@ impl Walker<'_> {
                         changed |= join_into(slot, vh);
                     }
                 }
-                if changed {
-                    self.eng.changed = true;
-                }
                 if created || changed {
+                    self.eng.changed = true;
                     self.eng.dirty[callee] = true;
                 }
                 // Havoc the globals the callee writes.

@@ -14,21 +14,52 @@
 //!   addresses proven SRAM at decode time) become direct ops with no
 //!   per-execution decode, clone, or memory-map re-check;
 //! * hot idioms are fused into superinstructions (`PushI;StGlobal`,
-//!   `PushI;Bin`, `LdGlobal;StGlobal`, and the read-modify-write
-//!   `LdGlobal;PushI;Bin;StGlobal`) — fusion is only permitted over
-//!   constituents that can neither fault nor touch MMIO, so no
-//!   observable state can materialize mid-superinstruction;
+//!   `PushI;Bin`, `LdGlobal;StGlobal`, the read-modify-write
+//!   `LdGlobal;PushI;Bin;StGlobal` and the compare-and-branch tails) —
+//!   fusion over global or stack constituents is only permitted when
+//!   none can fault or touch MMIO, so no observable state can
+//!   materialize mid-superinstruction;
+//! * the frame-slot idioms are fused too: `LdLocal;PushI;Bin;Jz/Jnz`
+//!   ([`OpKind::CmpLKBr`]), `LdLocal;PushI;Bin;[Wrap;]StLocal`
+//!   ([`OpKind::RmwLK`]) and, for the stack top, `PushI;Bin;Jz/Jnz`
+//!   ([`OpKind::CmpKBr`]). A frame slot's address depends on `fp`, so
+//!   the engine runs the fused frame ops directly only where it proved
+//!   the frame window SRAM and no torn watch is live, and otherwise
+//!   single-steps their constituents;
 //! * everything else (division, `MemCpy`, static accesses outside SRAM)
 //!   stays a `Slow` op that executes the original instruction
 //!   through the interpreter's own `exec`, preserving fault and device
 //!   semantics exactly.
 //!
-//! Each block also records its total cycle cost (so the engine can prove
-//! *before* entering the block that no device event or `run`-horizon
-//! boundary falls inside it) and the evaluation-stack depth it needs on
-//! entry (so no op can underflow mid-block; blocks entered shallower
-//! fall back to faithful single-stepping, reproducing the interpreter's
-//! underflow fault site exactly).
+//! The frame-slot set comes from an adjacent-op histogram of the op
+//! stream the engine dispatched before it existed, one round of the
+//! `fleet` and `campaign` benchmark workloads (RadioM's bitwise CRC-16
+//! and the `TOSH_run_task` idle loop dominate both), in millions of
+//! dispatches per round, fleet / campaign:
+//!
+//! | ops before fusion                | count       | fused into |
+//! |----------------------------------|-------------|------------|
+//! | `LdL; BinK(Add); Wrap; StL`      | 3.33 / 0.84 | `RmwLK`    |
+//! | `LdL; BinK(Lt); Jz`              | 3.40 / 0.83 | `CmpLKBr`  |
+//! | `BinK(Ne); Jz`                   | 4.15 / 0.95 | `CmpKBr` (`CmpLKBr` after `LdL`) |
+//! | `LdL; BinK(Shl); StL`            | 1.41 / 0.34 | `RmwLK`    |
+//!
+//! (`BinK` is `PushI;Bin`.) With them, and entry at every op boundary,
+//! a round dispatches 73.8M ops instead of 99.2M on `fleet` and 18.1M
+//! instead of 24.3M on `campaign`. The next candidates are the CRC's
+//! two-operator update `LdL; BinK(Shl); BinK(Xor); StL` (1.56 / 0.38)
+//! and the unconditional `Jmp` that ends 7.07 / 1.6 million blocks.
+//!
+//! Every op boundary is an entry point (see [`crate::engine`]): one
+//! backward pass over each block gives every boundary its suffix's
+//! cycle cost, the offset at which its last instruction starts (so the
+//! engine can prove *before* entering that no device event or
+//! `run`-horizon boundary falls inside), its purity and frame span, and
+//! the evaluation-stack depth it needs on entry (so no op can underflow
+//! mid-block; suffixes entered shallower fall back to faithful
+//! single-stepping, reproducing the interpreter's underflow fault site
+//! exactly). Suffixes share their block's ops: an entry is a few
+//! integers beside one op array per function.
 //!
 //! The cache is built per [`Image`] and shared via `Arc`: campaigns and
 //! difftests that replay one image across thousands of machines decode
@@ -85,6 +116,70 @@ pub(crate) struct GCmpBr {
     pub(crate) target: u32,
 }
 
+/// Payload of [`OpKind::RmwLK`]: `LdLocal; PushI k; Bin; [Wrap;]
+/// StLocal` — read-modify-write of a frame slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LRmw {
+    /// Load frame offset.
+    pub(crate) ld_off: u16,
+    /// Load width.
+    pub(crate) ld_width: Width,
+    /// Load signedness.
+    pub(crate) ld_signed: bool,
+    /// The constant right operand.
+    pub(crate) k: i64,
+    /// ALU operation (never `Div`/`Mod`).
+    pub(crate) op: AluOp,
+    /// ALU width.
+    pub(crate) width: Width,
+    /// ALU signedness.
+    pub(crate) signed: bool,
+    /// The cast between the ALU and the store, if the source has one.
+    pub(crate) wrap: Option<(Width, bool)>,
+    /// Store frame offset.
+    pub(crate) st_off: u16,
+    /// Store width.
+    pub(crate) st_width: Width,
+}
+
+impl LRmw {
+    /// One past the last frame byte the op touches.
+    pub(crate) fn span(&self) -> u32 {
+        (self.ld_off as u32 + self.ld_width.bytes()).max(self.st_off as u32 + self.st_width.bytes())
+    }
+}
+
+/// Payload of [`OpKind::CmpLKBr`]: `LdLocal; PushI k; Bin; Jz/Jnz` —
+/// compare a frame slot against a constant and branch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LCmpBr {
+    /// Load frame offset.
+    pub(crate) off: u16,
+    /// Load width.
+    pub(crate) ld_width: Width,
+    /// Load signedness.
+    pub(crate) ld_signed: bool,
+    /// The constant right operand.
+    pub(crate) k: i64,
+    /// Compare/ALU operation (never `Div`/`Mod`).
+    pub(crate) op: AluOp,
+    /// ALU width.
+    pub(crate) width: Width,
+    /// ALU signedness.
+    pub(crate) signed: bool,
+    /// Branch when the ALU result is zero (`Jz`) vs non-zero (`Jnz`).
+    pub(crate) br_if_zero: bool,
+    /// Branch target pc.
+    pub(crate) target: u32,
+}
+
+impl LCmpBr {
+    /// One past the last frame byte the op touches.
+    pub(crate) fn span(&self) -> u32 {
+        self.off as u32 + self.ld_width.bytes()
+    }
+}
+
 /// One translated operation. `cost`/`n` are the summed cycle cost and
 /// instruction count of the constituent instruction(s); the engine
 /// charges them (and advances `pc` by `n`) *before* executing the op,
@@ -95,9 +190,16 @@ pub(crate) struct Op {
     pub(crate) cost: u32,
     /// Number of constituent instructions (pc advance).
     pub(crate) n: u16,
+    /// Cycles from the op's start to the start of its last constituent:
+    /// the op may run whole while that start is before the horizon.
+    pub(crate) reach: u16,
     /// What to execute.
     pub(crate) kind: OpKind,
 }
+
+// The decode holds one `Op` per translated op of every image a run
+// touches; a larger variant would grow all of them.
+const _: () = assert!(std::mem::size_of::<Op>() <= 64);
 
 /// The operation repertoire of the block engine.
 #[derive(Debug, Clone, Copy)]
@@ -300,6 +402,11 @@ pub(crate) enum OpKind {
         /// Store width.
         st_width: Width,
     },
+    /// `LdLocal; PushI k; Bin; [Wrap;] StLocal` — read-modify-write of
+    /// a frame slot (loop counters, CRC registers). Runs directly when
+    /// its frame bytes are proven SRAM and no torn watch is live, else
+    /// single-steps its constituents.
+    RmwLK(LRmw),
     // ----- faithful fallback -----
     /// Execute the original instruction through the interpreter's `exec`
     /// (division, `MemCpy`, globals outside SRAM, ...).
@@ -350,6 +457,26 @@ pub(crate) enum OpKind {
         /// Branch target pc.
         target: u32,
     },
+    /// `PushI k; Bin; Jz/Jnz` — compare the popped top of stack
+    /// against a constant and branch.
+    CmpKBr {
+        /// The constant right operand.
+        k: i64,
+        /// Compare/ALU operation (never `Div`/`Mod`).
+        op: AluOp,
+        /// ALU width.
+        width: Width,
+        /// ALU signedness.
+        signed: bool,
+        /// Branch when the ALU result is zero (`Jz`) vs non-zero (`Jnz`).
+        br_if_zero: bool,
+        /// Branch target pc.
+        target: u32,
+    },
+    /// `LdLocal; PushI k; Bin; Jz/Jnz` — compare a frame slot against
+    /// a constant and branch: the loop-test idiom over a local counter.
+    /// Same fallback as [`OpKind::RmwLK`].
+    CmpLKBr(LCmpBr),
     /// `RmwGK; CmpGKBr` — the canonical counting-loop tail (increment a
     /// global, compare a global against a constant, branch): eight
     /// source instructions in one dispatch. Merged by a second fusion
@@ -377,41 +504,61 @@ pub(crate) enum OpKind {
     Term(Instr),
 }
 
-/// One straight-line basic block.
-#[derive(Debug, Clone)]
-pub(crate) struct Block {
+/// What the engine runs when it enters at one op boundary: the ops from
+/// that boundary to the end of its basic block, and their facts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block<'a> {
     /// Translated ops; a terminator, if present, is the last op.
-    pub(crate) ops: Box<[Op]>,
-    /// Total cycle cost of every constituent instruction: the engine
-    /// enters the block only when `cycles + cost` stays strictly below
-    /// the event/`run`-horizon, so no observable boundary can fall
-    /// inside it.
+    pub(crate) ops: &'a [Op],
+    /// Total cycle cost of every constituent instruction.
     pub(crate) cost: u64,
+    /// Cycles from the entry to the start of the last instruction: the
+    /// engine runs the block whole only when `cycles + reach` stays
+    /// strictly below the event/`run` horizon, so every instruction
+    /// starts before it, as the interpreter would run them.
+    pub(crate) reach: u64,
     /// Evaluation-stack depth required on entry so no constituent can
-    /// underflow mid-block.
+    /// underflow before the block ends.
     pub(crate) stack_in: u32,
-    /// Number of source instructions covered (the whole-block pc
-    /// advance).
+    /// Number of source instructions covered (the whole pc advance).
     pub(crate) n_instrs: u32,
     /// Whether every op is statically infallible and device-free (see
-    /// [`op_is_pure`]): the engine may then account the whole block's
+    /// [`op_is_pure`]): the engine may then account the whole run's
     /// cycles/instructions in one step and dispatch through a lean loop
-    /// with no per-op counter flushes — nothing inside the block can
-    /// fault, reach a device, or otherwise observe the counters.
+    /// with no per-op counter flushes — nothing inside can fault, reach
+    /// a device, or otherwise observe the counters.
     pub(crate) pure: bool,
-    /// One past the highest `fp`-relative byte any frame-slot op in the
-    /// block touches (0 when there are none). The pure path proves the
-    /// whole `[fp, fp+local_span)` window is writable SRAM once per
-    /// block instead of per access.
+    /// One past the highest `fp`-relative byte any frame-slot op touches
+    /// (0 when there are none). The pure path proves the whole
+    /// `[fp, fp+local_span)` window is writable SRAM once instead of per
+    /// access.
     pub(crate) local_span: u32,
+}
+
+/// The stored facts of one entry point (see [`Block`]). Suffixes share
+/// their block's ops: an entry names its first op and how many follow.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    /// Index of the first op in [`DecodedFn::ops`].
+    first: u32,
+    /// Ops from `first` to the end of the block; 0 marks a pc that is
+    /// not an op boundary (inside a fused op, which single-steps).
+    n_ops: u32,
+    cost: u32,
+    reach: u32,
+    n_instrs: u32,
+    stack_in: u32,
+    local_span: u32,
+    pure: bool,
 }
 
 #[derive(Debug)]
 struct DecodedFn {
-    blocks: Vec<Block>,
-    /// `pc -> block index`, `u32::MAX` for non-leader pcs (the engine
-    /// falls back to single-stepping until it reaches a leader).
-    block_at: Vec<u32>,
+    /// Every translated op of the function, block after block in pc
+    /// order.
+    ops: Box<[Op]>,
+    /// `pc -> entry`: every op boundary is an entry point.
+    entries: Box<[Entry]>,
 }
 
 /// Decode statistics (reported by the `sim_speed` harness).
@@ -419,7 +566,7 @@ struct DecodedFn {
 pub struct CacheStats {
     /// Number of basic blocks.
     pub blocks: usize,
-    /// Number of translated ops.
+    /// Number of translated ops (each one is also an entry point).
     pub ops: usize,
     /// Number of source instructions covered.
     pub instrs: usize,
@@ -454,15 +601,25 @@ impl BlockCache {
         self.stats
     }
 
-    /// The block starting exactly at `(func, pc)`, if `pc` is a leader.
+    /// The block suffix entered at `(func, pc)`, if `pc` is an op
+    /// boundary.
     #[inline]
-    pub(crate) fn lookup(&self, func: u32, pc: u32) -> Option<&Block> {
+    pub(crate) fn lookup(&self, func: u32, pc: u32) -> Option<Block<'_>> {
         let f = self.funcs.get(func as usize)?;
-        let idx = *f.block_at.get(pc as usize)?;
-        if idx == u32::MAX {
+        let e = f.entries.get(pc as usize)?;
+        if e.n_ops == 0 {
             return None;
         }
-        Some(&f.blocks[idx as usize])
+        let first = e.first as usize;
+        Some(Block {
+            ops: &f.ops[first..first + e.n_ops as usize],
+            cost: e.cost as u64,
+            reach: e.reach as u64,
+            stack_in: e.stack_in,
+            n_instrs: e.n_instrs,
+            pure: e.pure,
+            local_span: e.local_span,
+        })
     }
 }
 
@@ -586,7 +743,8 @@ fn branch_sense(i: &Instr) -> Option<(bool, u32)> {
     }
 }
 
-/// Partitions one function's code into blocks.
+/// Partitions one function's code into blocks and gives every op
+/// boundary its entry.
 fn decode_fn(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheStats) -> DecodedFn {
     let n = code.len();
     let mut leader = vec![false; n];
@@ -606,8 +764,8 @@ fn decode_fn(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheSta
             _ => {}
         }
     }
-    let mut block_at = vec![u32::MAX; n];
-    let mut blocks = Vec::new();
+    let mut entries = vec![Entry::default(); n];
+    let mut ops = Vec::new();
     let mut i = 0;
     while i < n {
         debug_assert!(leader[i]);
@@ -615,38 +773,39 @@ fn decode_fn(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheSta
         while end < n && !leader[end] {
             end += 1;
         }
-        block_at[i] = blocks.len() as u32;
-        blocks.push(build_block(img, &code[i..end], sram, stats));
+        let first = ops.len();
+        translate_block(&code[i..end], sram, &mut ops);
+        stats.blocks += 1;
+        stats.instrs += end - i;
+        enter_block(img, &code[i..end], i, first, &ops, &mut entries);
         i = end;
     }
-    DecodedFn { blocks, block_at }
+    stats.ops += ops.len();
+    stats.fused += ops.iter().filter(|o| o.n > 1).count();
+    stats.slow += ops
+        .iter()
+        .filter(|o| matches!(o.kind, OpKind::Slow(_)))
+        .count();
+    DecodedFn {
+        ops: ops.into_boxed_slice(),
+        entries: entries.into_boxed_slice(),
+    }
 }
 
 /// Builds one `Op` covering `code[..n_instrs]`.
 fn mk_op(code: &[Instr], n_instrs: usize, kind: OpKind) -> Op {
     let cost: u64 = code[..n_instrs].iter().map(Instr::cycles).sum();
+    let reach = cost - code[n_instrs - 1].cycles();
     Op {
         cost: u32::try_from(cost).expect("op cost fits u32"),
         n: n_instrs as u16,
+        reach: u16::try_from(reach).expect("a fused op's reach fits u16"),
         kind,
     }
 }
 
-/// Translates one straight-line instruction run into a block.
-fn build_block(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheStats) -> Block {
-    // Cost and entry-depth requirement come from the *original*
-    // instruction sequence (fusion never changes either).
-    let mut cost = 0u64;
-    let mut depth: i64 = 0;
-    let mut min_depth: i64 = 0;
-    for ins in code {
-        cost += ins.cycles();
-        depth -= pops(img, ins) as i64;
-        min_depth = min_depth.min(depth);
-        depth += pushes(ins) as i64;
-    }
-    let stack_in = (-min_depth) as u32;
-
+/// Translates one straight-line instruction run, appending its ops.
+fn translate_block(code: &[Instr], sram: (u16, u16), out: &mut Vec<Op>) {
     let mut ops = Vec::new();
     let mut k = 0;
     while k < code.len() {
@@ -658,25 +817,50 @@ fn build_block(img: &Image, code: &[Instr], sram: (u16, u16), stats: &mut CacheS
         ops.push(translate_one(&code[k], sram));
         k += 1;
     }
-    let ops = merge_rmw_br(ops);
-    stats.blocks += 1;
-    stats.ops += ops.len();
-    stats.instrs += code.len();
-    stats.fused += ops.iter().filter(|o| o.n > 1).count();
-    stats.slow += ops
-        .iter()
-        .filter(|o| matches!(o.kind, OpKind::Slow(_)))
-        .count();
-    let pure = ops.iter().all(|o| op_is_pure(&o.kind));
-    let local_span = ops.iter().map(|o| local_end(&o.kind)).max().unwrap_or(0);
-    Block {
-        ops: ops.into_boxed_slice(),
-        cost,
-        stack_in,
-        n_instrs: code.len() as u32,
-        pure,
-        local_span,
+    out.extend(merge_rmw_br(ops));
+}
+
+/// One backward pass over the block `code` (leader pc `pc0`, ops from
+/// `ops[first..]`) that gives every op boundary its entry: the suffix's
+/// cost and reach, instruction count, purity, frame span and required
+/// entry stack depth. Cost and depth come from the *original* instructions (fusion
+/// changes neither).
+fn enter_block(
+    img: &Image,
+    code: &[Instr],
+    pc0: usize,
+    first: usize,
+    ops: &[Op],
+    entries: &mut [Entry],
+) {
+    // `need[j]`: the depth instruction `j` needs so that no instruction
+    // of `code[j..]` underflows.
+    let mut need = vec![0u32; code.len() + 1];
+    for (j, ins) in code.iter().enumerate().rev() {
+        let (p, q) = (pops(img, ins), pushes(ins));
+        need[j] = p.max((need[j + 1] + p).saturating_sub(q));
     }
+    let mut at = code.len();
+    let mut next = Entry::default();
+    for (idx, op) in ops.iter().enumerate().skip(first).rev() {
+        at -= op.n as usize;
+        next = Entry {
+            first: idx as u32,
+            n_ops: next.n_ops + 1,
+            cost: next.cost + op.cost,
+            reach: if next.n_ops == 0 {
+                op.reach as u32
+            } else {
+                op.cost + next.reach
+            },
+            n_instrs: next.n_instrs + op.n as u32,
+            stack_in: need[at],
+            local_span: next.local_span.max(local_end(&op.kind)),
+            pure: (next.n_ops == 0 || next.pure) && op_is_pure(&op.kind),
+        };
+        entries[pc0 + at] = next;
+    }
+    debug_assert_eq!(at, 0, "the block's ops cover its instructions");
 }
 
 /// Second fusion pass: the canonical counting-loop tail
@@ -704,6 +888,7 @@ fn merge_rmw_br(ops: Vec<Op>) -> Vec<Op> {
             if let Some(&Op {
                 cost: pcost,
                 n: pn,
+                reach: _,
                 kind:
                     OpKind::RmwGK {
                         ld_addr,
@@ -722,6 +907,7 @@ fn merge_rmw_br(ops: Vec<Op>) -> Vec<Op> {
                 out.push(Op {
                     cost: pcost + op.cost,
                     n: pn + op.n,
+                    reach: u16::try_from(pcost).expect("a fused op's reach fits u16") + op.reach,
                     kind: OpKind::RmwGKBr {
                         reload: !(addr == st_addr && ld_width == st_width),
                         rmw: GRmw {
@@ -759,8 +945,9 @@ fn merge_rmw_br(ops: Vec<Op>) -> Vec<Op> {
 /// Whether an op can neither fault, reach a device, leave the block's
 /// function, nor need the faithful interpreter — i.e. nothing in it can
 /// observe the machine counters. Frame-slot ops (`LdL`/`StL`/
-/// `LdLF`/`StLF`) count as pure because the pure path proves their whole
-/// `fp` window (`Block::local_span`) is writable SRAM before entry.
+/// `LdLF`/`StLF`, `RmwLK`, `CmpLKBr`) count as pure because the pure
+/// path proves their whole `fp` window (`Block::local_span`) is writable
+/// SRAM before entry.
 fn op_is_pure(kind: &OpKind) -> bool {
     !matches!(
         kind,
@@ -780,6 +967,8 @@ fn local_end(kind: &OpKind) -> u32 {
     match *kind {
         OpKind::LdL { off, width, .. } | OpKind::StL { off, width } => off as u32 + width.bytes(),
         OpKind::LdLF { off, seq } | OpKind::StLF { off, seq } => off as u32 + fat_bytes(seq) as u32,
+        OpKind::RmwLK(rmw) => rmw.span(),
+        OpKind::CmpLKBr(cmp) => cmp.span(),
         _ => 0,
     }
 }
@@ -855,6 +1044,71 @@ fn try_fuse(code: &[Instr], sram: (u16, u16)) -> Option<(Op, usize)> {
                     st_width,
                 };
                 return Some((mk_op(code, 4, kind), 4));
+            }
+        }
+    }
+    if let [Instr::LdLocal {
+        off: ld_off,
+        width: ld_width,
+        signed: ld_signed,
+    }, Instr::PushI(k), Instr::Bin { op, width, signed }, ref rest @ ..] = *code
+    {
+        if !is_divmod(op) {
+            // A frame-slot compare-and-branch, or a read-modify-write
+            // with or without a cast before the store.
+            if let Some((br_if_zero, target)) = rest.first().and_then(branch_sense) {
+                let kind = OpKind::CmpLKBr(LCmpBr {
+                    off: ld_off,
+                    ld_width,
+                    ld_signed,
+                    k,
+                    op,
+                    width,
+                    signed,
+                    br_if_zero,
+                    target,
+                });
+                return Some((mk_op(code, 4, kind), 4));
+            }
+            let (wrap, st) = match *rest {
+                [Instr::Wrap { width, signed }, st, ..] => (Some((width, signed)), st),
+                [st, ..] => (None, st),
+                [] => return None,
+            };
+            if let Instr::StLocal {
+                off: st_off,
+                width: st_width,
+            } = st
+            {
+                let len = 4 + wrap.is_some() as usize;
+                let kind = OpKind::RmwLK(LRmw {
+                    ld_off,
+                    ld_width,
+                    ld_signed,
+                    k,
+                    op,
+                    width,
+                    signed,
+                    wrap,
+                    st_off,
+                    st_width,
+                });
+                return Some((mk_op(code, len, kind), len));
+            }
+        }
+    }
+    if let [Instr::PushI(k), Instr::Bin { op, width, signed }, br, ..] = *code {
+        if let Some((br_if_zero, target)) = branch_sense(&br) {
+            if !is_divmod(op) {
+                let kind = OpKind::CmpKBr {
+                    k,
+                    op,
+                    width,
+                    signed,
+                    br_if_zero,
+                    target,
+                };
+                return Some((mk_op(code, 3, kind), 3));
             }
         }
     }
@@ -1010,17 +1264,17 @@ mod tests {
     pub(crate) fn assert_block_invariants(cache: &BlockCache, img: &Image) {
         for (fi, f) in img.functions.iter().enumerate() {
             let df = &cache.funcs[fi];
-            assert_eq!(df.block_at.len(), f.code.len(), "{}: pc map length", f.name);
-            // Walk the pc space through block extents: every pc must be
-            // covered by exactly one block, blocks start at leaders, and
-            // any non-final constituent must be a non-terminator.
+            assert_eq!(df.entries.len(), f.code.len(), "{}: pc map length", f.name);
+            // Walk the pc space through whole blocks: every pc must be
+            // covered by exactly one block, and any non-final
+            // constituent must be a non-terminator.
             let mut pc = 0usize;
-            let mut seen_blocks = 0usize;
+            let mut blocks = 0usize;
             while pc < f.code.len() {
-                let bi = df.block_at[pc];
-                assert_ne!(bi, u32::MAX, "{}: pc {pc} is not a block start", f.name);
-                let block = &df.blocks[bi as usize];
-                let n: usize = block.ops.iter().map(|o| o.n as usize).sum();
+                let block = cache
+                    .lookup(fi as u32, pc as u32)
+                    .unwrap_or_else(|| panic!("{}: pc {pc} is not a block start", f.name));
+                let n = block.n_instrs as usize;
                 assert!(n >= 1, "{}: empty block at pc {pc}", f.name);
                 // Interior instructions never branch/open IRQ windows.
                 for (j, ins) in f.code[pc..pc + n].iter().enumerate() {
@@ -1033,54 +1287,76 @@ mod tests {
                         );
                     }
                 }
-                // Interior pcs are not block starts.
-                for mid in pc + 1..pc + n {
-                    assert_eq!(
-                        df.block_at[mid],
-                        u32::MAX,
-                        "{}: block overlaps leader at pc {mid}",
-                        f.name
-                    );
-                }
                 // The block ends at a control-flow edge, at a jump-target
                 // leader, or at the end of the function.
                 let last = &f.code[pc + n - 1];
-                let at_edge = is_terminator(last)
-                    || pc + n == f.code.len()
-                    || df.block_at[pc + n] != u32::MAX;
+                let jumped_to = f.code.iter().any(|i| branch_target(i) == Some(pc + n));
+                let at_edge = is_terminator(last) || pc + n == f.code.len() || jumped_to;
                 assert!(at_edge, "{}: block at pc {pc} ends mid-flow", f.name);
-                // Cost/charge bookkeeping matches the source instructions.
-                let cost: u64 = f.code[pc..pc + n].iter().map(Instr::cycles).sum();
-                assert_eq!(block.cost, cost, "{}: block cost at pc {pc}", f.name);
-                assert_eq!(
-                    block.n_instrs as usize, n,
-                    "{}: block instruction count at pc {pc}",
-                    f.name
-                );
-                // The static purity and local-span facts the fast path
-                // trusts must re-derive from the translated ops.
-                assert_eq!(
-                    block.pure,
-                    block.ops.iter().all(|o| op_is_pure(&o.kind)),
-                    "{}: purity flag at pc {pc}",
-                    f.name
-                );
-                assert_eq!(
-                    block.local_span,
-                    block
-                        .ops
-                        .iter()
-                        .map(|o| local_end(&o.kind))
-                        .max()
-                        .unwrap_or(0),
-                    "{}: local span at pc {pc}",
-                    f.name
-                );
+                // Every op boundary inside is an entry onto the block's
+                // own suffix; pcs inside a fused op are none.
+                let mut at = pc;
+                for (k, op) in block.ops.iter().enumerate() {
+                    let suffix = cache.lookup(fi as u32, at as u32).expect("op boundary");
+                    assert!(
+                        std::ptr::eq(suffix.ops, &block.ops[k..]),
+                        "{}: pc {at}",
+                        f.name
+                    );
+                    assert_entry_facts(img, &f.code[at..pc + n], suffix, &f.name, at);
+                    for mid in at + 1..at + op.n as usize {
+                        assert!(cache.lookup(fi as u32, mid as u32).is_none(), "{}", f.name);
+                    }
+                    at += op.n as usize;
+                }
+                assert_eq!(at, pc + n, "{}: ops cover the block at pc {pc}", f.name);
                 pc += n;
-                seen_blocks += 1;
+                blocks += 1;
             }
-            assert_eq!(seen_blocks, df.blocks.len(), "{}: orphan blocks", f.name);
+            assert_eq!(
+                df.ops.len(),
+                df.entries.iter().filter(|e| e.n_ops > 0).count()
+            );
+            assert!(blocks <= cache.stats().blocks);
         }
+    }
+
+    /// The jump target of `i`, if it is a jump.
+    fn branch_target(i: &Instr) -> Option<usize> {
+        match *i {
+            Instr::Jmp { target } | Instr::Jz { target } | Instr::Jnz { target } => {
+                Some(target as usize)
+            }
+            _ => None,
+        }
+    }
+
+    /// The facts the fast path trusts must re-derive, forwards, from
+    /// the suffix's source instructions and translated ops.
+    fn assert_entry_facts(img: &Image, code: &[Instr], b: Block<'_>, name: &str, pc: usize) {
+        let cost: u64 = code.iter().map(Instr::cycles).sum();
+        assert_eq!(b.cost, cost, "{name}: cost at pc {pc}");
+        let last = code.last().map_or(0, Instr::cycles);
+        assert_eq!(b.reach, cost - last, "{name}: reach at pc {pc}");
+        let mut at = 0;
+        for op in b.ops {
+            let n = op.n as usize;
+            let reach: u64 = code[at..at + n - 1].iter().map(Instr::cycles).sum();
+            assert_eq!(op.reach as u64, reach, "{name}: op reach at pc {}", pc + at);
+            at += n;
+        }
+        assert_eq!(b.n_instrs as usize, code.len(), "{name}: length at pc {pc}");
+        let (mut depth, mut low) = (0i64, 0i64);
+        for ins in code {
+            depth -= pops(img, ins) as i64;
+            low = low.min(depth);
+            depth += pushes(ins) as i64;
+        }
+        assert_eq!(b.stack_in as i64, -low, "{name}: entry depth at pc {pc}");
+        let pure = b.ops.iter().all(|o| op_is_pure(&o.kind));
+        assert_eq!(b.pure, pure, "{name}: purity at pc {pc}");
+        let span = b.ops.iter().map(|o| local_end(&o.kind)).max().unwrap_or(0);
+        assert_eq!(b.local_span, span, "{name}: local span at pc {pc}");
     }
 
     #[test]
@@ -1096,12 +1372,12 @@ mod tests {
         ]);
         let cache = BlockCache::build(&img);
         assert_block_invariants(&cache, &img);
-        let df = &cache.funcs[0];
-        assert_ne!(df.block_at[0], u32::MAX);
-        assert_ne!(df.block_at[2], u32::MAX);
-        assert_eq!(df.block_at[1], u32::MAX);
-        assert_eq!(df.block_at[3], u32::MAX);
-        assert_eq!(df.blocks.len(), 2);
+        assert_eq!(cache.stats().blocks, 2);
+        assert_eq!(cache.lookup(0, 0).unwrap().n_instrs, 2);
+        assert_eq!(cache.lookup(0, 2).unwrap().n_instrs, 3);
+        // The interior boundaries enter their block's suffix.
+        assert_eq!(cache.lookup(0, 1).unwrap().n_instrs, 1);
+        assert_eq!(cache.lookup(0, 3).unwrap().n_instrs, 2);
     }
 
     #[test]
@@ -1114,9 +1390,34 @@ mod tests {
         ]);
         let cache = BlockCache::build(&img);
         assert_block_invariants(&cache, &img);
-        let df = &cache.funcs[0];
-        assert_eq!(df.blocks.len(), 2);
-        assert_ne!(df.block_at[2], u32::MAX, "pc after IrqEnable is a leader");
+        assert_eq!(cache.stats().blocks, 2);
+        assert_eq!(cache.lookup(0, 0).unwrap().n_instrs, 2);
+        assert_eq!(cache.lookup(0, 2).unwrap().n_instrs, 2);
+    }
+
+    #[test]
+    fn a_suffix_needs_only_its_own_stack_depth() {
+        // The whole block needs one cell on entry; entered at the `Pop`
+        // it needs three (one to pop, two for the division).
+        let img = image_with(vec![
+            Instr::PushI(1),
+            Instr::PushI(2),
+            Instr::Pop,
+            Instr::Bin {
+                op: AluOp::Div,
+                width: Width::W16,
+                signed: false,
+            },
+            Instr::Halt,
+        ]);
+        let cache = BlockCache::build(&img);
+        assert_block_invariants(&cache, &img);
+        let depths: Vec<u32> = (0..5)
+            .map(|pc| cache.lookup(0, pc).unwrap().stack_in)
+            .collect();
+        assert_eq!(depths, [1, 2, 3, 2, 0]);
+        assert!(!cache.lookup(0, 0).unwrap().pure);
+        assert!(cache.lookup(0, 4).unwrap().ops.len() == 1);
     }
 
     #[test]

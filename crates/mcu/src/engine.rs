@@ -17,31 +17,52 @@
 //! dispatch an interrupt) is provably a no-op for every instruction of a
 //! block the engine enters, because entry requires:
 //!
-//! * `cycles + block.cost < min(until, next event time)` — so no device
-//!   event becomes due anywhere inside the block (events are only
-//!   scheduled by MMIO writes, which abort the fast loop via
-//!   `mmio_sync`, re-deriving the horizon);
+//! * `cycles + block.reach < min(until, next event time)`, where `reach`
+//!   is the offset at which the block's last instruction starts — so
+//!   every instruction of the block starts before any device event is
+//!   due and before the `run` horizon, exactly as the interpreter would
+//!   start them (events are only scheduled by MMIO writes, which abort
+//!   the fast loop via `mmio_sync`, re-deriving the horizon);
 //! * no pending enabled interrupt — and nothing inside a block can open
 //!   an interrupt window: every instruction that can *enable* interrupts
 //!   (`IrqEnable`, `IrqRestore`, `Ret`/`Reti`) terminates its block;
 //! * evaluation-stack depth ≥ `block.stack_in` — so no mid-block
 //!   underflow fault can occur.
 //!
-//! Anything the fast loop cannot prove safe (mid-block entry pcs after a
-//! resync, blocks crossing the horizon, shallow stacks, `pc` past the
-//! end of a function) falls back to the interpreter's own
-//! [`Machine::step`], one instruction at a time, until a block boundary
-//! is reached again. Torn-update watchpoints (armed via
+//! **Every op boundary is an entry point.** The decode gives each one
+//! the facts of its block's suffix (cost, reach, entry depth, purity,
+//! frame span), so a pc left inside a block — by a `run` cut, an MMIO
+//! store's resync, or a `Reti` into the instruction an interrupt caught
+//! — re-enters the fast path at once. The suffix is straight-line code
+//! ending where its block ends, so the three conditions above say the
+//! same for it as for the whole block. A block whose last instruction
+//! would start at or past the horizon runs op by op in the checked
+//! loop, up to the first op whose last instruction would. Only a pc
+//! inside a fused op (or past the end of its function), a horizon that
+//! falls inside an op, or a shallow stack falls back to the
+//! interpreter's own [`Machine::step`], one instruction at a time;
+//! [`Machine::engine_work`] counts those steps by reason, and the ops
+//! dispatched. Torn-update watchpoints (armed via
 //! [`Machine::arm_torn_watch`]) force every 16-bit and fat-pointer
 //! access through the interpreter's counting `load_mem`/`store_mem`
 //! path until they fire, so watch counters advance identically under
 //! both engines; a fired watch is inert and the fast paths return.
 //!
+//! **Pure blocks chain.** After a pure block the pure loop goes straight
+//! into the next one when it is pure, fits the horizon and the stack,
+//! and its frame slots lie in the `fp` window already proven SRAM (or
+//! one proven on the spot). It skips the pending-interrupt, torn-watch
+//! and admission checks, because no pure block can change what they
+//! test: nothing in one delivers an event or schedules one (no MMIO),
+//! enables interrupts (it may only disable them), touches a watch (its
+//! accesses are direct) or moves `fp` (calls and returns are impure).
+
 //! # One executor, two loops
 //!
 //! An admitted block runs in one of two loops. The *pure* loop takes
 //! blocks whose ops can neither fault nor reach a device, while no torn
-//! watch is live and the block's frame window is proven SRAM: it
+//! watch is live, the block's frame window is proven SRAM and the whole
+//! block fits the horizon: it
 //! charges the whole block at once and dispatches with no per-op
 //! bookkeeping. The *checked* loop charges op by op and flushes its
 //! counters before every op that can fault, reach a device or leave the
@@ -51,8 +72,9 @@
 //! pure loop (its proven frame slots included), torn-watch-aware access
 //! for the checked loop. The checked loop keeps only what the executor
 //! hands back: the frame-slot and dynamic-address accesses (one body
-//! per access kind, whatever its address source), `Slow`, `Call` and
-//! `Term`.
+//! per access kind, whatever its address source), the fused frame-slot
+//! ops (direct when their bytes are SRAM and no watch is live, else
+//! their constituents single-step), `Slow`, `Call` and `Term`.
 //!
 //! [`Machine::step`] (with its `exec` and `alu`) stays a separate copy
 //! on purpose: it is the reference the interp≡bt identity checks, and
@@ -64,7 +86,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use crate::bbcache::{BlockCache, OpKind};
+use crate::bbcache::{BlockCache, LCmpBr, LRmw, OpKind};
 use crate::devices::MMIO_BASE;
 use crate::isa::{fat_bytes, fat_pack, fat_unpack, AluOp, UnAluOp, Width};
 use crate::machine::{Fault, Machine, RunState, FLASH_BASE};
@@ -138,6 +160,54 @@ impl Engine {
             Engine::Bt => "bt",
         }
     }
+}
+
+/// The block engine's work counters: the ops it dispatched, and the
+/// faithful single steps it fell back to, by the reason no block could
+/// be entered. They count what one engine does, not machine state, so
+/// [`Machine::same_state`] leaves them out; the interpreter counts
+/// nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineWork {
+    /// Ops dispatched; the pure loop counts a block's ops at once.
+    pub dispatches: u64,
+    /// Single steps at a pc that is no op boundary: inside a fused op,
+    /// or past the end of its function.
+    pub no_entry: u64,
+    /// Single steps where the block would reach the next device event or
+    /// the `run` horizon.
+    pub horizon: u64,
+    /// Single steps where the evaluation stack was shallower than the
+    /// block needs.
+    pub stack: u64,
+    /// Single steps with an enabled interrupt pending.
+    pub irq: u64,
+}
+
+impl EngineWork {
+    /// All single-step fallbacks.
+    pub fn single_steps(&self) -> u64 {
+        self.no_entry + self.horizon + self.stack + self.irq
+    }
+
+    fn count(&mut self, miss: Miss) {
+        *match miss {
+            Miss::NoEntry => &mut self.no_entry,
+            Miss::Horizon => &mut self.horizon,
+            Miss::Stack => &mut self.stack,
+            Miss::Irq => &mut self.irq,
+        } += 1;
+    }
+}
+
+/// Why [`Machine::run_blocks`] could not enter a block (see
+/// [`EngineWork`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    NoEntry,
+    Horizon,
+    Stack,
+    Irq,
 }
 
 /// Where control goes after [`Machine::exec_pure`] saw an op.
@@ -253,10 +323,10 @@ impl Machine {
                     if self.maybe_dispatch_irq() {
                         continue;
                     }
-                    if !self.run_blocks::<R>(cache, until) {
-                        // No block was provably safe (mid-block pc,
-                        // horizon too close, shallow stack, pc past
-                        // end): take one faithful step.
+                    if let Some(miss) = self.run_blocks::<R>(cache, until) {
+                        // No block was provably safe: take one faithful
+                        // step.
+                        self.work.count(miss);
                         self.step();
                     }
                 }
@@ -266,9 +336,9 @@ impl Machine {
         }
     }
 
-    /// Executes whole basic blocks back-to-back while each next block
-    /// provably contains no observable boundary. Returns whether at
-    /// least one block ran.
+    /// Executes blocks back-to-back while each next block provably
+    /// contains no observable boundary. Returns why no block could be
+    /// entered, or `None` when at least one ran.
     ///
     /// The counters (`cycles`, `awake_cycles`, `instr_count`, `pc`,
     /// `cur_func`) accumulate in locals that survive *across* chained
@@ -277,7 +347,7 @@ impl Machine {
     /// (fault, MMIO, call/return, interpreter fallback). Every flush
     /// happens *before* the op body runs, so fault sites and device
     /// accesses always see exact interpreter-identical counters.
-    fn run_blocks<const R: bool>(&mut self, cache: &BlockCache, until: u64) -> bool {
+    fn run_blocks<const R: bool>(&mut self, cache: &BlockCache, until: u64) -> Option<Miss> {
         let mut horizon = self.next_horizon(until);
         let mut progressed = false;
         let mut cycles = self.cycles;
@@ -285,6 +355,7 @@ impl Machine {
         let mut instrs = self.instr_count;
         let mut pc = self.pc;
         let mut cur_func = self.cur_func;
+        let mut dispatches = 0u64;
         // Locals -> machine (before any op that can fault, reach a
         // device, or leave the fast path).
         macro_rules! sync_out {
@@ -311,7 +382,8 @@ impl Machine {
         macro_rules! exit_if_stopped {
             () => {
                 if self.state != RunState::Running {
-                    return progressed;
+                    self.work.dispatches += dispatches;
+                    return None;
                 }
             };
         }
@@ -328,17 +400,24 @@ impl Machine {
                 }
             };
         }
-        'chain: loop {
+        let miss = 'chain: loop {
             // An enabled pending interrupt must be dispatched by the
             // faithful outer loop before the next instruction.
             if self.pending != 0 && self.irq_enabled {
-                break;
+                break Miss::Irq;
             }
-            let Some(block) = cache.lookup(cur_func, pc) else {
-                break;
+            let Some(mut block) = cache.lookup(cur_func, pc) else {
+                break Miss::NoEntry;
             };
-            if cycles + block.cost >= horizon || (self.eval.len() as u32) < block.stack_in {
-                break;
+            // A block whose last instruction would start at or past the
+            // horizon runs op by op in the checked loop, up to the first
+            // op that would.
+            let whole = cycles + block.reach < horizon;
+            if !whole && cycles + block.ops[0].reach as u64 >= horizon {
+                break Miss::Horizon;
+            }
+            if (self.eval.len() as u32) < block.stack_in {
+                break Miss::Stack;
             }
             progressed = true;
             // Pure blocks (statically infallible, device-free, no torn
@@ -346,14 +425,17 @@ impl Machine {
             // lean path: whole-block counter accounting and a dispatch
             // loop with no per-op flush/exit machinery — nothing inside
             // can fault, reach a device, or observe the counters.
-            if block.pure
+            if whole
+                && block.pure
                 && self.live_watch().is_none()
                 && (block.local_span == 0 || self.dyn_writable(self.fp, block.local_span))
             {
-                'pure: loop {
+                let mut span = block.local_span;
+                loop {
                     cycles += block.cost;
                     awake += block.cost;
                     instrs += block.n_instrs as u64;
+                    dispatches += block.ops.len() as u64;
                     let mut next = pc + block.n_instrs;
                     for op in block.ops.iter() {
                         match self.exec_pure::<R, false>(&op.kind) {
@@ -362,29 +444,41 @@ impl Machine {
                             Flow::Fallible => unreachable!("impure op in a pure block"),
                         }
                     }
-                    // Self-loop — the dominant tight-loop shape: the
-                    // terminator re-enters this very block, so skip the
-                    // lookup/pureness pointer chase and re-run the
-                    // already-resolved ops, re-checking only what can
-                    // have changed (IRQ window, horizon, stack depth;
-                    // `fp`, the torn watch, and the block itself
-                    // cannot change inside a pure block).
-                    if next == pc
-                        && !(self.pending != 0 && self.irq_enabled)
-                        && cycles + block.cost < horizon
-                        && (self.eval.len() as u32) >= block.stack_in
-                    {
-                        continue 'pure;
+                    // Chain straight into the next pure block: no pure
+                    // block can raise an interrupt, enable one, touch the
+                    // torn watch, schedule an event or move `fp`, so only
+                    // the horizon, the stack depth and the frame window
+                    // need re-checking. A self-loop (the dominant tight
+                    // loop) skips even the lookup.
+                    if next != pc {
+                        pc = next;
+                        match cache.lookup(cur_func, pc) {
+                            Some(b)
+                                if b.pure
+                                    && (b.local_span <= span
+                                        || self.dyn_writable(self.fp, b.local_span)) =>
+                            {
+                                span = span.max(b.local_span);
+                                block = b;
+                            }
+                            _ => continue 'chain,
+                        }
                     }
-                    pc = next;
-                    continue 'chain;
+                    if cycles + block.reach >= horizon || (self.eval.len() as u32) < block.stack_in
+                    {
+                        continue 'chain;
+                    }
                 }
             }
             for op in block.ops.iter() {
+                if cycles + op.reach as u64 >= horizon {
+                    break 'chain Miss::Horizon;
+                }
                 cycles += op.cost as u64;
                 awake += op.cost as u64;
                 instrs += op.n as u64;
                 pc += op.n as u32;
+                dispatches += 1;
                 let flow = self.exec_pure::<R, true>(&op.kind);
                 if let Flow::Branch(target) = flow {
                     pc = target;
@@ -453,6 +547,32 @@ impl Machine {
                             resync_after_mmio!('chain);
                         }
                     }
+                    // A fused frame-slot op runs directly when its bytes
+                    // are SRAM and no watch is live; otherwise its charge
+                    // is taken back and its constituents single-step, so
+                    // a fault or a counted access lands exactly where the
+                    // interpreter's does.
+                    OpKind::RmwLK(rmw) if self.local_direct(rmw.span()) => {
+                        self.rmw_local::<R>(&rmw)
+                    }
+                    OpKind::CmpLKBr(cmp) if self.local_direct(cmp.span()) => {
+                        if let Flow::Branch(target) = self.cmp_local_br::<R>(&cmp) {
+                            pc = target;
+                        }
+                    }
+                    OpKind::RmwLK(_) | OpKind::CmpLKBr(_) => {
+                        cycles -= op.cost as u64;
+                        awake -= op.cost as u64;
+                        instrs -= op.n as u64;
+                        pc -= op.n as u32;
+                        sync_out!();
+                        for _ in 0..op.n {
+                            self.step();
+                            exit_if_stopped!();
+                        }
+                        sync_in!();
+                        resync_after_mmio!('chain);
+                    }
                     // `exec` charges nothing, so re-reading the counters
                     // after a `Slow` op is a no-op; a `Term` is the last
                     // op, so the chain continues at its new pc.
@@ -473,10 +593,11 @@ impl Machine {
                 }
             }
             // The terminator's target, or the fallthrough into the next
-            // leader: `pc` already advanced.
-        }
+            // block: `pc` already advanced.
+        };
         sync_out!();
-        progressed
+        self.work.dispatches += dispatches;
+        (!progressed).then_some(miss)
     }
 
     /// The one executor of the infallible ops both loops of
@@ -650,6 +771,18 @@ impl Machine {
                 let v = alu_nodiv(op, a, k, width, signed);
                 return Flow::branch_if((v == 0) == br_if_zero, target);
             }
+            OpKind::CmpKBr {
+                k,
+                op,
+                width,
+                signed,
+                br_if_zero,
+                target,
+            } => {
+                let a = self.bpop();
+                let v = alu_nodiv(op, a, k, width, signed);
+                return Flow::branch_if((v == 0) == br_if_zero, target);
+            }
             OpKind::RmwGKBr { rmw, cmp, reload } => {
                 // A live watch may count (and tear) the store and must
                 // count the reload, so it forces the reload.
@@ -688,8 +821,12 @@ impl Machine {
                 let cell = self.bpop();
                 self.fat_write_direct(self.fp.wrapping_add(off), cell, seq);
             }
+            OpKind::RmwLK(rmw) if !C => self.rmw_local::<R>(&rmw),
+            OpKind::CmpLKBr(cmp) if !C => return self.cmp_local_br::<R>(&cmp),
             OpKind::LdL { .. }
             | OpKind::StL { .. }
+            | OpKind::RmwLK(_)
+            | OpKind::CmpLKBr(_)
             | OpKind::LdLF { .. }
             | OpKind::StLF { .. }
             | OpKind::LdDyn { .. }
@@ -701,6 +838,37 @@ impl Machine {
             | OpKind::Term(_) => return Flow::Fallible,
         }
         Flow::Next
+    }
+
+    /// Whether a fused frame-slot op spanning `[fp, fp+span)` may run
+    /// directly: the bytes are SRAM and no torn watch is live.
+    #[inline(always)]
+    fn local_direct(&self, span: u32) -> bool {
+        self.live_watch().is_none() && self.dyn_writable(self.fp, span)
+    }
+
+    /// [`OpKind::RmwLK`] on frame bytes proven SRAM with no live watch.
+    #[inline(always)]
+    fn rmw_local<const R: bool>(&mut self, rmw: &LRmw) {
+        let a = self.sram_read::<R>(
+            self.fp.wrapping_add(rmw.ld_off),
+            rmw.ld_width,
+            rmw.ld_signed,
+        );
+        let mut v = alu_nodiv(rmw.op, a, rmw.k, rmw.width, rmw.signed);
+        if let Some((width, signed)) = rmw.wrap {
+            v = width.wrap(v, signed);
+        }
+        self.sram_write(self.fp.wrapping_add(rmw.st_off), v, rmw.st_width);
+    }
+
+    /// [`OpKind::CmpLKBr`] on a frame slot proven SRAM with no live
+    /// watch.
+    #[inline(always)]
+    fn cmp_local_br<const R: bool>(&mut self, cmp: &LCmpBr) -> Flow {
+        let a = self.sram_read::<R>(self.fp.wrapping_add(cmp.off), cmp.ld_width, cmp.ld_signed);
+        let v = alu_nodiv(cmp.op, a, cmp.k, cmp.width, cmp.signed);
+        Flow::branch_if((v == 0) == cmp.br_if_zero, cmp.target)
     }
 
     /// `min(until, next scheduled event time)`: the fast loop must stop
@@ -1248,10 +1416,13 @@ mod tests {
             OpKind::RmwGKBr { .. } => 37,
             OpKind::Call(_) => 38,
             OpKind::Term(_) => 39,
+            OpKind::RmwLK(_) => 40,
+            OpKind::CmpKBr { .. } => 41,
+            OpKind::CmpLKBr(_) => 42,
         }
     }
 
-    const KINDS: usize = 40;
+    const KINDS: usize = 43;
 
     /// An instruction span that decodes to op kind `i` (see
     /// [`kind_index`]), with random operands, and the address the op
@@ -1438,6 +1609,45 @@ mod tests {
                 ])],
                 None,
             ),
+            40 => {
+                // Half the spans cast before the store, as narrow
+                // counters do; the store may hit another slot and width.
+                let mut span = vec![
+                    LdLocal {
+                        off,
+                        width: w,
+                        signed: s,
+                    },
+                    PushI(g.word()),
+                    bin(g),
+                ];
+                if g.coin() {
+                    span.push(Wrap {
+                        width: g.width(),
+                        signed: g.coin(),
+                    });
+                }
+                let st_off = if g.coin() { off } else { g.off() };
+                span.push(StLocal {
+                    off: st_off,
+                    width: g.width(),
+                });
+                (span, local)
+            }
+            41 => (vec![PushI(g.word()), bin(g), g.branch().1], None),
+            42 => (
+                vec![
+                    LdLocal {
+                        off,
+                        width: w,
+                        signed: s,
+                    },
+                    PushI(g.word()),
+                    bin(g),
+                    g.branch().1,
+                ],
+                local,
+            ),
             _ => unreachable!("{i} is not an op kind"),
         }
     }
@@ -1531,6 +1741,19 @@ mod tests {
             let at = touched.unwrap_or_else(|| g.sram(2));
             m.arm_torn_watch(at, 1 + g.below(2) as u32, 1 + g.below(255) as u8, g.coin());
         }
+        // Cut inside the span: the block engine runs the ops whose
+        // instructions all start before the cut and single-steps the
+        // rest, as the interpreter would.
+        let cut = m.cycles + 1 + g.below(block.cost);
+        let [a, b] = [Engine::Interp, Engine::Bt].map(|engine| {
+            let mut run = m.clone();
+            run.set_engine(engine);
+            run.run(cut);
+            run
+        });
+        let case = format!("kind {i} {way:?} cut at {cut}: {code:?}");
+        assert!(b.same_state(&a), "{case}\nbt {b:?}\ninterp {a:?}");
+        assert_eq!(b.torn_watch(), a.torn_watch(), "{case}");
         let mut want = m.clone();
         let mut got = m;
         if record {
@@ -1543,15 +1766,15 @@ mod tests {
             }
             want.step();
         }
-        // Nothing else is admitted: every next block costs at least a
-        // cycle more than the horizon leaves.
-        let until = got.cycles + block.cost + 1;
+        // The span's last instruction starts just before the horizon, so
+        // nothing after it is admitted.
+        let until = got.cycles + block.reach + 1;
         let ran = if record {
             got.run_blocks::<true>(&cache, until)
         } else {
             got.run_blocks::<false>(&cache, until)
         };
-        assert!(ran, "kind {i} {way:?}: block not admitted");
+        assert_eq!(ran, None, "kind {i} {way:?}: block not admitted");
         // `run` clears the resync request after either engine's run.
         want.mmio_sync = false;
         got.mmio_sync = false;
@@ -1570,6 +1793,163 @@ mod tests {
                     check_op(i, way, case % 2 == 1, &mut g);
                 }
             }
+        }
+    }
+
+    /// A frame-slot loop under a fast periodic timer: the handler bumps
+    /// a global, writes the LEDs and returns with `Reti` wherever the
+    /// interrupt caught `main` — mostly inside a block.
+    fn interrupted_loop(period: u16) -> Image {
+        use Instr::*;
+        let w16 = |op| Bin {
+            op,
+            width: Width::W16,
+            signed: false,
+        };
+        let mut img = image_with(vec![
+            PushI(period as i64),
+            PushI(TIMER0_COMPARE as i64),
+            St { width: Width::W16 },
+            PushI(1),
+            PushI(TIMER0_CTRL as i64),
+            St { width: Width::W16 },
+            IrqEnable,
+            // 7: i = 0
+            PushI(0),
+            StLocal {
+                off: 0,
+                width: Width::W8,
+            },
+            // 9: crc = crc * 3 ^ 0x55
+            LdLocal {
+                off: 2,
+                width: Width::W16,
+                signed: false,
+            },
+            PushI(3),
+            w16(AluOp::Mul),
+            PushI(0x55),
+            w16(AluOp::Xor),
+            StLocal {
+                off: 2,
+                width: Width::W16,
+            },
+            // 15: if crc & 1 == 0 skip the double
+            LdLocal {
+                off: 2,
+                width: Width::W16,
+                signed: false,
+            },
+            Dup,
+            w16(AluOp::And),
+            PushI(1),
+            w16(AluOp::And),
+            Jz { target: 25 },
+            LdLocal {
+                off: 2,
+                width: Width::W16,
+                signed: false,
+            },
+            PushI(1),
+            w16(AluOp::Shl),
+            StLocal {
+                off: 2,
+                width: Width::W16,
+            },
+            // 25: i = (u8)(i + 1); if i < 40 goto 9
+            LdLocal {
+                off: 0,
+                width: Width::W8,
+                signed: false,
+            },
+            PushI(1),
+            w16(AluOp::Add),
+            Wrap {
+                width: Width::W8,
+                signed: false,
+            },
+            StLocal {
+                off: 0,
+                width: Width::W8,
+            },
+            LdLocal {
+                off: 0,
+                width: Width::W8,
+                signed: false,
+            },
+            PushI(40),
+            w16(AluOp::Lt),
+            Jnz { target: 9 },
+            Jmp { target: 7 },
+        ]);
+        let mut isr = CodeFunction::new("tick");
+        isr.interrupt = Some(crate::vectors::TIMER0);
+        isr.code = vec![
+            LdGlobal {
+                addr: 0x0200,
+                width: Width::W16,
+                signed: false,
+            },
+            PushI(1),
+            w16(AluOp::Add),
+            StGlobal {
+                addr: 0x0200,
+                width: Width::W16,
+            },
+            LdGlobal {
+                addr: 0x0200,
+                width: Width::W8,
+                signed: false,
+            },
+            PushI(crate::devices::LED_REG as i64),
+            St { width: Width::W8 },
+            Reti,
+        ];
+        img.add_function(isr);
+        img
+    }
+
+    #[test]
+    fn runs_cut_inside_blocks_and_interrupted_mid_block_compose() {
+        let mut g = Gen(crate::faults::SplitMix64::new(0x00c0_ffee));
+        let end = 40_000;
+        for case in 0..48 {
+            let img = interrupted_loop(1 + g.below(6) as u16);
+            let mut cuts = Vec::new();
+            let mut t = 0;
+            while t < end {
+                t = (t + 1 + g.below(400)).min(end);
+                cuts.push(t);
+            }
+            // Forks of one reset machine share its image, as
+            // `same_state` requires.
+            let reset = Machine::new(&img);
+            let mut uncut = reset.clone();
+            uncut.set_engine(Engine::Bt);
+            uncut.run(end);
+            let cut = |engine: Engine| {
+                let mut m = reset.clone();
+                m.set_engine(engine);
+                for &t in &cuts {
+                    m.run(t);
+                }
+                m
+            };
+            let (bt, interp) = (cut(Engine::Bt), cut(Engine::Interp));
+            assert!(bt.same_state(&uncut), "case {case}: cut bt vs uncut");
+            assert!(
+                interp.same_state(&uncut),
+                "case {case}: cut interp vs uncut"
+            );
+            // Not vacuous: the handler ran many times, and cuts and
+            // returns left the block engine inside blocks it re-entered
+            // without single-stepping to the next leader.
+            assert!(uncut.ram_peek16(0x0200) > 40, "case {case}");
+            let work = bt.engine_work();
+            assert!(
+                work.horizon > 0 && work.dispatches > 0,
+                "case {case}: {work:?}"
+            );
         }
     }
 

@@ -79,7 +79,7 @@ pub mod machine;
 pub mod net;
 
 pub use bbcache::{BlockCache, CacheStats};
-pub use engine::Engine;
+pub use engine::{Engine, EngineWork};
 pub use faults::{FaultKind, FaultPlan};
 pub use fleet::{Fleet, FleetStats, LinkQuality, MoteObservation, MoteSetup, Topology};
 pub use image::{CodeFunction, Image, Profile};

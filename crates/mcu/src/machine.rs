@@ -7,6 +7,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::bbcache::BlockCache;
 use crate::devices::*;
+use crate::engine::EngineWork;
 use crate::image::Image;
 use crate::isa::{AluOp, Instr, UnAluOp, Width};
 
@@ -231,6 +232,8 @@ pub struct Machine {
     pub(crate) bbcache: Arc<OnceLock<BlockCache>>,
     /// SRAM read stamps while recording (see [`Machine::stamp_reads`]).
     pub(crate) reads: ReadLog,
+    /// The block engine's work counters.
+    pub(crate) work: EngineWork,
 }
 
 impl Machine {
@@ -289,6 +292,7 @@ impl Machine {
             engine: crate::engine::Engine::from_env(),
             bbcache: Arc::default(),
             reads: ReadLog::default(),
+            work: EngineWork::default(),
         };
         m.devices.adc.waveform = Waveform::default();
         m
@@ -306,6 +310,12 @@ impl Machine {
     /// engines in one process this way).
     pub fn set_engine(&mut self, engine: crate::engine::Engine) {
         self.engine = engine;
+    }
+
+    /// What the block engine did on this machine so far (forks start
+    /// from their parent's counts).
+    pub fn engine_work(&self) -> EngineWork {
+        self.work
     }
 
     /// The image this machine runs.

@@ -85,3 +85,48 @@ fn engine_work_and_fixpoint_per_stock_app() {
         .collect();
     assert_eq!(rows, EXPECTED, "actual rows:\n{rendered}");
 }
+
+/// A callee first reached in the last walk of an analysis round must
+/// still be analysed: `tick` is called only from `main`'s loop, so the
+/// round that discovers it ends with nothing else changed. Before the
+/// fix, cXprop never walked `tick`, folded its body to `c = 1;` and the
+/// last UART byte came out 1 under the non-inlining cXprop presets.
+#[test]
+fn a_callee_discovered_in_the_last_walk_is_analysed() {
+    const PROBE: &str = "
+uint8_t c;
+void tick() { c = (uint8_t)(c + 1); }
+void main() {
+    uint8_t i0;
+    uint8_t i6;
+    uint8_t i7;
+    for (i0 = 0; i0 < 100; i0++) { tick(); }
+    if (c > 50) { __hw_write8(0xF040, (uint8_t)(1)); }
+    else { __hw_write8(0xF040, (uint8_t)(2)); }
+    i7 = 0;
+    for (i6 = 0; i6 < 200; i6++) { i7 = (uint8_t)(i7 + 1); }
+    __hw_write8(0xF040, (uint8_t)(c));
+}
+";
+    let program = Arc::new(tcil::parse_and_lower(PROBE).unwrap());
+    let last_byte = |preset: &str| {
+        let build = Pipeline::preset(preset)
+            .unwrap()
+            .build(Arc::clone(&program), mcu::Profile::mica2())
+            .unwrap();
+        let mut m = mcu::Machine::new(&build.image);
+        m.run(2_000_000);
+        *m.uart_out
+            .last()
+            .unwrap_or_else(|| panic!("{preset}: no UART output"))
+    };
+    let reference = last_byte("safe-flid");
+    assert_eq!(reference, 100);
+    // The first byte (the `c > 50` branch) is not asserted: cXprop still
+    // stops at its round cap with `c`'s summary growing, folds the
+    // branch from that under-approximation and prints 2 where the
+    // reference prints 1 — that takes widening, not discovery.
+    for preset in safe_tinyos::PRESET_NAMES {
+        assert_eq!(last_byte(preset), reference, "{preset}");
+    }
+}
