@@ -17,11 +17,14 @@
 //! Emits `BENCH_fleet.json`, gated by the `fleet` contract
 //! (`bench::gate`): CI pins the `"pinned"` object against the committed
 //! baseline (rows matched by `(motes, seed)`, so CI can sweep fewer
-//! cells than the committed artifact), and this harness self-gates the
-//! invariants every run must meet. The `"dynamics"` object carries wall
-//! times.
+//! cells than the committed artifact) and the `"counters"` object (each
+//! cell's windows granted) the same way, and this harness self-gates
+//! the invariants every run must meet. The `"dynamics"` object carries
+//! wall times.
 
-use bench::fleet::{dynamics_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY};
+use bench::fleet::{
+    counters_json, dynamics_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY,
+};
 use bench::{emit_json, emit_speed, gate, grid, json, row, Knobs};
 use safe_tinyos::fleet::{lockstep_matches_event_driven, FleetSpec};
 use safe_tinyos::{BuildService, Pipeline};
@@ -90,7 +93,8 @@ fn main() {
             "pinned",
             &pinned_json(&rows, seconds, campaign, equivalence_ok),
         )
-        .raw("dynamics", &dynamics_json(&rows, service.threads()))
+        .raw("counters", &counters_json(&rows))
+        .raw("dynamics", &dynamics_json(&rows))
         .build();
     emit_json("fleet", &body).expect("write BENCH_fleet.json");
     emit_speed(&service, "fleet");

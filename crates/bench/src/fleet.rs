@@ -3,7 +3,7 @@
 //! (the `fleet` binary drives it, the `fleet` contract in
 //! [`crate::gate`] checks the published artifact).
 //!
-//! The emitted JSON has two top-level objects with different CI
+//! The emitted JSON has three top-level objects with different CI
 //! contracts:
 //!
 //! * `"pinned"` — per-cell simulation outcomes (duty cycle, sink
@@ -14,8 +14,11 @@
 //!   matching each fresh row to the committed row with the same
 //!   `(motes, seed)` key. CI sweeps a smaller mote population than the
 //!   committed artifact; the gate compares the subset.
-//! * `"dynamics"` — wall times, scheduler pops per second, thread
-//!   count. Machine-dependent, never pinned.
+//! * `"counters"` — each cell's windows granted (`pops`), the
+//!   scheduler's work counter. A pure function of the build and the
+//!   seeds like the pinned rows, and pinned the same way.
+//! * `"dynamics"` — wall times and pops per second. Machine-dependent,
+//!   never pinned.
 
 use std::time::Instant;
 
@@ -203,8 +206,21 @@ pub fn pinned_json(
         .build()
 }
 
+/// Serializes the byte-pinned `"counters"` object: each cell's windows
+/// granted.
+pub fn counters_json(rows: &[FleetRow]) -> String {
+    let cells = rows.iter().map(|r| {
+        json::Obj::new()
+            .int("motes", r.motes as i64)
+            .int("seed", r.seed as i64)
+            .int("pops", r.stats.pops as i64)
+            .build()
+    });
+    json::Obj::new().raw("rows", &json::arr(cells)).build()
+}
+
 /// Serializes the machine-dependent `"dynamics"` object.
-pub fn dynamics_json(rows: &[FleetRow], threads: usize) -> String {
+pub fn dynamics_json(rows: &[FleetRow]) -> String {
     let cells = rows
         .iter()
         .map(|r| {
@@ -217,15 +233,11 @@ pub fn dynamics_json(rows: &[FleetRow], threads: usize) -> String {
                 .int("motes", r.motes as i64)
                 .int("seed", r.seed as i64)
                 .num("wall_ms", r.wall_ms)
-                .int("pops", r.stats.pops as i64)
                 .num("pops_per_sec", pops_per_sec)
                 .build()
         })
         .collect::<Vec<_>>();
-    json::Obj::new()
-        .int("threads", threads as i64)
-        .raw("rows", &json::arr(cells))
-        .build()
+    json::Obj::new().raw("rows", &json::arr(cells)).build()
 }
 
 #[cfg(test)]

@@ -156,7 +156,11 @@ const CONTRACTS: &[Contract] = &[
     },
     Contract {
         figure: "fleet",
-        pinned: &[Pin::Keyed("pinned", &["motes", "seed"])],
+        // Cell outcomes and grants per cell, both keyed by cell.
+        pinned: &[
+            Pin::Keyed("pinned", &["motes", "seed"]),
+            Pin::Keyed("counters", &["motes", "seed"]),
+        ],
         invariants: &[
             ("lockstep-equivalence", True("pinned.equivalence_ok")),
             ("sweep-rows-present", Any(ROWS, &AtLeast("motes", 1.0))),
@@ -786,7 +790,7 @@ mod tests {
         assert!(fails(&unbounded, &unbounded).contains("every-cell-bounded"));
     }
 
-    const FLEET: &str = r#"{"figure":"fleet","pinned":{"fleet_seconds":4,"quality":{"loss_ppm":30000},"rows":[{"motes":10,"seed":1,"heard":5,"offered":9,"dropped":2,"reboots":1},{"motes":10,"seed":2,"heard":6,"offered":9,"dropped":3,"reboots":1},{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}],"campaign":{"motes":9,"victim":4,"sites":6,"detected":3,"crashed":1,"poisoned":1,"contained":0,"benign":1},"equivalence_ok":true},"dynamics":{"threads":4}}"#;
+    const FLEET: &str = r#"{"figure":"fleet","pinned":{"fleet_seconds":4,"quality":{"loss_ppm":30000},"rows":[{"motes":10,"seed":1,"heard":5,"offered":9,"dropped":2,"reboots":1},{"motes":10,"seed":2,"heard":6,"offered":9,"dropped":3,"reboots":1},{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}],"campaign":{"motes":9,"victim":4,"sites":6,"detected":3,"crashed":1,"poisoned":1,"contained":0,"benign":1},"equivalence_ok":true},"counters":{"rows":[{"motes":10,"seed":1,"pops":20107},{"motes":10,"seed":2,"pops":19674},{"motes":100,"seed":1,"pops":418506}]},"dynamics":{"rows":[{"motes":10,"seed":1,"wall_ms":48.3,"pops_per_sec":416205.5}]}}"#;
 
     fn fleet_subset() -> String {
         FLEET
@@ -798,6 +802,8 @@ mod tests {
                 r#",{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}"#,
                 "",
             )
+            .replace(r#",{"motes":10,"seed":2,"pops":19674}"#, "")
+            .replace(r#",{"motes":100,"seed":1,"pops":418506}"#, "")
     }
 
     #[test]
@@ -832,6 +838,31 @@ mod tests {
             "",
         );
         assert!(fails(FLEET, &empty).contains("sweep-rows-present"));
+    }
+
+    #[test]
+    fn fleet_gate_pins_grant_counters() {
+        let drift = FLEET.replace(r#""seed":2,"pops":19674"#, r#""seed":2,"pops":19675"#);
+        let err = fails(FLEET, &drift);
+        assert!(
+            err.contains("`counters.rows[motes=10,seed=2].pops` is 19674 committed, 19675 fresh"),
+            "{err}"
+        );
+        // A smaller sweep compares only the cells it ran.
+        let subset = fleet_subset();
+        assert!(
+            !subset.contains("19674") && subset.contains("20107"),
+            "{subset}"
+        );
+        assert!(gate(FLEET, &subset).is_ok());
+        // Wall time and rate are dynamics, never pinned.
+        let slower = FLEET.replace(
+            r#""wall_ms":48.3,"pops_per_sec":416205.5"#,
+            r#""wall_ms":96.6,"pops_per_sec":208102.7"#,
+        );
+        assert!(gate(FLEET, &slower).is_ok());
+        let uncounted = FLEET.replace(r#""counters":"#, r#""uncounted":"#);
+        assert!(fails(FLEET, &uncounted).contains("fresh report has no pinned `counters`"));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   none can fault or touch MMIO, so no observable state can
 //!   materialize mid-superinstruction;
 //! * the frame-slot idioms are fused too: `LdLocal;PushI;Bin;Jz/Jnz`
-//!   ([`OpKind::CmpLKBr`]), `LdLocal;PushI;Bin;[Wrap;]StLocal`
-//!   ([`OpKind::RmwLK`]) and, for the stack top, `PushI;Bin;Jz/Jnz`
-//!   ([`OpKind::CmpKBr`]). A frame slot's address depends on `fp`, so
+//!   (`OpKind::CmpLKBr`), `LdLocal;PushI;Bin;[Wrap;]StLocal`
+//!   (`OpKind::RmwLK`) and, for the stack top, `PushI;Bin;Jz/Jnz`
+//!   (`OpKind::CmpKBr`). A frame slot's address depends on `fp`, so
 //!   the engine runs the fused frame ops directly only where it proved
 //!   the frame window SRAM and no torn watch is live, and otherwise
 //!   single-steps their constituents;

@@ -3,7 +3,7 @@
 //! [`crate::net::Network`] advances every node in lock-step half-byte
 //! quanta and broadcasts every byte to every other node, which caps it at
 //! a handful of motes. This module replaces the quanta with a *global
-//! event queue*: a binary heap of per-mote next-wake times (the contract
+//! event queue*: a tournament tree of per-mote next-wake times (the contract
 //! is [`Machine::next_wake`] — next radio edge, timer event, or sleep
 //! horizon). Idle motes cost nothing, so fleets of hundreds to thousands
 //! of motes are feasible.
@@ -28,16 +28,15 @@
 //! reference delivers at — the two engines are byte-identical on lossless
 //! full-mesh topologies, and `tests` below holds the reference to that.
 //!
-//! # One live entry per mote
+//! # The wake tree
 //!
-//! The fleet keeps each mote's queued wake: the key of its one live heap
-//! entry. An advance queues the mote's new wake; a delivery queues one
-//! only when it pulls the receiver's wake earlier, which supersedes the
-//! old entry. A popped entry that is not its mote's queued wake is
-//! dropped, never re-pushed (re-pushing let duplicates pile up and cost
-//! O(traffic) per pop), and superseded entries on top of the heap are
-//! dropped before `second` is read, so a stale key never shortens a
-//! window. [`FleetStats::stale`] counts the dropped entries.
+//! Each mote's wake lives at a leaf of a tournament tree whose every
+//! internal node holds the winner of its two children (the lower wake,
+//! ties to the lower mote). The root is the next mote to grant; the
+//! subtrees beside one mote's leaf-to-root path hold every other mote,
+//! so the least of their winners is `second`. An advance or a delivery
+//! that pulls a wake earlier re-sets that mote's leaf and replays its
+//! matches to the root, so each key tracks its mote's wake.
 //!
 //! # Topology, loss, and churn
 //!
@@ -279,11 +278,8 @@ impl MoteSetup {
 /// Aggregate fleet counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Scheduler heap pops that granted a mote an execution window.
+    /// Execution windows granted to motes.
     pub pops: u64,
-    /// Superseded heap entries dropped unread: a mote's entry goes stale
-    /// when a delivery pulls its wake earlier and a new one is queued.
-    pub stale: u64,
     /// Churn reboots (initial boots are not counted).
     pub reboots: u64,
     /// Bytes offered to the air by all motes.
@@ -356,10 +352,7 @@ pub struct Fleet {
     /// Per-mote sorted power toggle cycles: off, on, off, on, …
     /// (every mote starts powered).
     churn: Vec<Vec<u64>>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per mote, the wake of its one live heap entry (`u64::MAX`: none);
-    /// any other entry of the mote is stale.
-    queued: Vec<u64>,
+    wakes: Wakes,
     /// One reset machine per distinct image: the fleet image first,
     /// then each distinct [`Fleet::set_image`] override.
     resets: Vec<Machine>,
@@ -395,8 +388,7 @@ impl Fleet {
             seed,
             motes,
             churn: vec![Vec::new(); n],
-            heap: BinaryHeap::new(),
-            queued: vec![u64::MAX; n],
+            wakes: Wakes::new(vec![u64::MAX; n]),
             resets: vec![reset],
             fault: None,
             fault_applied: false,
@@ -539,42 +531,11 @@ impl Fleet {
 
     /// Runs the fleet to `until` cycles of global time.
     pub fn run(&mut self, until: u64) {
-        self.heap.clear();
-        self.queued.fill(u64::MAX);
-        for id in 0..self.motes.len() {
-            if let Some(w) = self.wake_of(id) {
-                if w < until {
-                    self.queue_wake(id, w);
-                }
-            }
-        }
-        while let Some(Reverse((wake, id))) = self.heap.pop() {
-            if wake >= until {
-                break;
-            }
-            let id = id as usize;
-            // One live entry per mote: every change to a mote's wake
-            // (its own advance, a delivery into it) queues the new wake
-            // unless the live entry already holds it, so an entry that
-            // is not the mote's queued wake is superseded.
-            if self.queued[id] != wake {
-                self.stats.stale += 1;
-                continue;
-            }
-            self.queued[id] = u64::MAX;
+        let n = self.motes.len();
+        self.wakes = Wakes::new((0..n).map(|id| self.wake_of(id)).collect());
+        while let Some((wake, id)) = self.wakes.least().filter(|&(w, _)| w < until) {
             self.stats.pops += 1;
-            // `second` is the least wake of any other mote: superseded
-            // entries on top would shorten the window.
-            let second = loop {
-                match self.heap.peek() {
-                    Some(&Reverse((w, m))) if self.queued[m as usize] != w => {
-                        self.heap.pop();
-                        self.stats.stale += 1;
-                    }
-                    Some(&Reverse((w, _))) => break w,
-                    None => break u64::MAX,
-                }
-            };
+            let second = self.wakes.least_other(id);
             #[cfg(test)]
             self.assert_least_other_wake(id, second, until);
             // The conservative window (see the module docs).
@@ -582,41 +543,27 @@ impl Fleet {
                 .min(second.saturating_add(RADIO_BYTE_CYCLES))
                 .min(wake.saturating_add(2 * RADIO_BYTE_CYCLES));
             self.advance(id, grant);
-            if let Some(w) = self.wake_of(id) {
-                if w < until {
-                    self.queue_wake(id, w);
-                }
-            }
+            self.wakes.set(id, self.wake_of(id));
         }
-        self.heap.clear();
         // Final drain: every remaining wake is >= until, so no mote
         // executes an instruction (or transmits) before the horizon. In
         // mote order, fast-forward sleepers to `until` and settle any
         // churn toggle or pending fault cycle the mote slept past, so
         // final machine states match the lockstep reference exactly.
-        for id in 0..self.motes.len() {
+        for id in 0..n {
             for _ in 0..self.churn[id].len() + 3 {
                 self.advance(id, until);
             }
         }
     }
 
-    /// Makes `w` mote `id`'s live heap entry unless it already is; the
-    /// entry it replaces goes stale.
-    fn queue_wake(&mut self, id: usize, w: u64) {
-        if self.queued[id] != w {
-            self.queued[id] = w;
-            self.heap.push(Reverse((w, id as u32)));
-        }
-    }
-
-    /// Checks the scheduler's `second` against every other mote's true
-    /// wake: the window the module docs describe, not a shorter one.
+    /// Checks `second` against every other mote's true wake: the tree's
+    /// keys track [`Fleet::wake_of`], and the window is the documented one.
     #[cfg(test)]
     fn assert_least_other_wake(&self, id: usize, second: u64, until: u64) {
         let least = (0..self.motes.len())
             .filter(|&m| m != id)
-            .filter_map(|m| self.wake_of(m))
+            .map(|m| self.wake_of(m))
             .min()
             .unwrap_or(u64::MAX);
         assert_eq!(second.min(until), least.min(until), "mote {id}'s window");
@@ -624,18 +571,14 @@ impl Fleet {
 
     /// The mote's next wake in global time: the machine's own wake
     /// ([`Machine::next_wake`]) or its next power toggle, whichever is
-    /// first; a powered-off mote wakes at its next power-on. `None`
+    /// first; a powered-off mote wakes at its next power-on. `u64::MAX`
     /// means nothing short of a radio delivery will ever wake it.
-    fn wake_of(&self, id: usize) -> Option<u64> {
+    fn wake_of(&self, id: usize) -> u64 {
         let mote = &self.motes[id];
-        let next_toggle = self.churn[id].get(mote.toggle_idx).copied();
-        if !mote.powered {
-            return next_toggle;
-        }
-        let machine = mote.machine.next_wake().map(|w| mote.epoch + w);
-        match (machine, next_toggle) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        let toggle = *self.churn[id].get(mote.toggle_idx).unwrap_or(&u64::MAX);
+        match mote.machine.next_wake() {
+            Some(w) if mote.powered => toggle.min(mote.epoch + w),
+            _ => toggle,
         }
     }
 
@@ -774,10 +717,9 @@ impl Fleet {
             mote.machine.inject_rx_bytes(at - mote.epoch, &[byte]);
             self.stats.delivered += 1;
             // The delivery may have pulled the receiver's wake earlier.
-            if let Some(w) = self.wake_of(dst) {
-                if w < self.queued[dst] {
-                    self.queue_wake(dst, w);
-                }
+            let w = self.wake_of(dst);
+            if w < self.wakes.key[dst] {
+                self.wakes.set(dst, w);
             }
         } else {
             mote.inbox.push(Reverse((at, byte)));
@@ -804,6 +746,62 @@ impl Fleet {
             Some(epoch)
         } else {
             None
+        }
+    }
+}
+
+/// Every mote's wake in a tournament tree (see the module docs).
+struct Wakes {
+    /// Mote `m`'s wake, `u64::MAX` for none.
+    key: Vec<u64>,
+    /// For `n` motes, node `n + m` is mote `m`'s leaf and node `i` in
+    /// `1..n` holds the winner of nodes `2i` and `2i + 1`: a complete
+    /// binary tree rooted at node 1. Node 0 is unused.
+    node: Vec<u32>,
+}
+
+impl Wakes {
+    fn new(key: Vec<u64>) -> Wakes {
+        let n = key.len();
+        let mut node = vec![0; n];
+        node.extend(0..n as u32);
+        let mut wakes = Wakes { key, node };
+        for i in (1..n).rev() {
+            wakes.node[i] = wakes.winner(i);
+        }
+        wakes
+    }
+
+    /// The winner of node `i`'s children: lower wake, then lower mote.
+    fn winner(&self, i: usize) -> u32 {
+        let by_wake = |&m: &u32| (self.key[m as usize], m);
+        std::cmp::min_by_key(self.node[2 * i], self.node[2 * i + 1], by_wake)
+    }
+
+    /// The least `(wake, mote)`; `None` for no motes.
+    fn least(&self) -> Option<(u64, usize)> {
+        let m = *self.node.get(1)? as usize;
+        Some((self.key[m], m))
+    }
+
+    /// The least wake of any mote but `m`: the least winner beside `m`'s
+    /// leaf-to-root path.
+    fn least_other(&self, m: usize) -> u64 {
+        let (mut i, mut least) = (self.key.len() + m, u64::MAX);
+        while i > 1 {
+            least = least.min(self.key[self.node[i ^ 1] as usize]);
+            i /= 2;
+        }
+        least
+    }
+
+    /// Sets mote `m`'s wake and replays its matches up to the root.
+    fn set(&mut self, m: usize, w: u64) {
+        self.key[m] = w;
+        let mut i = self.key.len() + m;
+        while i > 1 {
+            i /= 2;
+            self.node[i] = self.winner(i);
         }
     }
 }
@@ -935,6 +933,12 @@ mod tests {
         img
     }
 
+    // Windows granted in the scenarios below: a scheduler that grants
+    // other windows, or the same ones in another order, moves them.
+    const POPS_REORDERED: u64 = 48;
+    const POPS_CHURNED_GRID: u64 = 849;
+    const POPS_SINGLE: u64 = 3;
+
     fn heterogeneous_fleet(images: &[&Image], topology: Topology, seed: u64) -> Fleet {
         let mut fleet = Fleet::new(images[0], topology, seed);
         for (i, img) in images.iter().enumerate().skip(1) {
@@ -983,15 +987,12 @@ mod tests {
         }
     }
 
-    /// A delivery that pulls a receiver's wake earlier supersedes its
-    /// heap entry: under heavy reordering a delayed byte queues the
-    /// receiver's wake late and the next byte pulls it earlier. The
-    /// superseded entries are dropped before the scheduler reads
-    /// `second`, so every window is the documented one (`run` checks
-    /// `second` against every other mote's true wake under `cfg(test)`)
-    /// and every byte still arrives.
+    /// Under heavy reordering a delayed byte sets a sleeping receiver's
+    /// wake late and the next byte pulls it earlier. Every window is
+    /// still the documented one (`run` checks `second` against every
+    /// other mote's true wake under `cfg(test)`) and every byte arrives.
     #[test]
-    fn superseded_wakes_do_not_shorten_windows() {
+    fn deliveries_that_pull_wakes_earlier_keep_windows_exact() {
         let img_tx = tx_burst_image(16, 0);
         let img_rx = rx_recorder_image();
         let quality = LinkQuality {
@@ -1005,11 +1006,99 @@ mod tests {
         );
         fleet.run(60_000);
         let stats = fleet.stats();
-        assert!(stats.stale > 0, "{stats:?}");
         assert!(stats.reordered > 0, "{stats:?}");
         assert_eq!(stats.delivered, 3 * 16, "{stats:?}");
+        assert_eq!(stats.pops, POPS_REORDERED, "{stats:?}");
         for m in 1..4 {
             assert_eq!(fleet.machine(m).ram_peek(0x0300), 16, "mote {m}");
+        }
+    }
+
+    /// The window oracle on a tree several levels deep: 61 motes (not a
+    /// power of two) on a lossy, duplicating, reordering grid, one
+    /// receiver power-cycled mid-burst and one powered off for good.
+    /// `run` checks every grant's `second` under `cfg(test)`.
+    #[test]
+    fn every_window_on_a_churned_lossy_grid_is_exact() {
+        let img_tx = tx_burst_image(24, 0);
+        let img_rx = rx_recorder_image();
+        let n = 61;
+        let quality = LinkQuality {
+            loss_ppm: 100_000,
+            dup_ppm: 100_000,
+            reorder_ppm: 200_000,
+        };
+        let mut fleet = Fleet::new(&img_rx, Topology::unit_disk_grid(n, 2, quality), 0x61);
+        for m in (0..n).step_by(7) {
+            fleet.set_image(m, &img_tx);
+        }
+        fleet.schedule_power_cycle(30, 3_000, Some(9_000));
+        fleet.schedule_power_cycle(44, 5_000, None);
+        fleet.run(40_000);
+        let stats = fleet.stats();
+        assert!(stats.dropped > 0, "{stats:?}");
+        assert!(stats.duplicated > 0, "{stats:?}");
+        assert!(stats.reordered > 0, "{stats:?}");
+        assert!(stats.dropped_offline > 0, "{stats:?}");
+        assert_eq!(stats.reboots, 1, "{stats:?}");
+        assert_eq!(stats.pops, POPS_CHURNED_GRID, "{stats:?}");
+    }
+
+    /// The tree's edge cases run to the horizon: no motes (no root), and
+    /// one mote (a root that is its leaf) woken by injected bytes.
+    #[test]
+    fn empty_and_single_mote_fleets_run_to_the_horizon() {
+        let img_rx = rx_recorder_image();
+        let mut empty = Fleet::new(&img_rx, Topology::full_mesh(0, LinkQuality::LOSSLESS), 1);
+        empty.run(20_000);
+        assert_eq!(empty.stats(), FleetStats::default());
+
+        let mut single = Fleet::new(&img_rx, Topology::full_mesh(1, LinkQuality::LOSSLESS), 1);
+        single.set_setup(
+            0,
+            MoteSetup {
+                waveform: None,
+                injections: vec![(4_000, vec![7, 8, 9])],
+            },
+        );
+        single.run(20_000);
+        assert_eq!(single.machine(0).ram_peek(0x0300), 3);
+        assert_eq!(single.machine(0).cycles, 20_000);
+        assert_eq!(single.stats().pops, POPS_SINGLE, "{:?}", single.stats());
+    }
+
+    /// `Wakes` against a linear scan: after every `set` of a seeded
+    /// random sequence, `least` is the least `(wake, mote)` and
+    /// `least_other(m)` the least wake of the other motes, on trees of
+    /// every small shape. Keys come from a small range plus `u64::MAX`,
+    /// so ties are common.
+    #[test]
+    fn wake_tree_matches_a_linear_scan() {
+        let mut rng = SplitMix64::new(0x7EE5);
+        for n in [0usize, 1, 2, 3, 5, 8, 13, 100] {
+            let draw = |rng: &mut SplitMix64| match rng.below(6) {
+                0 => u64::MAX,
+                _ => rng.below(8),
+            };
+            let mut key: Vec<u64> = (0..n).map(|_| draw(&mut rng)).collect();
+            let mut wakes = Wakes::new(key.clone());
+            for step in 0..=200 {
+                if step > 0 && n > 0 {
+                    let m = rng.below(n as u64) as usize;
+                    key[m] = draw(&mut rng);
+                    wakes.set(m, key[m]);
+                }
+                let least = (0..n).map(|m| (key[m], m)).min();
+                assert_eq!(wakes.least(), least, "n = {n}, step {step}");
+                for m in 0..n {
+                    let other = (0..n).filter(|&o| o != m).map(|o| key[o]).min();
+                    assert_eq!(
+                        wakes.least_other(m),
+                        other.unwrap_or(u64::MAX),
+                        "n = {n}, step {step}, mote {m}"
+                    );
+                }
+            }
         }
     }
 
