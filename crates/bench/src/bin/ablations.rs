@@ -10,7 +10,7 @@
 //! paper's tool) with one knob turned — so the whole grid goes through
 //! [`bench::grid`] like every other figure.
 
-use bench::{emit_json, emit_speed, grid, json, pct_change, Knobs};
+use bench::{emit_json, grid, json, pct_change, Knobs};
 use safe_tinyos::{parse_pipeline_list, BuildService, Metrics};
 
 /// The grid's columns: the two reference presets, then the ablation arms.
@@ -95,5 +95,4 @@ fn main() {
         .raw("domain_surviving_checks", &domain_obj.build())
         .build();
     emit_json("ablations", &body).expect("write BENCH_ablations.json");
-    emit_speed(&service, "ablations");
 }

@@ -20,7 +20,7 @@
 //! experiment.)
 
 use bench::diff::{app_reports, default_presets, print_table, render_json, seed_reports, tally};
-use bench::{emit_json, emit_speed, gate, Knobs};
+use bench::{emit_json, gate, Knobs};
 use safe_tinyos::{BuildService, DiffConfig};
 
 fn main() {
@@ -47,7 +47,6 @@ fn main() {
     print_table(&tallies);
     let body = render_json(&seeds, &apps, &presets, &cfg, seconds, &tallies);
     emit_json("difftest", &body).expect("write BENCH_difftest.json");
-    emit_speed(&service, "difftest");
 
     for t in &tallies {
         for d in &t.divergences {

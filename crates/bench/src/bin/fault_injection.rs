@@ -17,7 +17,7 @@
 //! zero.
 
 use bench::fault::{campaign_grid, default_pipelines, print_table, render_json};
-use bench::{emit_json, emit_speed, gate, Knobs};
+use bench::{emit_json, gate, Knobs};
 use safe_tinyos::{BuildService, CampaignConfig};
 
 fn main() {
@@ -39,7 +39,6 @@ fn main() {
     print_table(&apps, &pipelines, &grid);
     let body = render_json(&apps, &pipelines, &config, &grid);
     emit_json("fault_injection", &body).expect("write BENCH_fault_injection.json");
-    emit_speed(&service, "fault_injection");
     gate::self_gate(&body);
     println!();
     println!("Expected shape (paper §2): the uncured gcc build never detects —");

@@ -1,7 +1,7 @@
 //! Figure 2: percentage of CCured-inserted checks eliminated by four
 //! optimizer stacks, per application, plus the original check counts.
 
-use bench::{emit_json, emit_speed, grid, json, row, Knobs};
+use bench::{emit_json, grid, json, row, Knobs};
 use safe_tinyos::{BuildService, Pipeline};
 
 fn main() {
@@ -70,7 +70,6 @@ fn main() {
         .raw("total", &total_obj.build())
         .build();
     emit_json("fig2_checks", &body).expect("write BENCH_fig2_checks.json");
-    emit_speed(&service, "fig2_checks");
     println!();
     println!("Expected shape (paper): gcc alone removes a surprising share of easy");
     println!("checks; the CCured optimizer adds little beyond it; cXprop without");

@@ -1,24 +1,24 @@
 //! Figure 3(a): change in code size relative to the unsafe, unoptimized
 //! baseline, across the seven configurations.
 //!
-//! The fig3 grid is also the canonical toolchain-speed benchmark: after
-//! the cold grid is measured and emitted, the same grid runs a second
-//! time against the warm frontend and pass caches. The speed report is
-//! the cold window's service snapshot, and its `cache` section gains
-//! the warm window (the difference between the snapshots after and
-//! before the re-run) plus the cure-run census, which the
-//! `toolchain_speed` contract (`bench::gate`) checks here and, from the
-//! published bytes, in CI.
+//! The fig3 grid also carries the pass cache's census. After the cold
+//! grid is measured, the same grid runs a second time against the warm
+//! frontend and pass caches and must reproduce the figure without
+//! running any pass. The report's `counters` hold the cold grid's jobs,
+//! frontend compiles and per-pass cache counters, the number of
+//! distinct (app, cure spec) inputs, and the warm re-run's misses; the
+//! `fig3a_code_size` contract (`bench::gate`) pins them and checks them
+//! here and, from the published bytes, in CI. All of them are work
+//! counts, the same for any worker count.
 
 use std::collections::BTreeSet;
 
-use bench::speed::Snapshot;
 use bench::{emit_json, gate, grid, json, pct_change, row, Knobs};
-use safe_tinyos::{BuildService, Metrics, Pipeline};
+use safe_tinyos::{BuildService, CacheStats, Metrics, Pipeline};
 
 /// Renders the figure from a measured grid: the printable table rows
-/// and the machine-readable body. Pure, so the warm re-run can be
-/// byte-compared against the cold one.
+/// and the `apps` array. Pure, so the warm re-run can be byte-compared
+/// against the cold one.
 fn render(bars: &[Pipeline], grid: &[Vec<Metrics>]) -> (Vec<String>, String) {
     let mut lines = Vec::new();
     let mut app_rows = Vec::new();
@@ -41,11 +41,7 @@ fn render(bars: &[Pipeline], grid: &[Vec<Metrics>]) -> (Vec<String>, String) {
                 .build(),
         );
     }
-    let body = json::Obj::new()
-        .str("figure", "fig3a_code_size")
-        .raw("apps", &json::arr(app_rows))
-        .build();
-    (lines, body)
+    (lines, json::arr(app_rows))
 }
 
 /// Builds every app under every configuration and returns the metrics.
@@ -56,6 +52,20 @@ fn measure(service: &BuildService, configs: &[Pipeline]) -> Vec<Vec<Metrics>> {
             .unwrap_or_else(|e| panic!("{}: {e}", p.name()))
             .metrics
     })
+}
+
+/// Per pass: hits, misses and retained bytes.
+fn passes_json(stats: &CacheStats) -> String {
+    let mut passes = json::Obj::new();
+    for (name, c) in &stats.passes {
+        let counters = json::Obj::new()
+            .int("hits", c.hits as i64)
+            .int("misses", c.misses as i64)
+            .int("bytes", c.bytes as i64)
+            .build();
+        passes = passes.raw(name, &counters);
+    }
+    passes.build()
 }
 
 fn main() {
@@ -72,16 +82,16 @@ fn main() {
         "{}",
         row("app", &[labels, vec!["baseline".into()]].concat())
     );
-    let (lines, body) = render(&bars, &grid);
+    let (lines, apps) = render(&bars, &grid);
     for line in &lines {
         println!("{line}");
     }
-    emit_json("fig3a_code_size", &body).expect("write BENCH_fig3a_code_size.json");
-    let cold = Snapshot::of(&service);
+    let jobs = service.jobs();
+    let compiles = service.session().frontend_compiles();
+    let cold = service.cache_stats();
 
-    // Cache-effectiveness census on the cold window: the contract
-    // requires the cure pass to have executed once per distinct
-    // (app, cure spec) pair, not once per grid cell.
+    // The contract requires the cure pass to have executed once per
+    // distinct (app, cure spec) pair, not once per grid cell.
     let cure_specs: BTreeSet<String> = configs
         .iter()
         .filter_map(|p| {
@@ -91,25 +101,33 @@ fn main() {
                 .map(str::to_string)
         })
         .collect();
-    let cure_unique = (tosapps::APP_NAMES.len() * cure_specs.len()) as u64;
+    let cure_unique = tosapps::APP_NAMES.len() * cure_specs.len();
 
     // Warm window: the same grid against the now-warm caches must
     // reproduce the figure byte-for-byte without re-running any pass.
-    let (_, warm_body) = render(&bars, &measure(&service, &configs));
-    assert_eq!(warm_body, body, "warm-cache grid drifted from the cold one");
-    let warm = Snapshot::of(&service);
-    assert_eq!(
-        warm.cache.get("cure").misses,
-        cold.cache.get("cure").misses,
-        "the warm grid re-executed the cure pass"
-    );
+    let (_, warm_apps) = render(&bars, &measure(&service, &configs));
+    assert_eq!(warm_apps, apps, "warm-cache grid drifted from the cold one");
+    let warm_misses: u64 = service
+        .cache_stats()
+        .passes
+        .iter()
+        .map(|(name, c)| c.misses - cold.get(name).misses)
+        .sum();
 
-    // The fig3 grid is the canonical toolchain-speed benchmark.
-    let speed = cold.to_json("fig3a_code_size", Some((&warm, cure_unique)));
-    emit_json("toolchain_speed_fig3a_code_size", &speed)
-        .expect("write BENCH_toolchain_speed_fig3a_code_size.json");
-    emit_json("toolchain_speed", &speed).expect("write BENCH_toolchain_speed.json");
-    gate::self_gate(&speed);
+    let counters = json::Obj::new()
+        .int("jobs", jobs as i64)
+        .int("frontend_compiles", compiles as i64)
+        .int("cure_unique", cure_unique as i64)
+        .raw("passes", &passes_json(&cold))
+        .int("warm_misses", warm_misses as i64)
+        .build();
+    let body = json::Obj::new()
+        .str("figure", "fig3a_code_size")
+        .raw("apps", &apps)
+        .raw("counters", &counters)
+        .build();
+    emit_json("fig3a_code_size", &body).expect("write BENCH_fig3a_code_size.json");
+    gate::self_gate(&body);
     println!();
     println!("Expected shape (paper): naive safety costs 20–90% code; verbose-in-ROM");
     println!("is higher still; terse/FLID recover much of it; cXprop (esp. with");

@@ -2,7 +2,7 @@
 //! baseline. The paper clips this graph at +100% because the verbose
 //! configurations are "outrageously high — thousands of percent".
 
-use bench::{emit_json, emit_speed, grid, json, pct_change, row, Knobs};
+use bench::{emit_json, grid, json, pct_change, row, Knobs};
 use safe_tinyos::{BuildService, Pipeline};
 
 fn main() {
@@ -54,7 +54,6 @@ fn main() {
         .raw("apps", &json::arr(app_rows))
         .build();
     emit_json("fig3b_data_size", &body).expect("write BENCH_fig3b_data_size.json");
-    emit_speed(&service, "fig3b_data_size");
     println!();
     println!("Expected shape (paper): verbose error strings make RAM overhead");
     println!("catastrophic (clipped at 100%); FLIDs reduce it substantially; cXprop");

@@ -2,7 +2,7 @@
 //! unsafe baseline, for the eleven Mica2 applications, each run in its
 //! workload context.
 
-use bench::{emit_json, emit_speed, grid, json, row, Knobs};
+use bench::{emit_json, grid, json, row, Knobs};
 use safe_tinyos::{simulate, BuildService, Pipeline};
 
 fn main() {
@@ -67,7 +67,6 @@ fn main() {
         .raw("apps", &json::arr(app_rows))
         .build();
     emit_json("fig3c_duty_cycle", &body).expect("write BENCH_fig3c_duty_cycle.json");
-    emit_speed(&service, "fig3c_duty_cycle");
     println!();
     println!("Expected shape (paper): CCured alone slows apps by a few percent;");
     println!("cXprop alone speeds the unsafe apps by 3–10%; safe + cXprop lands");

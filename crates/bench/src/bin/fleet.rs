@@ -25,7 +25,7 @@
 use bench::fleet::{
     counters_json, dynamics_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY,
 };
-use bench::{emit_json, emit_speed, gate, grid, json, row, Knobs};
+use bench::{emit_json, gate, grid, json, row, Knobs};
 use safe_tinyos::fleet::{lockstep_matches_event_driven, FleetSpec};
 use safe_tinyos::{BuildService, Pipeline};
 
@@ -97,7 +97,6 @@ fn main() {
         .raw("dynamics", &dynamics_json(&rows))
         .build();
     emit_json("fleet", &body).expect("write BENCH_fleet.json");
-    emit_speed(&service, "fleet");
     gate::self_gate(&body);
 
     println!();

@@ -5,15 +5,16 @@
 //! seven; this harness sweeps a 15-stack matrix of pass subsets, orders,
 //! options, and error modes — every stack a one-line pipeline spec —
 //! over three representative applications, through one shared
-//! [`BuildService`]. Per cell it records the full size/check census,
-//! the per-pass wall-time breakdown, and a short simulation health
-//! check, and emits everything to `BENCH_pipeline_matrix.json`.
+//! [`BuildService`]. Per cell it records the full size/check census
+//! and a short simulation health check, and emits everything to
+//! `BENCH_pipeline_matrix.json`. The report carries no timing fields,
+//! so it is byte-identical for any worker count.
 //!
 //! `STOS_PIPELINE` (a `;`-separated list of specs or preset names)
 //! replaces the default stack list, so any composition question is a
 //! shell variable away.
 
-use bench::{emit_json, emit_speed, grid, json, Knobs};
+use bench::{emit_json, grid, json, Knobs};
 use safe_tinyos::{simulate, BuildService, Pipeline};
 
 /// Three apps spanning the size range: the smallest, a mid-size sensing
@@ -104,13 +105,6 @@ fn main() {
                     cell.fault
                 );
             }
-            let mut pass_obj = json::Obj::new();
-            // The shared frontend compile lands in whichever build ran it
-            // first, which depends on scheduling; the toolchain-speed
-            // report carries it as `stage_ms.frontend`.
-            for (pass, t) in m.pass_times.iter().filter(|(pass, _)| *pass != "frontend") {
-                pass_obj = pass_obj.num(pass, t.as_secs_f64() * 1e3);
-            }
             let mut obj = json::Obj::new()
                 .str("app", app)
                 .str("stack", stack.name())
@@ -125,7 +119,7 @@ fn main() {
             if let Some(fault) = &cell.fault {
                 obj = obj.str("fault", fault);
             }
-            cells.push(obj.raw("pass_ms", &pass_obj.build()).build());
+            cells.push(obj.build());
         }
         println!("{line}");
     }
@@ -147,7 +141,6 @@ fn main() {
         .raw("cells", &json::arr(cells))
         .build();
     emit_json("pipeline_matrix", &body).expect("write BENCH_pipeline_matrix.json");
-    emit_speed(&service, "pipeline_matrix");
     println!();
     println!("Expected shape: safety alone adds 20-90% code; each optimizer pass");
     println!("claws some back; inline-then-cxprop beats cxprop-then-inline (context");

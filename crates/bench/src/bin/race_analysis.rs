@@ -23,7 +23,7 @@
 //! miscompiles.
 
 use bench::races::{analysis_json, dynamics_json, measure, oracle_check};
-use bench::{emit_json, emit_speed, gate, json, row, Knobs};
+use bench::{emit_json, gate, json, row, Knobs};
 use safe_tinyos::BuildService;
 
 fn main() {
@@ -80,7 +80,6 @@ fn main() {
         )
         .build();
     emit_json("races", &body).expect("write BENCH_races.json");
-    emit_speed(&service, "race_analysis");
     gate::self_gate(&body);
 
     let unhardened: usize = rows.iter().map(|r| r.unhardened_divergences).sum();

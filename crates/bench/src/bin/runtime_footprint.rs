@@ -2,7 +2,7 @@
 //! 1.6 KB RAM / 33 KB ROM port down to 2 B / 314 B, staged as the paper
 //! describes, plus the measured effect on a minimal application.
 
-use bench::{emit_json, emit_speed, grid, json, Knobs};
+use bench::{emit_json, grid, json, Knobs};
 use ccured::runtime::{footprint_at, RuntimeStage, NAIVE_COMPONENTS};
 use safe_tinyos::{parse_pipeline_list, BuildService};
 
@@ -106,5 +106,4 @@ fn main() {
         .raw("measured_blinktask", &measured.build())
         .build();
     emit_json("runtime_footprint", &body).expect("write BENCH_runtime_footprint.json");
-    emit_speed(&service, "runtime_footprint");
 }

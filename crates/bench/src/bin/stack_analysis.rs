@@ -20,7 +20,7 @@
 //! grid.
 
 use bench::stack::{analysis_json, dynamics_json, measure, FULL_STACK};
-use bench::{emit_json, emit_speed, gate, json, row, Knobs};
+use bench::{emit_json, gate, json, row, Knobs};
 use safe_tinyos::BuildService;
 
 fn main() {
@@ -76,7 +76,6 @@ fn main() {
         .raw("dynamics", &dynamics_json(&rows, seconds))
         .build();
     emit_json("stack", &body).expect("write BENCH_stack.json");
-    emit_speed(&service, "stack_analysis");
     gate::self_gate(&body);
 
     let cells = rows.iter().map(|r| r.cells.len()).sum::<usize>();

@@ -10,9 +10,10 @@
 //! * **invariants**: named rules over one report (zero miscompiles, zero
 //!   watermark violations, kernel speedup ≥ floor, …), checked on the
 //!   committed and the fresh report alike.
-//! * **perf**: a single-sample wall-time regression bound. Wall times on
-//!   shared runners are noisy, so it catches order-of-magnitude rot, not
-//!   percent-level drift.
+//!
+//! No contract compares a wall time with the committed one: the
+//! compiler's speed is judged by the repository benchmark (`stosbench`),
+//! over medians of repeated runs.
 //!
 //! The `gate <committed> <fresh>` binary runs [`gate`], and every
 //! self-gating harness runs [`self_gate`] on the report it just emitted,
@@ -26,13 +27,6 @@ use crate::json::{self, Value};
 /// Floor for the `sim_speed` gated-kernel aggregate speedup (Σ interp
 /// wall / Σ bt wall).
 pub const SPEEDUP_MIN: f64 = 10.0;
-
-/// A fresh `wall_ms` may be at most this multiple of the committed one.
-const WALL_FACTOR: f64 = 2.0;
-
-/// The warm re-run of the fig3 grid must beat the cold grid by at least
-/// this factor: the acceptance bar for content-addressed pass caching.
-const WARM_FACTOR: f64 = 3.0;
 
 type Check = Result<(), String>;
 
@@ -49,9 +43,6 @@ enum Pin {
     /// simulated horizon, the workload's size) are present and equal in
     /// both reports.
     When(&'static str, &'static [&'static str]),
-    /// The timing at this path may grow to at most this multiple of the
-    /// committed one.
-    Slower(&'static str, f64),
 }
 
 /// What an invariant requires of a report (or of one row of it).
@@ -89,18 +80,6 @@ const ROWS: &str = "pinned.rows";
 
 #[rustfmt::skip]
 const CONTRACTS: &[Contract] = &[
-    Contract {
-        figure: "toolchain_speed",
-        pinned: &[
-            Pin::Whole("jobs"),
-            Pin::Whole("frontend_compiles"),
-            Pin::Whole("cache.passes"),
-            Pin::Whole("cache.cure_runs"),
-            Pin::Whole("cache.cure_unique"),
-            Pin::Slower("wall_ms", WALL_FACTOR),
-        ],
-        invariants: &[("warm-cache", Custom(warm_cache))],
-    },
     Contract {
         figure: "difftest",
         pinned: &[],
@@ -173,7 +152,9 @@ const CONTRACTS: &[Contract] = &[
     },
     // The paper's central numbers, all of them cXprop's work: the
     // per-app check-removal table and code/data size deltas. These
-    // reports carry no timing fields.
+    // reports carry no timing fields. fig3a also carries its grid's
+    // pass-cache census: jobs, frontend compiles and per-pass counters
+    // of the cold grid, and the misses of a warm re-run of it.
     Contract {
         figure: "fig2_checks",
         pinned: &[Pin::Whole("apps"), Pin::Whole("total")],
@@ -181,8 +162,11 @@ const CONTRACTS: &[Contract] = &[
     },
     Contract {
         figure: "fig3a_code_size",
-        pinned: &[Pin::Whole("apps")],
-        invariants: &[],
+        pinned: &[Pin::Whole("apps"), Pin::Whole("counters")],
+        invariants: &[
+            ("warm-grid-runs-no-pass", Zero("counters.warm_misses")),
+            ("cure-runs-once-per-input", Custom(cure_once_per_input)),
+        ],
     },
     Contract {
         figure: "fig3b_data_size",
@@ -241,20 +225,6 @@ impl Pin {
                     return None;
                 }
                 (path, &[][..])
-            }
-            Pin::Slower(path, factor) => {
-                let (base, now) = match (num(committed, path), num(fresh, path)) {
-                    (Ok(base), Ok(now)) => (base, now),
-                    (Err(why), _) => return Some(format!("committed report: {why}")),
-                    (_, Err(why)) => return Some(format!("fresh report: {why}")),
-                };
-                return (base > 0.0 && now / base > factor).then(|| {
-                    format!(
-                        "`{path}` regressed: {now:.1} vs committed {base:.1} \
-                         ({:.2}x > allowed {factor:.2}x)",
-                        now / base
-                    )
-                });
             }
         };
         match (committed.path(path), fresh.path(path)) {
@@ -321,8 +291,7 @@ pub enum GateError {
 
 /// Checks a fresh report against its committed baseline under the
 /// contract their `"figure"` field names: the invariants on both
-/// reports, then the pinned paths and the perf bound. Returns the
-/// contract that held.
+/// reports, then the pinned paths. Returns the contract that held.
 ///
 /// # Errors
 ///
@@ -475,26 +444,22 @@ fn lists<S: AsRef<str>>(v: &Value, path: &str, key: &str, want: &[S]) -> Result<
             .all(|(r, w)| r.get(key).and_then(Value::as_str) == Some(w.as_ref())))
 }
 
-/// The fig3 grid's report carries a warm re-run: the pass cache must run
-/// cure once per distinct input, and the warm window must be fast.
-fn warm_cache(v: &Value) -> Check {
-    if v.get("harness").and_then(Value::as_str) != Some("fig3a_code_size") {
+/// The pass cache runs cure once per distinct (app, cure spec) input of
+/// the fig3 grid, not once per grid cell.
+fn cure_once_per_input(v: &Value) -> Check {
+    let unique = num(v, "counters.cure_unique")?;
+    // A swept grid without a cured stack never consults the cure cache.
+    let runs = match v.path("counters.passes.cure") {
+        Some(_) => num(v, "counters.passes.cure.misses")?,
+        None => 0.0,
+    };
+    if runs == unique {
         return Ok(());
     }
-    let (runs, unique) = (num(v, "cache.cure_runs")?, num(v, "cache.cure_unique")?);
-    if runs != unique {
-        return Err(format!(
-            "cure ran {runs} times for {unique} distinct inputs — the pass cache is not \
-             deduplicating shared prefixes"
-        ));
-    }
-    let (warm, cold) = (num(v, "cache.warm_wall_ms")?, num(v, "wall_ms")?);
-    if warm * WARM_FACTOR > cold {
-        return Err(format!(
-            "warm grid wall {warm:.1}ms is not {WARM_FACTOR:.1}x below the cold wall {cold:.1}ms"
-        ));
-    }
-    Ok(())
+    Err(format!(
+        "cure ran {runs} times for {unique} distinct inputs — the pass cache is not \
+         deduplicating shared prefixes"
+    ))
 }
 
 /// Cured presets detect every fault the reference detects — owed by the
@@ -569,45 +534,32 @@ mod tests {
         }
     }
 
-    const BASE: &str = r#"{"figure":"toolchain_speed","harness":"fig2_checks","wall_ms":100.0,"stage_ms":{"frontend":5.0}}"#;
+    const SIM: &str = r#"{"figure":"sim_speed","kernel_speedup":11.7959,"speedup_min":10.0000,"engines_identical":true}"#;
+
+    const FIG3A: &str = r#"{"figure":"fig3a_code_size","apps":[{"app":"A","baseline_flash_bytes":1000,"delta_pct":{"safe-flid":9.5238}}],"counters":{"jobs":96,"frontend_compiles":12,"cure_unique":48,"passes":{"backend":{"hits":12,"misses":84,"bytes":200},"cure":{"hits":24,"misses":48,"bytes":100}},"warm_misses":0}}"#;
 
     #[test]
     fn extracts_top_level_numbers() {
-        let v = json::parse(BASE).unwrap();
-        assert_eq!(v.path("wall_ms").and_then(Value::as_f64), Some(100.0));
+        let v = json::parse(SIM).unwrap();
         assert_eq!(
-            v.path("stage_ms.frontend").and_then(Value::as_f64),
-            Some(5.0)
+            v.path("kernel_speedup").and_then(Value::as_f64),
+            Some(11.7959)
         );
         assert_eq!(v.path("missing"), None);
-        assert_eq!(v.path("wall_ms.deeper"), None);
-    }
-
-    #[test]
-    fn within_factor_passes() {
-        let fresh = BASE.replace("100.0", "180.0");
-        assert_eq!(gate(BASE, &fresh).map(|c| c.figure), Ok("toolchain_speed"));
-    }
-
-    #[test]
-    fn beyond_factor_fails() {
-        let fresh = BASE.replace("100.0", "250.0");
-        let err = fails(BASE, &fresh);
-        assert!(err.contains("2.50x"), "{err}");
+        assert_eq!(v.path("kernel_speedup.deeper"), None);
+        let v = json::parse(FIG3A).unwrap();
+        assert_eq!(
+            v.path("counters.passes.cure.misses")
+                .and_then(Value::as_f64),
+            Some(48.0)
+        );
     }
 
     #[test]
     fn missing_fields_fail() {
-        let gutted = BASE.replace(r#""wall_ms":100.0,"#, "");
-        assert!(fails(&gutted, BASE).contains("no `wall_ms`"));
-        assert!(fails(BASE, &gutted).contains("no `wall_ms`"));
-    }
-
-    #[test]
-    fn zero_baseline_never_regresses() {
-        let base = BASE.replace("100.0", "0.0");
-        let fresh = BASE.replace("100.0", "50.0");
-        assert!(gate(&base, &fresh).is_ok());
+        let gutted = SIM.replace(r#""kernel_speedup":11.7959,"#, "");
+        assert!(fails(&gutted, SIM).contains("no `kernel_speedup`"));
+        assert!(fails(SIM, &gutted).contains("no `kernel_speedup`"));
     }
 
     fn difftest(presets: &[&str], miscompiles: u32, csr: u32) -> String {
@@ -641,51 +593,69 @@ mod tests {
         assert!(fails(&clean, r#"{"figure":"difftest"}"#).contains("no `total_miscompiles`"));
     }
 
-    const SPEED: &str = r#"{"figure":"toolchain_speed","harness":"fig3a_code_size","threads":1,"jobs":96,"frontend_compiles":12,"wall_ms":150.0,"stage_ms":{"frontend":5.0},"cache":{"warm_wall_ms":20.0,"warm_compile_ms":4.0,"cure_runs":48,"cure_unique":48,"passes":{"cure":{"hits":24,"misses":48,"bytes":100}}}}"#;
-
     #[test]
     fn cache_gate_passes_effective_cache() {
-        assert!(gate(SPEED, SPEED).is_ok());
+        assert!(gate(FIG3A, FIG3A).is_ok());
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let committed = std::fs::read_to_string(root.join("BENCH_fig3a_code_size.json")).unwrap();
+        let census = json::parse(&committed).unwrap();
+        assert!(census.path("counters.passes.cure").is_some(), "{committed}");
+        assert!(gate(&committed, &committed).is_ok());
+        // A swept grid without a cured stack has no cure census to owe.
+        let uncured = FIG3A
+            .replace(r#""cure_unique":48"#, r#""cure_unique":0"#)
+            .replace(r#","cure":{"hits":24,"misses":48,"bytes":100}"#, "");
+        assert!(gate(&uncured, &uncured).is_ok());
     }
 
     #[test]
     fn cache_gate_fails_on_duplicate_cure_runs() {
-        let dup = SPEED.replace(r#""cure_runs":48"#, r#""cure_runs":72"#);
-        let err = fails(SPEED, &dup);
+        let dup = FIG3A.replace(r#""misses":48"#, r#""misses":72"#);
+        let err = fails(FIG3A, &dup);
         assert!(err.contains("not deduplicating"), "{err}");
     }
 
     #[test]
     fn cache_gate_fails_on_slow_warm_window() {
-        let slow = SPEED.replace(r#""warm_wall_ms":20.0"#, r#""warm_wall_ms":80.0"#);
-        let err = fails(SPEED, &slow);
-        assert!(err.contains("warm grid wall"), "{err}");
+        // A warm re-run that executes any pass is the slow one.
+        let slow = FIG3A.replace(r#""warm_misses":0"#, r#""warm_misses":5"#);
+        let err = fails(FIG3A, &slow);
+        assert!(
+            err.contains("warm-grid-runs-no-pass: `counters.warm_misses` is 5, expected 0"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn speed_gate_pins_work_counters() {
-        let jobs = SPEED.replace(r#""jobs":96"#, r#""jobs":97"#);
-        let err = fails(SPEED, &jobs);
-        assert!(err.contains("`jobs` is 96 committed, 97 fresh"), "{err}");
-        let misses = SPEED.replace(r#""misses":48"#, r#""misses":49"#);
-        let err = fails(SPEED, &misses);
+    fn cache_gate_pins_work_counters() {
+        let jobs = FIG3A.replace(r#""jobs":96"#, r#""jobs":97"#);
+        let err = fails(FIG3A, &jobs);
         assert!(
-            err.contains("`cache.passes.cure.misses` is 48 committed, 49 fresh"),
+            err.contains("`counters.jobs` is 96 committed, 97 fresh"),
             "{err}"
         );
-        let compiles = SPEED.replace(r#""frontend_compiles":12"#, r#""frontend_compiles":11"#);
-        assert!(fails(SPEED, &compiles).contains("`frontend_compiles`"));
-        // Timings are not pinned: only the 2x wall bound applies.
-        let slower = SPEED.replace(r#""warm_compile_ms":4.0"#, r#""warm_compile_ms":9.0"#);
-        assert!(gate(SPEED, &slower).is_ok());
+        let misses = FIG3A.replace(r#""misses":84"#, r#""misses":85"#);
+        let err = fails(FIG3A, &misses);
+        assert!(
+            err.contains("`counters.passes.backend.misses` is 84 committed, 85 fresh"),
+            "{err}"
+        );
+        assert!(!err.contains("cure-runs-once-per-input"), "{err}");
+        let compiles = FIG3A.replace(r#""frontend_compiles":12"#, r#""frontend_compiles":11"#);
+        assert!(fails(FIG3A, &compiles).contains("`counters.frontend_compiles`"));
     }
 
     #[test]
     fn cache_gate_requires_the_cache_section() {
-        let no_cache = BASE.replace("fig2_checks", "fig3a_code_size");
-        assert!(fails(SPEED, &no_cache).contains("no `cache.cure_runs`"));
-        let gutted = SPEED.replace(r#""warm_wall_ms":20.0,"#, "");
-        assert!(fails(SPEED, &gutted).contains("no `cache.warm_wall_ms`"));
+        let bare = &FIG3A[..FIG3A.find(r#","counters""#).unwrap()];
+        let bare = format!("{bare}}}");
+        let err = fails(FIG3A, &bare);
+        assert!(
+            err.contains("fresh report has no pinned `counters`"),
+            "{err}"
+        );
+        assert!(err.contains("no `counters.warm_misses`"), "{err}");
+        assert!(fails(&bare, FIG3A).contains("committed report has no pinned `counters`"));
     }
 
     const FOOTPRINT: &str = r#"{"figure":"runtime_footprint","stages":{"after_dce":{"ram":2,"rom":314}},"measured_blinktask":{"tuned_sram_bytes":19}}"#;
@@ -896,8 +866,6 @@ mod tests {
         );
     }
 
-    const SIM: &str = r#"{"figure":"sim_speed","kernel_speedup":11.7959,"speedup_min":10.0000,"engines_identical":true}"#;
-
     #[test]
     fn sim_speed_gate_fails_below_the_floor_and_on_divergence() {
         assert!(gate(SIM, SIM).is_ok());
@@ -999,13 +967,11 @@ mod tests {
         assert!(removed.contains("apps"), "{removed}");
         let total = fails(FIG2, &FIG2.replace(r#"4,"gcc""#, r#"5,"gcc""#));
         assert!(total.contains("total"), "{total}");
-        for figure in ["fig3a_code_size", "fig3b_data_size"] {
-            let report = format!(
-                r#"{{"figure":"{figure}","apps":[{{"app":"A","delta_pct":{{"safe-flid":9.5238}}}}]}}"#
-            );
-            assert!(gate(&report, &report).is_ok());
-            let drift = fails(&report, &report.replace("9.5238", "-9.5238"));
-            assert!(drift.contains("apps"), "{figure}: {drift}");
+        let fig3b = FIG3A.replace("fig3a_code_size", "fig3b_data_size");
+        for report in [FIG3A, &fig3b] {
+            assert!(gate(report, report).is_ok());
+            let drift = fails(report, &report.replace("9.5238", "-9.5238"));
+            assert!(drift.contains("`apps[0].delta_pct.safe-flid`"), "{drift}");
         }
     }
 
@@ -1038,9 +1004,8 @@ mod tests {
                 Err(e) => panic!("{file}: {e:?}"),
             }
         }
-        // 13 toolchain-speed reports plus races, stack, fleet, sim_speed,
-        // difftest, fault_injection, fig2, fig3a, fig3b, ablations and
-        // runtime_footprint.
-        assert_eq!(gated.len(), 24, "{gated:?}");
+        // races, stack, fleet, sim_speed, difftest, fault_injection,
+        // fig2, fig3a, fig3b, ablations and runtime_footprint.
+        assert_eq!(gated.len(), 11, "{gated:?}");
     }
 }

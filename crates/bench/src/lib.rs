@@ -1,23 +1,28 @@
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation (§3). Each binary prints one figure:
+//! paper's evaluation (§3), plus the campaigns, oracles and analyses
+//! built on the same toolchain. Each binary writes one report:
 //!
 //! | Binary | Reproduces |
 //! |--------|-----------|
 //! | `fig2_checks` | Figure 2: % of inserted checks removed by 4 optimizer stacks |
-//! | `fig3a_code_size` | Figure 3(a): Δ code size under 7 configurations |
+//! | `fig3a_code_size` | Figure 3(a): Δ code size under 7 configurations, plus the grid's pass-cache census |
 //! | `fig3b_data_size` | Figure 3(b): Δ static data size |
 //! | `fig3c_duty_cycle` | Figure 3(c): Δ duty cycle over simulated minutes |
 //! | `runtime_footprint` | §2.3: the runtime-library reduction story |
 //! | `ablations` | §2.1 claims: early inlining, strong DCE, copy-prop, atomic optimization |
 //! | `pipeline_matrix` | pass subsets/orders/options × 3 apps — the composition sweep the paper couldn't afford |
 //! | `fault_injection` | §2's detection claim: injected-corruption campaigns per pipeline, detection rates and FLID triage |
+//! | `difftest` | differential oracle: generated programs and stock apps under every preset vs. the reference |
+//! | `race_analysis` | the static race census, its fixes, and a torn-update campaign |
+//! | `stack_analysis` | certified stack bounds against simulated watermarks |
+//! | `sim_speed` | interpreter vs. block-translation throughput, with their identity |
+//! | `fleet` | multi-mote Surge fleets on a lossy radio grid, with churn and a fleet campaign |
+//! | `gate` | checks a report against its committed baseline ([`gate`]) |
 //!
 //! Each harness holds one [`BuildService`] with `STOS_THREADS` workers
-//! (one frontend compile per app, shared pass cache), expands its app ×
-//! configuration grid with [`grid`], and ends by writing
-//! `BENCH_toolchain_speed_<harness>.json` ([`speed::emit_speed`]) from
-//! what the service did. fig3a's grid is the canonical one: its report
-//! is also written as `BENCH_toolchain_speed.json`.
+//! (one frontend compile per app, shared pass cache) and expands its
+//! app × configuration grid with [`grid`]. Reports carry no compile
+//! times: they are byte-identical for any worker count.
 
 pub mod diff;
 pub mod fault;
@@ -26,7 +31,6 @@ pub mod gate;
 pub mod json;
 pub mod kernels;
 pub mod races;
-pub mod speed;
 pub mod stack;
 
 use std::path::{Path, PathBuf};
@@ -35,7 +39,6 @@ use safe_tinyos::BuildService;
 use tosapps::AppSpec;
 
 pub use knobs::Knobs;
-pub use speed::emit_speed;
 
 /// Runs `f` over every cell of the `apps` × `items` grid on `service`'s
 /// worker pool and returns the results as `result[app_index][item_index]`.
@@ -102,9 +105,10 @@ pub mod knobs {
     #[derive(Debug, Clone)]
     pub struct Knobs {
         /// Worker threads of each harness's `BuildService` (`1` = serial
-        /// on the calling thread; `0` counts as 1). Outputs other than
-        /// the toolchain-speed reports are byte-identical for every
-        /// value. `STOS_THREADS`, default the available parallelism.
+        /// on the calling thread; `0` counts as 1). Figure tables and
+        /// reports are byte-identical for every value, apart from the
+        /// wall times of `sim_speed` and the `fleet` dynamics.
+        /// `STOS_THREADS`, default the available parallelism.
         pub threads: usize,
         /// Simulated seconds for duty-cycle and fault-campaign runs:
         /// the paper uses 3 minutes; a smaller default keeps the
@@ -284,44 +288,6 @@ fn write_report(dir: &Path, name: &str, body: &str) -> std::io::Result<PathBuf> 
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
-    use safe_tinyos::{BuildService, Pipeline};
-
-    use crate::speed::{stages, Snapshot, STAGES};
-
-    #[test]
-    fn pass_times_roll_up_into_stages() {
-        // Every pass but frontend/cure/backend/link lands in `opt`.
-        let service = BuildService::with_threads(1);
-        let pipeline = Pipeline::parse("cure(flid)|races|inline|cxprop|prune|stackbound").unwrap();
-        let build = crate::grid(&service, &["BlinkTask_Mica2"], &[pipeline], |spec, p| {
-            service.build(spec, p).unwrap()
-        });
-        let t = &build[0][0].metrics.pass_times;
-        let opt = ["races", "inline", "cxprop", "prune", "stackbound"];
-        for pass in ["frontend", "cure", "backend", "link"].iter().chain(&opt) {
-            assert!(t.get(pass) > Duration::ZERO, "pass {pass} untimed");
-        }
-        let rolled = stages(t);
-        assert_eq!(rolled[2], opt.iter().map(|p| t.get(p)).sum::<Duration>());
-        assert_eq!(rolled[4], t.get("link"));
-        assert_eq!(rolled.iter().sum::<Duration>(), t.total());
-
-        // The report: five stage keys in order, compile_ms = Σ stage_ms.
-        let report = crate::json::parse(&Snapshot::of(&service).to_json("probe", None)).unwrap();
-        let ms = |path: &str| report.path(path).and_then(|v| v.as_f64()).unwrap();
-        let keys: Vec<&str> = match report.path("stage_ms") {
-            Some(crate::json::Value::Obj(members)) => members.iter().map(|(k, _)| &k[..]).collect(),
-            other => panic!("stage_ms: {other:?}"),
-        };
-        assert_eq!(keys, STAGES);
-        let sum: f64 = STAGES.iter().map(|s| ms(&format!("stage_ms.{s}"))).sum();
-        assert!((ms("compile_ms") - sum).abs() < 1e-3, "{report:?}");
-        assert!(ms("stage_ms.opt") > 0.0);
-        assert_eq!(ms("jobs"), 1.0);
-    }
-
     #[test]
     fn reports_land_in_a_directory_that_did_not_exist() {
         let root = std::env::temp_dir().join(format!("bench-emit-{}", std::process::id()));

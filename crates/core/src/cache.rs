@@ -4,9 +4,9 @@
 //! and its options: the same lowered IR under the same spec produces the
 //! same output IR and the same statistics. A 12-preset × 12-app grid
 //! therefore recomputes enormous shared prefixes — `cure(flid)` alone
-//! runs once per *preset* instead of once per *app* — and
-//! `BENCH_toolchain_speed.json` shows the middle end is ~78% of compile
-//! wall. This module keys each pass output by
+//! runs once per *preset* instead of once per *app* — and the middle end
+//! (cure and the optimizers) is about four fifths of the fig3 grid's
+//! summed pass times. This module keys each pass output by
 //! `(digest of the input IR, canonical pass spec)` so shared prefixes
 //! are computed exactly once per session and forked only where specs
 //! diverge.

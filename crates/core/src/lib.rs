@@ -230,8 +230,6 @@ pub struct BuildSession {
     /// pass, so pipeline prefixes shared across the session's
     /// builds are computed once.
     pass_cache: Option<Arc<PassCache>>,
-    /// Every successful build's [`Metrics::pass_times`], summed.
-    pass_times: Mutex<PassTimes>,
 }
 
 /// One app's frontend outcome, computed once by its first caller.
@@ -247,7 +245,6 @@ impl BuildSession {
             artifacts: Mutex::default(),
             frontend_compiles: AtomicUsize::new(0),
             pass_cache: Some(Arc::new(PassCache::new())),
-            pass_times: Mutex::default(),
         }
     }
 
@@ -282,16 +279,6 @@ impl BuildSession {
     /// pipelines it spans.
     pub fn frontend_compiles(&self) -> usize {
         self.frontend_compiles.load(Ordering::Relaxed)
-    }
-
-    /// The pass times of every successful [`BuildSession::build`] so
-    /// far, summed per pass — `frontend` included, counted on the build
-    /// that compiled each app.
-    pub fn pass_times(&self) -> PassTimes {
-        self.pass_times
-            .lock()
-            .expect("no build panics while adding to the total")
-            .clone()
     }
 
     /// The cached frontend artifact for `spec`, compiling it on first
@@ -346,8 +333,7 @@ impl BuildSession {
 
     /// Builds `spec` under `pipeline`, reusing the cached frontend
     /// artifact. The frontend's wall time lands in the metrics of the
-    /// one build that compiled it, and the build's pass times are added
-    /// to the session total ([`BuildSession::pass_times`]).
+    /// one build that compiled it.
     ///
     /// # Errors
     ///
@@ -365,10 +351,6 @@ impl BuildSession {
                 .pass_times
                 .record("frontend", artifact.elapsed);
         }
-        self.pass_times
-            .lock()
-            .expect("no build panics while adding to the total")
-            .add(&build.metrics.pass_times);
         Ok(build)
     }
 }
@@ -497,6 +479,28 @@ mod tests {
                 pipeline.name(),
                 r.duty_cycle_percent
             );
+        }
+    }
+
+    #[test]
+    fn every_pass_of_a_build_is_timed() {
+        // stosbench's compile breakdown reads these entries.
+        let spec = tosapps::spec("BlinkTask_Mica2").unwrap();
+        let pipeline = Pipeline::parse("cure(flid)|races|inline|cxprop|prune|stackbound").unwrap();
+        let build = BuildSession::new().build(&spec, &pipeline).unwrap();
+        let times = &build.metrics.pass_times;
+        for pass in [
+            "frontend",
+            "cure",
+            "races",
+            "inline",
+            "cxprop",
+            "prune",
+            "stackbound",
+            "backend",
+            "link",
+        ] {
+            assert!(times.get(pass) > Duration::ZERO, "pass {pass} untimed");
         }
     }
 

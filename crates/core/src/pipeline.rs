@@ -306,18 +306,6 @@ impl PassTimes {
             .unwrap_or_default()
     }
 
-    /// Sum over all passes.
-    pub fn total(&self) -> Duration {
-        self.entries.iter().map(|(_, t)| *t).sum()
-    }
-
-    /// Accumulates another set of pass times into this one.
-    pub fn add(&mut self, other: &PassTimes) {
-        for (name, t) in &other.entries {
-            self.record(name, *t);
-        }
-    }
-
     /// Iterates `(pass name, accumulated time)` in first-run order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Duration)> + '_ {
         self.entries.iter().map(|(name, t)| (name.as_str(), *t))
