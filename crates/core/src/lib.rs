@@ -82,10 +82,12 @@ pub use stackbound::{StackReport, StackStats};
 /// neither ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RaceStats {
-    /// Globals confirmed racy by the most recent refinement.
+    /// Globals cXprop's verdict confirms racy, from the most recent
+    /// refinement.
     pub racy_globals: usize,
-    /// Globals a coarser earlier analysis flagged that the most recent
-    /// refinement cleared.
+    /// Globals nesC's verdict flags that cXprop's clears (read-only
+    /// sharing), over the most recent refinement's census: the count
+    /// does not depend on which earlier pass set the `racy` flags.
     pub cleared_globals: usize,
     /// Atomic sections removed (nested or async-only), accumulated
     /// across the stack.
@@ -159,7 +161,6 @@ pub struct Build {
 #[derive(Debug, Clone)]
 pub struct FrontendArtifact {
     program: Arc<Program>,
-    report: Arc<nesc::ConcurrencyReport>,
     components: Arc<[String]>,
     /// Wall time of the frontend compile that produced this artifact.
     pub elapsed: Duration,
@@ -169,7 +170,6 @@ impl FrontendArtifact {
     fn new(out: nesc::CompileOutput, elapsed: Duration) -> FrontendArtifact {
         FrontendArtifact {
             program: Arc::new(out.program),
-            report: Arc::new(out.report),
             components: out.components.into(),
             elapsed,
         }
@@ -183,11 +183,6 @@ impl FrontendArtifact {
     /// The lowered program every build of this app shares.
     pub fn shared_program(&self) -> &Arc<Program> {
         &self.program
-    }
-
-    /// The frontend's non-atomic variable report (race candidates).
-    pub fn report(&self) -> &nesc::ConcurrencyReport {
-        &self.report
     }
 
     /// Component instantiation order.

@@ -67,19 +67,19 @@ pub enum Pass {
     Prune,
     /// `races`: the whole-program race & atomicity analysis.
     ///
-    /// It runs [`cxprop::race_sites::classify`]: it refines the
-    /// racy-global set on the pointer-following concurrency lattice,
-    /// walks every racy global's actual access sites in synchronous
-    /// code, and emits one [`Diagnostic`] per unprotected site — `R001`
+    /// It runs [`cxprop::race_sites::classify`]: one
+    /// [`tcil::concurrency::Census`] of the program refines the
+    /// racy-global set and lists every racy global's unprotected access
+    /// sites, and the pass emits one [`Diagnostic`] per site — `R001`
     /// (unprotected-sync-write), `R002` (torn-16bit-access), or `R003`
     /// (async-rmw) — with a FLID-style `func:site` location.
     ///
-    /// With `fix` (`races(fix)`), the pass first runs
-    /// [`cxprop::race_sites::harden`]: every flagged statement is wrapped
-    /// in a minimal atomic section and the analysis is re-run to a
-    /// zero-diagnostic fixpoint, then [`cxprop::atomic_opt`] cleans up
+    /// With `fix` (`races(fix)`), the pass runs
+    /// [`cxprop::race_sites::harden`] instead: every flagged statement is
+    /// wrapped in a minimal atomic section and the analysis is re-run to
+    /// a zero-diagnostic fixpoint, then [`cxprop::atomic_opt`] cleans up
     /// the nesting the wrapping introduced. The diagnostics the pass
-    /// emits are the *post-fix* findings — an empty set is the fixpoint
+    /// emits are the fixpoint's findings — an empty set is the fixpoint
     /// certificate.
     Races {
         /// Auto-harden flagged sites instead of only reporting them.
@@ -135,7 +135,7 @@ impl Pass {
                     .inlined += inlined;
             }
             Pass::Cxprop(options) => {
-                deposit_cxprop(&mut cx.metrics, options, cxprop::optimize(program, options));
+                deposit_cxprop(&mut cx.metrics, cxprop::optimize(program, options));
             }
             Pass::Prune => {
                 ccured::errmsg::prune_unused_messages(program);
@@ -165,22 +165,22 @@ impl Pass {
                 let inlined = effect.cxprop.as_ref().map_or(0, |c| c.inlined);
                 into.cxprop.get_or_insert_with(Default::default).inlined += inlined;
             }
-            Pass::Cxprop(options) => {
+            Pass::Cxprop(_) => {
                 if let Some(stats) = effect.cxprop.clone() {
-                    deposit_cxprop(into, options, stats);
+                    deposit_cxprop(into, stats);
                 }
             }
             Pass::Races { fix } => {
                 // Replay the same merge `run_races` performs: cleanup and
-                // hardening counters accumulate, the site censuses are
-                // point-in-time (cleared keeps its high-water mark), and
-                // the fixpoint iteration count only exists under `fix`.
+                // hardening counters accumulate, the verdict counts are
+                // point-in-time, and the fixpoint iteration count only
+                // exists under `fix`.
                 let er = effect.races.unwrap_or_default();
                 let races = into.races.get_or_insert_with(Default::default);
                 races.atomics_removed += er.atomics_removed;
                 races.atomics_demoted += er.atomics_demoted;
                 races.racy_globals = er.racy_globals;
-                races.cleared_globals = races.cleared_globals.max(er.cleared_globals);
+                races.cleared_globals = er.cleared_globals;
                 races.sections_added += er.sections_added;
                 if *fix {
                     races.fix_iterations = er.fix_iterations;
@@ -212,17 +212,14 @@ fn deposit_cure(metrics: &mut Metrics, mut stats: CureStats) {
 /// Deposits one cXprop run's `stats` into `metrics` — shared by the
 /// direct path and the cached replay so the two are identical by
 /// construction.
-fn deposit_cxprop(metrics: &mut Metrics, options: &CxpropOptions, mut stats: CxpropStats) {
+fn deposit_cxprop(metrics: &mut Metrics, mut stats: CxpropStats) {
     {
-        // Surface the concurrency counts in the build-level rollup:
-        // refinement censuses are point-in-time (latest wins, and only
-        // when refinement actually ran), atomic-section work accumulates
-        // across the stack.
+        // Surface the concurrency counts in the build-level rollup: the
+        // verdict counts are point-in-time, atomic-section work
+        // accumulates across the stack.
         let races = metrics.races.get_or_insert_with(Default::default);
-        if options.refine_races {
-            races.racy_globals = stats.races.racy.len();
-            races.cleared_globals = stats.races.cleared.len();
-        }
+        races.racy_globals = stats.races.racy.len();
+        races.cleared_globals = stats.races.cleared.len();
         races.atomics_removed += stats.atomics.removed;
         races.atomics_demoted += stats.atomics.demoted;
     }
@@ -244,19 +241,23 @@ fn deposit_cxprop(metrics: &mut Metrics, options: &CxpropOptions, mut stats: Cxp
     metrics.cxprop = Some(stats);
 }
 
-/// The `races` pass: optional hardening, then the per-site analysis.
+/// The `races` pass: the per-site analysis, or hardening to its
+/// fixpoint, whose findings it reports.
 fn run_races(program: &mut Program, fix: bool, metrics: &mut Metrics) {
-    let fix_stats = if fix {
-        let stats = cxprop::race_sites::harden(program);
+    let races = metrics.races.get_or_insert_with(Default::default);
+    let findings = if fix {
+        let (stats, findings) = cxprop::race_sites::harden(program);
         let cleanup = cxprop::atomic_opt::run(program);
-        let races = metrics.races.get_or_insert_with(Default::default);
         races.atomics_removed += cleanup.removed;
         races.atomics_demoted += cleanup.demoted;
-        Some(stats)
+        races.sections_added += stats.sections_added;
+        races.fix_iterations = stats.iterations;
+        findings
     } else {
-        None
+        cxprop::race_sites::classify(program)
     };
-    let findings = cxprop::race_sites::classify(program);
+    races.racy_globals = findings.report.racy.len();
+    races.cleared_globals = findings.report.cleared.len();
     for site in &findings.sites {
         let kind = site.kind;
         metrics.diagnostics.push(Diagnostic::new(
@@ -270,13 +271,6 @@ fn run_races(program: &mut Program, fix: bool, metrics: &mut Metrics) {
                 site.width
             ),
         ));
-    }
-    let races = metrics.races.get_or_insert_with(Default::default);
-    races.racy_globals = findings.report.racy.len();
-    races.cleared_globals = races.cleared_globals.max(findings.report.cleared.len());
-    if let Some(stats) = fix_stats {
-        races.sections_added += stats.sections_added;
-        races.fix_iterations = stats.iterations;
     }
 }
 

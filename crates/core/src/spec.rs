@@ -22,7 +22,7 @@
 //! |------|---------|
 //! | `cure` | mode `flid` / `terse` / `verbose-ram` / `verbose-rom`; flags `opt`/`noopt` (local check optimizer), `lock`/`nolock` (racy-check locking), `naive` (§2.3 naive runtime) |
 //! | `inline` | `max-size=N`, `single-site=N`, `rounds=N` |
-//! | `cxprop` | flag `inline` (run the inliner inside the fixpoint, after race refinement — the paper's composite); `domain=constants`/`intervals`; `rounds=N`; flags `dce`/`nodce`, `copyprop`/`nocopyprop`, `atomic`/`noatomic`, `refine`/`norefine`, `harden`/`noharden` (fault-hardened check elimination; `noharden` restores the classical policy) |
+//! | `cxprop` | flag `inline` (run the inliner inside the fixpoint, after race refinement — the paper's composite); `domain=constants`/`intervals`; `rounds=N`; flags `dce`/`nodce`, `copyprop`/`nocopyprop`, `atomic`/`noatomic`, `harden`/`noharden` (fault-hardened check elimination; `noharden` restores the classical policy) |
 //! | `prune` | (none) |
 //! | `races` | flag `fix` (auto-harden flagged access sites in minimal atomic sections and re-analyze to a zero-diagnostic fixpoint; without it the pass only reports `R001`–`R003` diagnostics) |
 //! | `stackbound` | `budget=N` (override the SRAM stack budget in bytes; must be positive — the default budget is the space between the image's static data and the top of SRAM). Certifies a worst-case stack bound on the linked image and reports `S001`–`S003` diagnostics |
@@ -301,10 +301,6 @@ fn parse_pass(segment: &str) -> Result<Pass, SpecError> {
                     "nocopyprop" => seen.set("copyprop", opt, &mut options.copyprop, false),
                     "atomic" => seen.set("atomic", opt, &mut options.atomic_opt, true),
                     "noatomic" => seen.set("atomic", opt, &mut options.atomic_opt, false),
-                    "refine" => seen.set("race refinement", opt, &mut options.refine_races, true),
-                    "norefine" => {
-                        seen.set("race refinement", opt, &mut options.refine_races, false)
-                    }
                     "harden" => seen.set("hardening", opt, &mut options.fault_harden, true),
                     "noharden" => seen.set("hardening", opt, &mut options.fault_harden, false),
                     "domain=constants" => {
@@ -321,8 +317,7 @@ fn parse_pass(segment: &str) -> Result<Pass, SpecError> {
                         "cxprop",
                         opt,
                         "inline, domain=constants|intervals, rounds=N, dce, nodce, \
-                         copyprop, nocopyprop, atomic, noatomic, refine, norefine, \
-                         harden, noharden",
+                         copyprop, nocopyprop, atomic, noatomic, harden, noharden",
                     )),
                 }?;
             }
@@ -457,7 +452,6 @@ impl Pass {
                     (options.dce, "nodce"),
                     (options.copyprop, "nocopyprop"),
                     (options.atomic_opt, "noatomic"),
-                    (options.refine_races, "norefine"),
                     (options.fault_harden, "noharden"),
                 ] {
                     if !on {

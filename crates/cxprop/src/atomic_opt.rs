@@ -6,13 +6,16 @@
 //!
 //! * an `atomic` lexically nested inside another is a no-op — unwrap it,
 //! * an `atomic` in code reachable **only from interrupt handlers** runs
-//!   with interrupts already disabled — unwrap it,
+//!   with interrupts already disabled — unwrap it, unless a handler
+//!   that reaches it re-enables interrupts
+//!   ([`Contexts::preemptible`]),
 //! * an `atomic` in code reachable **only from task/main context** runs
 //!   with interrupts known-enabled — demote
 //!   [`AtomicStyle::SaveRestore`] to the cheaper
 //!   [`AtomicStyle::DisableEnable`],
 //! * code reachable from both contexts keeps the conservative form.
 
+use tcil::concurrency::Contexts;
 use tcil::ir::*;
 use tcil::visit;
 use tcil::Program;
@@ -28,41 +31,12 @@ pub struct AtomicStats {
 
 /// Runs the optimization.
 pub fn run(program: &mut Program) -> AtomicStats {
-    let nf = program.functions.len();
-    let mut callees: Vec<Vec<u32>> = vec![Vec::new(); nf];
-    for (fi, f) in program.functions.iter().enumerate() {
-        visit::walk_stmts(&f.body, &mut |s| {
-            if let Stmt::Call { func, .. } = s {
-                callees[fi].push(func.0);
-            }
-        });
-    }
-    let reach_from = |roots: Vec<u32>| -> Vec<bool> {
-        let mut seen = vec![false; nf];
-        let mut work = roots;
-        while let Some(f) = work.pop() {
-            if std::mem::replace(&mut seen[f as usize], true) {
-                continue;
-            }
-            work.extend(callees[f as usize].iter().copied());
-        }
-        seen
-    };
-    let async_reach = reach_from(
-        program
-            .functions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.interrupt.map(|_| i as u32))
-            .collect(),
-    );
-    let sync_reach = reach_from(program.entry.iter().map(|e| e.0).collect());
-
+    let cx = Contexts::of(program);
     let mut stats = AtomicStats::default();
     for (fi, f) in program.functions.iter_mut().enumerate() {
-        let ctx = match (sync_reach[fi], async_reach[fi]) {
+        let ctx = match (cx.is_sync[fi], cx.is_async[fi]) {
             (true, false) => Ctx::SyncOnly,
-            (false, true) => Ctx::AsyncOnly,
+            (false, true) if !cx.preemptible[fi] => Ctx::AsyncOnly,
             _ => Ctx::Mixed,
         };
         rewrite_block(&mut f.body, ctx, 0, &mut stats);

@@ -18,7 +18,9 @@
 //! * [`atomic_opt`] — nested-atomic elimination and interrupt-enable-bit
 //!   save avoidance,
 //! * [`races`] — cXprop's own conservative, pointer-following race
-//!   detector.
+//!   detector, and [`race_sites`] — its per-site classifier and the
+//!   `races(fix)` hardener, both verdicts over the
+//!   [`tcil::concurrency::Census`].
 //!
 //! # Example
 //!
@@ -76,8 +78,6 @@ pub struct CxpropOptions {
     pub dce: bool,
     /// Run atomic-section optimization.
     pub atomic_opt: bool,
-    /// Refine race information first (more precise than the frontend's).
-    pub refine_races: bool,
     /// Maximum optimize rounds.
     pub max_rounds: usize,
 }
@@ -92,7 +92,6 @@ impl Default for CxpropOptions {
             copyprop: true,
             dce: true,
             atomic_opt: true,
-            refine_races: true,
             max_rounds: 3,
         }
     }
@@ -111,16 +110,16 @@ pub struct CxpropStats {
     pub dce: DceStats,
     /// Atomic-section totals.
     pub atomics: AtomicStats,
-    /// Race refinement result.
+    /// Race refinement result (the refinement always runs first).
     pub races: RaceReport,
 }
 
 /// Runs the full cXprop pipeline over `program` in place.
 pub fn optimize(program: &mut Program, options: &CxpropOptions) -> CxpropStats {
-    let mut stats = CxpropStats::default();
-    if options.refine_races {
-        stats.races = races::refine(program);
-    }
+    let mut stats = CxpropStats {
+        races: races::refine(program),
+        ..Default::default()
+    };
     if options.inline {
         stats.inlined = inline::run(program, &options.inline_options);
     }

@@ -1,13 +1,14 @@
 //! Per-access-site race classification and auto-hardening.
 //!
 //! [`races::refine`] answers *which globals* race; this module answers
-//! *where* and *how*. [`classify`] walks each racy global's actual
-//! access sites in synchronous code — reusing the reachability /
-//! atomic-protection lattice of [`races`] — and files every unprotected
-//! site under one of three stable hazard codes:
+//! *where* and *how*. [`classify`] takes one
+//! [`tcil::concurrency::Census`], refines the racy-global flags from it,
+//! and files every unprotected census site of a racy global — one that
+//! synchronous or preemptible-handler code reaches outside any `atomic`
+//! — under one of three stable hazard codes:
 //!
-//! * **R001 `unprotected-sync-write`** — a synchronous write outside any
-//!   `atomic` section; an interrupt can observe or clobber the variable
+//! * **R001 `unprotected-sync-write`** — a synchronous (or
+//!   preemptible-handler) write outside any `atomic` section; an interrupt can observe or clobber the variable
 //!   mid-protocol,
 //! * **R002 `torn-16bit-access`** — an unprotected access wider than the
 //!   8-bit bus; the two bus transfers can be split by an interrupt,
@@ -31,12 +32,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use tcil::concurrency::Census;
 use tcil::ir::*;
-use tcil::types::size_of;
 use tcil::visit;
 use tcil::Program;
 
-use crate::races::{self, Contexts, RaceReport};
+use crate::races::{self, RaceReport};
 
 /// The hazard class of one access site, in increasing severity order
 /// (a site exhibiting several hazards is filed under the worst).
@@ -107,143 +108,44 @@ pub struct RaceFindings {
     pub sites: Vec<RaceSite>,
 }
 
-/// Per-statement access accumulator for one global.
-#[derive(Default, Clone, Copy)]
-struct StmtAcc {
-    read: bool,
-    write: bool,
-    width: u32,
-}
-
-/// Re-runs [`races::refine`] and classifies every unprotected
-/// synchronous access site of the racy globals.
+/// Takes the census, refines the `racy` flags from it
+/// ([`races::refine`]), and classifies every unprotected access site of
+/// the racy globals.
 ///
 /// Accesses through pointers cannot be attributed to a specific global
 /// and are not classified per-site (the per-global pointer conservatism
-/// of the refine step still flags the *globals*); a racy global reached
-/// only through pointers therefore contributes no site diagnostics.
+/// of the verdict still flags the *globals*); a racy global reached only
+/// through pointers therefore contributes no site diagnostics.
 pub fn classify(program: &mut Program) -> RaceFindings {
-    let report = races::refine(program);
-    let Contexts { is_async, is_sync } = races::contexts(program);
-    let racy: Vec<bool> = program.globals.iter().map(|g| g.racy).collect();
-
-    let mut sites = Vec::new();
-    for (fi, f) in program.functions.iter().enumerate() {
-        if !is_sync[fi] {
-            // Handler-only code runs with interrupts disabled: implicitly
-            // protected, exactly as in the refine lattice. Dead code has
-            // no executions to race.
-            continue;
-        }
-        let _ = is_async[fi]; // mixed context classifies by its sync side
-        let mut next = 0u32;
-        scan(
-            &f.body,
-            &mut next,
-            false,
-            &racy,
-            program,
-            FuncId(fi as u32),
-            &f.name,
-            &mut sites,
-        );
-    }
+    let census = Census::of(program);
+    let report = races::refine_with(program, &census);
+    let sites = census
+        .sites
+        .iter()
+        .filter(|s| !s.protected && program.globals[s.global.0 as usize].racy)
+        .filter_map(|s| {
+            let kind = if s.read && s.write {
+                SiteKind::AsyncRmw
+            } else if s.width > 1 {
+                SiteKind::Torn16Access
+            } else if s.write {
+                SiteKind::UnprotectedSyncWrite
+            } else {
+                // A one-byte pure read is atomic on the 8-bit bus: no hazard.
+                return None;
+            };
+            Some(RaceSite {
+                func: s.func,
+                func_name: program.functions[s.func.0 as usize].name.clone(),
+                site: s.site,
+                global: program.globals[s.global.0 as usize].name.clone(),
+                kind,
+                write: s.write,
+                width: s.width,
+            })
+        })
+        .collect();
     RaceFindings { report, sites }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan(
-    block: &Block,
-    next: &mut u32,
-    protected: bool,
-    racy: &[bool],
-    program: &Program,
-    func: FuncId,
-    func_name: &str,
-    out: &mut Vec<RaceSite>,
-) {
-    for s in block {
-        let idx = *next;
-        *next += 1;
-        if !protected {
-            classify_stmt(s, idx, racy, program, func, func_name, out);
-        }
-        match s {
-            Stmt::Atomic { body, .. } => {
-                scan(body, next, true, racy, program, func, func_name, out)
-            }
-            Stmt::If { then_, else_, .. } => {
-                scan(then_, next, protected, racy, program, func, func_name, out);
-                scan(else_, next, protected, racy, program, func, func_name, out);
-            }
-            Stmt::While { body, .. } | Stmt::Block(body) => {
-                scan(body, next, protected, racy, program, func, func_name, out)
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Classifies the direct racy-global accesses of one statement's own
-/// expressions and destination (nested statements are their own sites).
-fn classify_stmt(
-    s: &Stmt,
-    idx: u32,
-    racy: &[bool],
-    program: &Program,
-    func: FuncId,
-    func_name: &str,
-    out: &mut Vec<RaceSite>,
-) {
-    let mut acc: BTreeMap<GlobalId, StmtAcc> = BTreeMap::new();
-    visit::stmt_exprs(s, &mut |e| {
-        visit::walk_expr(e, &mut |x| {
-            if let ExprKind::Load(p) = &x.kind {
-                if let PlaceBase::Global(g) = &p.base {
-                    if racy[g.0 as usize] {
-                        let a = acc.entry(*g).or_default();
-                        a.read = true;
-                        a.width = a.width.max(size_of(&p.ty, &program.structs));
-                    }
-                }
-            }
-        });
-    });
-    let dst = match s {
-        Stmt::Assign(p, _) => Some(p),
-        Stmt::Call { dst: Some(p), .. } | Stmt::BuiltinCall { dst: Some(p), .. } => Some(p),
-        _ => None,
-    };
-    if let Some(p) = dst {
-        if let PlaceBase::Global(g) = &p.base {
-            if racy[g.0 as usize] {
-                let a = acc.entry(*g).or_default();
-                a.write = true;
-                a.width = a.width.max(size_of(&p.ty, &program.structs));
-            }
-        }
-    }
-    for (gid, a) in acc {
-        let kind = if a.read && a.write {
-            SiteKind::AsyncRmw
-        } else if a.width > 1 {
-            SiteKind::Torn16Access
-        } else if a.write {
-            SiteKind::UnprotectedSyncWrite
-        } else {
-            // A one-byte pure read is atomic on the 8-bit bus: no hazard.
-            continue;
-        };
-        out.push(RaceSite {
-            func,
-            func_name: func_name.to_string(),
-            site: idx,
-            global: program.globals[gid.0 as usize].name.clone(),
-            kind,
-            write: a.write,
-            width: a.width.max(1),
-        });
-    }
 }
 
 /// What [`harden`] did.
@@ -260,20 +162,19 @@ pub struct HardenStats {
 }
 
 /// The `races(fix)` transform: wraps every flagged synchronous access
-/// site in a minimal atomic section and iterates [`classify`] to a
-/// zero-diagnostic fixpoint. Returns the transform stats; run
+/// site in a minimal atomic section and iterates [`classify`] — one
+/// census per iteration — to a zero-diagnostic fixpoint. Returns the
+/// transform stats and the findings of the final program; run
 /// [`crate::atomic_opt`] afterwards to unwrap the nesting this
-/// introduces.
-pub fn harden(program: &mut Program) -> HardenStats {
+/// introduces (it changes no finding: what it unwraps is nested in
+/// another section or runs with interrupts off).
+pub fn harden(program: &mut Program) -> (HardenStats, RaceFindings) {
     let mut stats = HardenStats::default();
+    let mut findings = classify(program);
     // Each iteration wraps at least one site or stops; the site count is
     // finite and wrapped sites never re-flag, so this terminates. The
     // bound is sheer paranoia.
-    for _ in 0..64 {
-        let findings = classify(program);
-        if findings.sites.is_empty() {
-            return stats;
-        }
+    while !findings.sites.is_empty() && stats.iterations < 64 {
         stats.iterations += 1;
         let mut by_func: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         for site in &findings.sites {
@@ -288,8 +189,9 @@ pub fn harden(program: &mut Program) -> HardenStats {
             stats.residual_sites = findings.sites.len();
             break;
         }
+        findings = classify(program);
     }
-    stats
+    (stats, findings)
 }
 
 /// Wraps the statements at `targets` (site indices in `f`'s current
@@ -461,9 +363,10 @@ mod tests {
                  if (count < 5) { count = 0; }
              }",
         );
-        let stats = harden(&mut p);
+        let (stats, findings) = harden(&mut p);
         assert!(stats.sections_added >= 3, "{stats:?}");
         assert_eq!(stats.residual_sites, 0);
+        assert!(findings.sites.is_empty());
         assert!(classify(&mut p).sites.is_empty());
     }
 
@@ -475,7 +378,7 @@ mod tests {
              uint16_t get() { return count; }
              void main() { count = get(); }",
         );
-        let stats = harden(&mut p);
+        let (stats, _) = harden(&mut p);
         assert_eq!(stats.residual_sites, 0, "{stats:?}");
         assert!(classify(&mut p).sites.is_empty());
     }
@@ -491,7 +394,7 @@ mod tests {
                  __hw_write8(0xF000, (uint8_t)(count & 7));
              }",
         );
-        let stats = harden(&mut p);
+        let (stats, _) = harden(&mut p);
         assert_eq!(stats.residual_sites, 0, "{stats:?}");
         let image = backend::compile(
             &p,

@@ -2,16 +2,12 @@
 //!
 //! The paper replaced reliance on nesC's analysis with a detector that is
 //! "conservative (nesC's analysis does not follow pointers) and slightly
-//! more precise". Both properties are reproduced here relative to the
-//! `nesc` crate's report:
-//!
-//! * **conservative**: address-taken globals are treated as reachable by
-//!   any pointer dereference in the other context (pointer following),
-//! * **more precise**: a race additionally requires at least one *write*
-//!   — two contexts that only ever read a variable do not race.
+//! more precise". Both are verdicts over one
+//! [`tcil::concurrency::Census`]: an address-taken global is reachable
+//! through pointer writes, and a race additionally requires at least one
+//! *write* — two contexts that only ever read a variable do not race.
 
-use tcil::ir::*;
-use tcil::visit;
+use tcil::concurrency::Census;
 use tcil::Program;
 
 /// Race analysis result.
@@ -19,228 +15,31 @@ use tcil::Program;
 pub struct RaceReport {
     /// Globals confirmed racy.
     pub racy: Vec<String>,
-    /// Globals the nesC-level report flagged that this analysis cleared
-    /// (read-only sharing).
+    /// Globals nesC's verdict flags that cXprop's clears (read-only
+    /// sharing), over the same census.
     pub cleared: Vec<String>,
 }
 
-#[derive(Default, Clone, Copy)]
-struct Acc {
-    async_read: bool,
-    async_write: bool,
-    sync_unprot_read: bool,
-    sync_unprot_write: bool,
-    addr_taken: bool,
-}
-
-/// Per-function context reachability: the two-level concurrency lattice
-/// every race analysis in this crate shares. `is_async[f]` — reachable
-/// from an interrupt handler; `is_sync[f]` — reachable from `main` or a
-/// task. A function can be both (mixed context) or neither (dead).
-#[derive(Debug, Clone)]
-pub struct Contexts {
-    /// Reachable from interrupt handlers.
-    pub is_async: Vec<bool>,
-    /// Reachable from `main` / tasks.
-    pub is_sync: Vec<bool>,
-}
-
-/// Computes [`Contexts`] over `program`'s call graph.
-pub fn contexts(program: &Program) -> Contexts {
-    let nf = program.functions.len();
-    let mut callees: Vec<Vec<u32>> = vec![Vec::new(); nf];
-    for (fi, f) in program.functions.iter().enumerate() {
-        visit::walk_stmts(&f.body, &mut |s| {
-            if let Stmt::Call { func, .. } = s {
-                callees[fi].push(func.0);
-            }
-        });
-    }
-    let reach = |roots: Vec<u32>| {
-        let mut seen = vec![false; nf];
-        let mut work = roots;
-        while let Some(f) = work.pop() {
-            if std::mem::replace(&mut seen[f as usize], true) {
-                continue;
-            }
-            work.extend(callees[f as usize].iter().copied());
-        }
-        seen
-    };
-    let is_async = reach(
-        program
-            .functions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.interrupt.map(|_| i as u32))
-            .collect(),
-    );
-    let is_sync = reach(
-        program
-            .entry
-            .iter()
-            .map(|e| e.0)
-            .chain(program.tasks.iter().map(|t| t.0))
-            .collect(),
-    );
-    Contexts { is_async, is_sync }
-}
-
-/// Re-runs race detection and updates [`Global::racy`] flags in place.
+/// Takes the census and updates [`tcil::ir::Global::racy`] flags in place.
 pub fn refine(program: &mut Program) -> RaceReport {
-    let Contexts { is_async, is_sync } = contexts(program);
+    let census = Census::of(program);
+    refine_with(program, &census)
+}
 
-    let ng = program.globals.len();
-    let mut acc = vec![Acc::default(); ng];
-    let mut deref_write_async = false;
-    let mut deref_write_sync_unprot = false;
-
-    for (fi, f) in program.functions.iter().enumerate() {
-        let (a, s) = (is_async[fi], is_sync[fi]);
-        if !a && !s {
-            continue;
-        }
-        scan(
-            &f.body,
-            a,
-            s,
-            a && !s, // handler-only context is implicitly protected
-            &mut acc,
-            &mut deref_write_async,
-            &mut deref_write_sync_unprot,
-        );
-    }
-
+/// Sets every global's `racy` flag from cXprop's verdict over `census`,
+/// which must be `program`'s.
+pub(crate) fn refine_with(program: &mut Program, census: &Census) -> RaceReport {
     let mut report = RaceReport::default();
-    for (gi, g) in program.globals.iter_mut().enumerate() {
-        let mut x = acc[gi];
-        if x.addr_taken {
-            // Pointer following: a deref-write in a context acts as a
-            // write to every address-taken global from that context.
-            x.async_write |= deref_write_async;
-            x.sync_unprot_write |= deref_write_sync_unprot;
-        }
-        let async_access = x.async_read || x.async_write;
-        let sync_unprot = x.sync_unprot_read || x.sync_unprot_write;
-        let any_write = x.async_write || x.sync_unprot_write;
-        let racy = async_access && sync_unprot && any_write && !g.is_const;
-        if g.racy && !racy {
-            report.cleared.push(g.name.clone());
-        }
-        g.racy = racy;
-        if racy {
+    let verdicts = census.nesc_racy().into_iter().zip(census.cxprop_racy());
+    for (g, (nesc, cxprop)) in program.globals.iter_mut().zip(verdicts) {
+        g.racy = cxprop;
+        if cxprop {
             report.racy.push(g.name.clone());
+        } else if nesc {
+            report.cleared.push(g.name.clone());
         }
     }
     report
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan(
-    block: &Block,
-    is_async: bool,
-    is_sync: bool,
-    protected: bool,
-    acc: &mut [Acc],
-    deref_write_async: &mut bool,
-    deref_write_sync_unprot: &mut bool,
-) {
-    for s in block {
-        match s {
-            Stmt::Atomic { body, .. } => {
-                scan(
-                    body,
-                    is_async,
-                    is_sync,
-                    true,
-                    acc,
-                    deref_write_async,
-                    deref_write_sync_unprot,
-                );
-                continue;
-            }
-            Stmt::If { then_, else_, .. } => {
-                scan(
-                    then_,
-                    is_async,
-                    is_sync,
-                    protected,
-                    acc,
-                    deref_write_async,
-                    deref_write_sync_unprot,
-                );
-                scan(
-                    else_,
-                    is_async,
-                    is_sync,
-                    protected,
-                    acc,
-                    deref_write_async,
-                    deref_write_sync_unprot,
-                );
-            }
-            Stmt::While { body, .. } | Stmt::Block(body) => {
-                scan(
-                    body,
-                    is_async,
-                    is_sync,
-                    protected,
-                    acc,
-                    deref_write_async,
-                    deref_write_sync_unprot,
-                );
-            }
-            _ => {}
-        }
-        // Reads (and address exposure) in expressions.
-        visit::stmt_exprs(s, &mut |e| {
-            visit::walk_expr(e, &mut |x| match &x.kind {
-                ExprKind::Load(p) => {
-                    if let PlaceBase::Global(g) = &p.base {
-                        let a = &mut acc[g.0 as usize];
-                        if is_async {
-                            a.async_read = true;
-                        }
-                        if is_sync && !protected {
-                            a.sync_unprot_read = true;
-                        }
-                    }
-                }
-                ExprKind::AddrOf(p) => {
-                    if let PlaceBase::Global(g) = &p.base {
-                        acc[g.0 as usize].addr_taken = true;
-                    }
-                }
-                _ => {}
-            });
-        });
-        // Writes (destinations).
-        let mut write = |p: &Place| match &p.base {
-            PlaceBase::Global(g) => {
-                let a = &mut acc[g.0 as usize];
-                if is_async {
-                    a.async_write = true;
-                }
-                if is_sync && !protected {
-                    a.sync_unprot_write = true;
-                }
-            }
-            PlaceBase::Deref(_) => {
-                if is_async {
-                    *deref_write_async = true;
-                }
-                if is_sync && !protected {
-                    *deref_write_sync_unprot = true;
-                }
-            }
-            _ => {}
-        };
-        match s {
-            Stmt::Assign(p, _) => write(p),
-            Stmt::Call { dst: Some(p), .. } | Stmt::BuiltinCall { dst: Some(p), .. } => write(p),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -257,9 +56,6 @@ mod tests {
              void main() { b = shared; }",
         )
         .unwrap();
-        // Mark as the nesC-level (less precise) analysis would.
-        let gi = p.find_global("shared").unwrap();
-        p.globals[gi.0 as usize].racy = true;
         let report = refine(&mut p);
         assert_eq!(report.cleared, vec!["shared"]);
         assert!(report.racy.is_empty());

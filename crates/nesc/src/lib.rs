@@ -3,9 +3,10 @@
 //! This crate plays the role of the nesC compiler in the paper's Figure 1:
 //! it parses interfaces, modules, and configurations; resolves wiring into
 //! direct calls; generates the TinyOS task scheduler and `main`; and emits
-//! (a) a whole-program [`tcil::Program`] and (b) the **non-atomic variable
-//! report** — the list of race-candidate globals that the CCured stage uses
-//! to decide where safety checks need locks (§2.2 of the paper).
+//! a whole-program [`tcil::Program`] whose [`tcil::ir::Global::racy`] flags
+//! carry the **non-atomic variable report** — the race-candidate globals
+//! the CCured stage uses to decide where safety checks need locks (§2.2 of
+//! the paper), [`tcil::concurrency::Census::nesc_racy`]'s verdict.
 //!
 //! The accepted language is a faithful miniature of nesC 1.x:
 //!
@@ -58,15 +59,13 @@
 //! assert!(out.program.entry.is_some());
 //! ```
 
-pub mod concurrency;
 pub mod generate;
 pub mod parse;
 pub mod scan;
 pub mod wiring;
 
+use tcil::concurrency::Census;
 use tcil::CompileError;
-
-pub use concurrency::ConcurrencyReport;
 
 /// A set of nesC-lite source files (components, interfaces, headers).
 #[derive(Debug, Clone, Default)]
@@ -95,10 +94,8 @@ impl SourceSet {
 /// Result of compiling an application.
 #[derive(Debug, Clone)]
 pub struct CompileOutput {
-    /// The lowered whole program.
+    /// The lowered whole program, its race candidates flagged `racy`.
     pub program: tcil::Program,
-    /// The non-atomic variable report (race candidates).
-    pub report: ConcurrencyReport,
     /// Component instantiation order (diagnostics).
     pub components: Vec<String>,
 }
@@ -139,10 +136,12 @@ impl Frontend {
         let plan = wiring::resolve(&self.parsed, app)?;
         let unit = generate::generate(&self.parsed, &plan)?;
         let mut program = tcil::lower::lower_unit(&unit)?;
-        let report = concurrency::analyze(&mut program);
+        let racy = Census::of(&program).nesc_racy();
+        for (g, racy) in program.globals.iter_mut().zip(racy) {
+            g.racy = racy;
+        }
         Ok(CompileOutput {
             program,
-            report,
             components: plan.instantiation_order.clone(),
         })
     }

@@ -570,8 +570,8 @@ pub struct Global {
     pub norace: bool,
     /// `const` — placed in flash (ROM) rather than SRAM.
     pub is_const: bool,
-    /// Marked racy by the nesC concurrency report: accessed from both
-    /// interrupt and task context with at least one unprotected access.
+    /// A race candidate: set by the frontend from nesC's verdict over
+    /// the [`crate::concurrency::Census`] and narrowed by cXprop's.
     pub racy: bool,
 }
 

@@ -16,6 +16,7 @@
 //!   target (no padding, 2-byte thin pointers, CCured fat pointers occupy
 //!   2–3 words),
 //! * [`pretty`] — a C-like pretty printer for IR programs,
+//! * [`concurrency`] — the concurrency census every race analysis reads,
 //! * [`fold`] — constant-evaluation helpers shared by the optimizers,
 //! * [`visit`] — IR walking utilities for writing passes.
 //!
@@ -35,6 +36,7 @@
 
 pub mod ast;
 pub mod checkopt;
+pub mod concurrency;
 pub mod fold;
 pub mod intern;
 pub mod ir;

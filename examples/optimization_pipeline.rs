@@ -26,12 +26,11 @@ fn main() {
     // copy it only when a pass writes outside the pass cache.
     let session = safe_tinyos::BuildSession::new();
     let artifact = session.frontend(&spec).expect("nesc");
+    let mut program = artifact.program();
     println!(
         "racy variables (nesC report): {:?}\n",
-        artifact.report().racy.len()
+        program.globals.iter().filter(|g| g.racy).count()
     );
-
-    let mut program = artifact.program();
     measure(&program, "after nesC (unsafe)");
 
     let stats = cure(

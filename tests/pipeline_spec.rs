@@ -29,8 +29,8 @@ fn parse_display_round_trips() {
             "cxprop(domain=constants,rounds=1)",
         ),
         (
-            "cxprop(inline,nodce,norefine)",
-            "cxprop(inline,nodce,norefine)",
+            "cxprop(inline,nodce,nocopyprop)",
+            "cxprop(inline,nodce,nocopyprop)",
         ),
         ("cxprop(noharden)", "cxprop(noharden)"),
         ("cxprop(harden)", "cxprop"),
@@ -43,8 +43,8 @@ fn parse_display_round_trips() {
             "cure(flid)|prune|stackbound(budget=512)",
         ),
         (
-            " cure ( flid ) | races ( fix ) | cxprop ( norefine ) ",
-            "cure(flid)|races(fix)|cxprop(norefine)",
+            " cure ( flid ) | races ( fix ) | cxprop ( noatomic ) ",
+            "cure(flid)|races(fix)|cxprop(noatomic)",
         ),
         // Stray whitespace of any flavor around tokens and `|` is
         // normalized away by the canonical rendering.
