@@ -15,8 +15,10 @@
 //!    gets a [`tcil::ir::Check`] statement with a fresh FLID, and checks
 //!    touching variables from the nesC **non-atomic variable report** are
 //!    wrapped in locks (§2.2).
-//! 3. [`optimize`] — CCured's own local optimizer: removes trivially
-//!    redundant checks ("the easy ones", §3.1).
+//! 3. CCured's own local optimizer, [`tcil::checkopt`]: removes trivially
+//!    satisfiable and straight-line redundant checks ("the easy ones",
+//!    §3.1) — the same tier the backend's GCC stand-in applies, per
+//!    Figure 2.
 //! 4. [`errmsg`] — the four error-message configurations of Figure 3:
 //!    verbose strings in RAM, verbose strings in ROM, terse, and FLIDs
 //!    with a host-side decompression table.
@@ -45,7 +47,6 @@
 pub mod errmsg;
 pub mod instrument;
 pub mod kinds;
-pub mod optimize;
 pub mod runtime;
 pub mod triage;
 
@@ -125,7 +126,7 @@ pub fn cure(program: &mut Program, options: &CureOptions) -> Result<CureStats, C
     stats.locks_inserted = inserted.locks;
 
     if options.local_optimize {
-        stats.checks_removed_locally = optimize::optimize_checks(program);
+        stats.checks_removed_locally = tcil::checkopt::remove_local_checks(program);
     }
 
     stats.message_bytes = errmsg::attach_messages(program, options.error_mode);
@@ -168,5 +169,49 @@ mod tests {
             },
         );
         assert!(found, "check in read()");
+    }
+
+    fn cured(src: &str, local_optimize: bool) -> Program {
+        let mut p = tcil::parse_and_lower(src).unwrap();
+        let opts = CureOptions {
+            local_optimize,
+            ..CureOptions::default()
+        };
+        cure(&mut p, &opts).unwrap();
+        p
+    }
+
+    #[test]
+    fn addr_of_null_checks_removed() {
+        let src = "uint8_t g;
+             uint8_t read(uint8_t * p) { return *p; }
+             void main() { uint8_t x; x = 0; if (x) { } }";
+        let with = cured(src, false).count_checks();
+        let without = cured(src, true).count_checks();
+        assert!(without <= with);
+    }
+
+    #[test]
+    fn redundant_sequential_checks_removed() {
+        // Two derefs of the same pointer in a row: the second check is
+        // dominated by the first.
+        let src = "uint8_t a;
+             uint8_t f(uint8_t * p) { uint8_t x; x = *p; x = (uint8_t)(x + *p); return x; }
+             void main() { f(&a); }";
+        let unopt = cured(src, false);
+        let opt = cured(src, true);
+        assert!(opt.count_checks() < unopt.count_checks());
+    }
+
+    #[test]
+    fn call_invalidates_memory() {
+        let src = "uint8_t a;
+             void touch() { }
+             uint8_t f(uint8_t * p) { uint8_t x; x = *p; touch(); x = (uint8_t)(x + *p); return x; }
+             void main() { f(&a); }";
+        let opt = cured(src, true);
+        // Both checks must survive: the call could retarget p (through a
+        // global alias in general).
+        assert_eq!(opt.count_checks(), 2);
     }
 }

@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 use mcu::{Fault, Machine, RunState};
 
 /// Everything observable about one finished run, captured for
-/// golden-vs-injected comparison.
+/// golden-vs-injected comparison: two runs are behaviorally
+/// indistinguishable exactly when they are `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunObservation {
     /// Final run state.
@@ -43,15 +44,6 @@ impl RunObservation {
             radio: m.radio_out.clone(),
             led_transitions: m.devices.leds.transitions,
         }
-    }
-
-    /// Whether two runs are behaviorally indistinguishable.
-    fn matches(&self, other: &RunObservation) -> bool {
-        self.state == other.state
-            && self.fault == other.fault
-            && self.uart == other.uart
-            && self.radio == other.radio
-            && self.led_transitions == other.led_transitions
     }
 }
 
@@ -106,7 +98,7 @@ pub fn triage(
     injected: &RunObservation,
     flid_table: &BTreeMap<u16, String>,
 ) -> Verdict {
-    if injected.matches(golden) {
+    if injected == golden {
         return Verdict::Benign;
     }
     match &injected.fault {

@@ -13,12 +13,15 @@
 //!
 //! Three properties carry the design:
 //!
-//! * **The digest is stable and total.** [`ir_digest`] walks every
-//!   semantic field of a [`Program`] in a fixed order (enum tags,
-//!   length-prefixed sequences) through a SplitMix64-style word mixer.
-//!   Two programs hash equal iff a pass could not tell them apart; the
-//!   digest covers the fields optimizers consult but rarely touch
-//!   (`norace`, `trusted`, atomic styles, FLID tables).
+//! * **The digest is derived, so it is total.** [`ir_digest`] feeds a
+//!   [`Program`] through the IR's derived `Hash` into a position-mixed
+//!   SplitMix64 word mixer (enum tags and integers one word each,
+//!   sequences length-prefixed, byte runs in 8-byte words). `Hash` is
+//!   derived beside `PartialEq` on every IR type, so the digest reads
+//!   exactly the fields equality compares — the ones optimizers consult
+//!   but rarely touch (`norace`, `trusted`, atomic styles, FLID tables)
+//!   and any field added later, with no walk to keep in step. Equal
+//!   programs digest equal; unequal ones collide only by 64-bit chance.
 //! * **Specs are canonical.** A [`CacheKey`] stores [`crate::Pass::spec`]
 //!   — the renderer emits options in one fixed order, so a hand-typed
 //!   `cure(flid , noopt)` and the `Display` round-trip key identically,
@@ -35,11 +38,10 @@
 //! build is hashed, lazily.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher as _};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use backend::BackendOptions;
-use tcil::ir::{Block, CheckKind, Expr, ExprKind, Init, Place, PlaceBase, PlaceElem, Stmt};
-use tcil::types::Type;
 use tcil::Program;
 
 use crate::Metrics;
@@ -74,28 +76,40 @@ impl Hasher {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         self.state = z ^ (z >> 31);
     }
+}
 
-    fn bytes(&mut self, b: &[u8]) {
-        self.word(b.len() as u64);
-        for chunk in b.chunks(8) {
-            let mut w = [0u8; 8];
+/// Each integer write is one word; byte runs are 8-byte little-endian words.
+impl std::hash::Hasher for Hasher {
+    /// Pads the last word with `0xff`. Byte vectors arrive length-prefixed
+    /// and strings arrive followed by a `0xff` word; UTF-8 holds no `0xff`
+    /// byte, so neither the padding nor the terminator can pass for
+    /// string content (`"ab"` and `"ab\0"` differ).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0xff; 8];
             w[..chunk.len()].copy_from_slice(chunk);
             self.word(u64::from_le_bytes(w));
         }
     }
 
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
+    fn write_u8(&mut self, i: u8) {
+        self.word(i.into());
     }
 
-    fn opt(&mut self, o: Option<u64>) {
-        match o {
-            None => self.word(0),
-            Some(v) => {
-                self.word(1);
-                self.word(v);
-            }
-        }
+    fn write_u16(&mut self, i: u16) {
+        self.word(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.word(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -108,299 +122,15 @@ impl Hasher {
 
 /// Digests `program` into a stable 64-bit content hash, also returning
 /// an approximate serialized size in bytes (what the cache charges an
-/// entry for). Deterministic across runs and threads; sensitive to every
-/// semantic IR field, including the ones only some passes consult
-/// (`norace`, `racy`, `trusted`, `inline_hint`, atomic styles, FLIDs).
+/// entry for: eight per mixed word). Deterministic across runs and
+/// threads; the walk is the IR's derived `Hash`, so it reads every field
+/// the derived `PartialEq` compares, including the ones only some passes
+/// consult (`norace`, `racy`, `trusted`, `inline_hint`, atomic styles,
+/// FLIDs).
 pub fn ir_digest(program: &Program) -> (u64, usize) {
     let mut h = Hasher::new();
-    hash_program(&mut h, program);
-    let bytes = (h.words as usize) * 8;
-    (h.finish(), bytes)
-}
-
-fn hash_program(h: &mut Hasher, p: &Program) {
-    h.word(p.structs.len() as u64);
-    for s in &p.structs {
-        h.str(&s.name);
-        h.word(s.fields.len() as u64);
-        for f in &s.fields {
-            h.str(&f.name);
-            hash_type(h, &f.ty);
-        }
-    }
-    h.word(p.globals.len() as u64);
-    for g in &p.globals {
-        h.str(&g.name);
-        hash_type(h, &g.ty);
-        hash_init(h, &g.init);
-        h.word(g.norace as u64);
-        h.word(g.is_const as u64);
-        h.word(g.racy as u64);
-    }
-    h.word(p.functions.len() as u64);
-    for f in &p.functions {
-        h.str(&f.name);
-        hash_type(h, &f.ret);
-        h.word(f.params as u64);
-        h.word(f.locals.len() as u64);
-        for l in &f.locals {
-            h.str(&l.name);
-            hash_type(h, &l.ty);
-            h.word(l.is_temp as u64);
-        }
-        hash_block(h, &f.body);
-        h.word(f.is_task as u64);
-        h.opt(f.interrupt.map(u64::from));
-        h.word(f.inline_hint as u64);
-        h.word(f.trusted as u64);
-    }
-    h.word(p.strings.len() as u64);
-    for (_, s) in p.strings.iter() {
-        h.bytes(s);
-    }
-    h.word(p.tasks.len() as u64);
-    for t in &p.tasks {
-        h.word(t.0 as u64);
-    }
-    h.opt(p.entry.map(|f| f.0 as u64));
-    h.word(p.flid_messages.len() as u64);
-    for (flid, msg) in &p.flid_messages {
-        h.word(*flid as u64);
-        h.str(msg);
-    }
-}
-
-fn hash_type(h: &mut Hasher, ty: &Type) {
-    match ty {
-        Type::Void => h.word(0),
-        Type::Int(k) => {
-            h.word(1);
-            h.word(*k as u64);
-        }
-        Type::Ptr(t, pk) => {
-            h.word(2);
-            h.word(*pk as u64);
-            hash_type(h, t);
-        }
-        Type::Array(t, n) => {
-            h.word(3);
-            h.word(*n as u64);
-            hash_type(h, t);
-        }
-        Type::Struct(sid) => {
-            h.word(4);
-            h.word(sid.0 as u64);
-        }
-    }
-}
-
-fn hash_init(h: &mut Hasher, init: &Init) {
-    match init {
-        Init::Zero => h.word(0),
-        Init::Int(v) => {
-            h.word(1);
-            h.word(*v as u64);
-        }
-        Init::List(items) => {
-            h.word(2);
-            h.word(items.len() as u64);
-            for i in items {
-                hash_init(h, i);
-            }
-        }
-        Init::Str(id) => {
-            h.word(3);
-            h.word(id.0 as u64);
-        }
-    }
-}
-
-fn hash_block(h: &mut Hasher, block: &Block) {
-    h.word(block.len() as u64);
-    for s in block {
-        hash_stmt(h, s);
-    }
-}
-
-fn hash_stmt(h: &mut Hasher, s: &Stmt) {
-    match s {
-        Stmt::Assign(place, e) => {
-            h.word(0);
-            hash_place(h, place);
-            hash_expr(h, e);
-        }
-        Stmt::Call { dst, func, args } => {
-            h.word(1);
-            hash_opt_place(h, dst);
-            h.word(func.0 as u64);
-            h.word(args.len() as u64);
-            for a in args {
-                hash_expr(h, a);
-            }
-        }
-        Stmt::BuiltinCall { dst, which, args } => {
-            h.word(2);
-            hash_opt_place(h, dst);
-            h.word(*which as u64);
-            h.word(args.len() as u64);
-            for a in args {
-                hash_expr(h, a);
-            }
-        }
-        Stmt::If { cond, then_, else_ } => {
-            h.word(3);
-            hash_expr(h, cond);
-            hash_block(h, then_);
-            hash_block(h, else_);
-        }
-        Stmt::While { cond, body } => {
-            h.word(4);
-            hash_expr(h, cond);
-            hash_block(h, body);
-        }
-        Stmt::Return(e) => {
-            h.word(5);
-            match e {
-                None => h.word(0),
-                Some(e) => {
-                    h.word(1);
-                    hash_expr(h, e);
-                }
-            }
-        }
-        Stmt::Break => h.word(6),
-        Stmt::Continue => h.word(7),
-        Stmt::Atomic { body, style } => {
-            h.word(8);
-            h.word(*style as u64);
-            hash_block(h, body);
-        }
-        Stmt::Block(b) => {
-            h.word(9);
-            hash_block(h, b);
-        }
-        Stmt::Check(c) => {
-            h.word(10);
-            match &c.kind {
-                CheckKind::NonNull(e) => {
-                    h.word(0);
-                    hash_expr(h, e);
-                }
-                CheckKind::Upper { ptr, len } => {
-                    h.word(1);
-                    hash_expr(h, ptr);
-                    h.word(*len as u64);
-                }
-                CheckKind::Bounds { ptr, len } => {
-                    h.word(2);
-                    hash_expr(h, ptr);
-                    h.word(*len as u64);
-                }
-                CheckKind::IndexBound { idx, n } => {
-                    h.word(3);
-                    hash_expr(h, idx);
-                    h.word(*n as u64);
-                }
-            }
-            h.word(c.flid.0 as u64);
-        }
-        Stmt::Nop => h.word(11),
-    }
-}
-
-fn hash_expr(h: &mut Hasher, e: &Expr) {
-    hash_type(h, &e.ty);
-    match &e.kind {
-        ExprKind::Const(v) => {
-            h.word(0);
-            h.word(*v as u64);
-        }
-        ExprKind::Str(id) => {
-            h.word(1);
-            h.word(id.0 as u64);
-        }
-        ExprKind::Load(p) => {
-            h.word(2);
-            hash_place(h, p);
-        }
-        ExprKind::AddrOf(p) => {
-            h.word(3);
-            hash_place(h, p);
-        }
-        ExprKind::Unary(op, a) => {
-            h.word(4);
-            h.word(*op as u64);
-            hash_expr(h, a);
-        }
-        ExprKind::Binary(op, a, b) => {
-            h.word(5);
-            h.word(*op as u64);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        ExprKind::Cast(a) => {
-            h.word(6);
-            hash_expr(h, a);
-        }
-        ExprKind::SizeOf(t) => {
-            h.word(7);
-            hash_type(h, t);
-        }
-        ExprKind::MakeFat { val, base, end } => {
-            h.word(8);
-            hash_expr(h, val);
-            match base {
-                None => h.word(0),
-                Some(b) => {
-                    h.word(1);
-                    hash_expr(h, b);
-                }
-            }
-            hash_expr(h, end);
-        }
-    }
-}
-
-fn hash_place(h: &mut Hasher, p: &Place) {
-    match &p.base {
-        PlaceBase::Local(id) => {
-            h.word(0);
-            h.word(id.0 as u64);
-        }
-        PlaceBase::Global(id) => {
-            h.word(1);
-            h.word(id.0 as u64);
-        }
-        PlaceBase::Deref(e) => {
-            h.word(2);
-            hash_expr(h, e);
-        }
-    }
-    h.word(p.elems.len() as u64);
-    for el in &p.elems {
-        match el {
-            PlaceElem::Field { sid, idx } => {
-                h.word(0);
-                h.word(sid.0 as u64);
-                h.word(*idx as u64);
-            }
-            PlaceElem::Index(e) => {
-                h.word(1);
-                hash_expr(h, e);
-            }
-        }
-    }
-    hash_type(h, &p.ty);
-}
-
-fn hash_opt_place(h: &mut Hasher, p: &Option<Place>) {
-    match p {
-        None => h.word(0),
-        Some(p) => {
-            h.word(1);
-            hash_place(h, p);
-        }
-    }
+    program.hash(&mut h);
+    (h.finish(), (h.words as usize) * 8)
 }
 
 // ---------------------------------------------------------------------
@@ -574,8 +304,10 @@ impl std::fmt::Debug for PassCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcil::ir::{AtomicStyle, Check, Flid, FuncId, Function, Global};
-    use tcil::types::IntKind;
+    use tcil::ir::{
+        AtomicStyle, Check, CheckKind, Expr, Flid, FuncId, Function, Global, Init, Stmt,
+    };
+    use tcil::types::{IntKind, Type};
 
     fn tiny_program() -> Program {
         let mut p = Program::default();
@@ -607,6 +339,26 @@ mod tests {
         let q = p.clone();
         assert_eq!(ir_digest(&p), ir_digest(&q));
         assert_eq!(ir_digest(&p), ir_digest(&p));
+    }
+
+    #[test]
+    fn digest_charges_eight_bytes_per_mixed_word() {
+        // 37 words: the struct, global, function, string, task and FLID
+        // table lengths, `counter` (name 2, type 2, init 2, three flags),
+        // `main` (name 2, return type, params, locals, body length, the
+        // check 8, the return 2, four flags) and the entry 2. The fig3a
+        // pass-cache `bytes` census sums these charges.
+        assert_eq!(ir_digest(&tiny_program()).1, 37 * 8);
+    }
+
+    #[test]
+    fn digest_tells_names_with_trailing_nul_apart() {
+        // A short last word is padded with `0xff`, which no string holds.
+        let mut a = tiny_program();
+        a.globals[0].name = "ab".into();
+        let mut b = a.clone();
+        b.globals[0].name = "ab\0".into();
+        assert_ne!(ir_digest(&a).0, ir_digest(&b).0);
     }
 
     #[test]

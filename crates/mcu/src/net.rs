@@ -84,18 +84,6 @@ impl Network {
             }
         }
     }
-
-    /// Average duty cycle across nodes, in percent.
-    pub fn mean_duty_cycle_percent(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.nodes
-            .iter()
-            .map(Machine::duty_cycle_percent)
-            .sum::<f64>()
-            / self.nodes.len() as f64
-    }
 }
 
 /// The 2-node scenario shared by the lockstep test below and the

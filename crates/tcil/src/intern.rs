@@ -10,7 +10,7 @@ pub struct StrId(pub u32);
 
 /// Deduplicating pool of byte strings (NUL terminators are added by the
 /// backend when the strings are placed in memory, not stored here).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct StringPool {
     strings: Vec<Vec<u8>>,
 }

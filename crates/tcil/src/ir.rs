@@ -85,7 +85,7 @@ pub enum UnOp {
 }
 
 /// A typed expression. Expressions never have side effects.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Expr {
     /// Static type of the value.
     pub ty: Type,
@@ -94,7 +94,7 @@ pub struct Expr {
 }
 
 /// Expression payloads.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum ExprKind {
     /// Integer constant (stored sign-extended; `ty` gives the width).
     Const(i64),
@@ -208,7 +208,7 @@ impl Expr {
 }
 
 /// The root of a [`Place`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum PlaceBase {
     /// A local variable (or parameter / compiler temp).
     Local(LocalId),
@@ -219,7 +219,7 @@ pub enum PlaceBase {
 }
 
 /// A projection step applied to a place.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum PlaceElem {
     /// Select struct field `idx` of `sid`.
     Field {
@@ -233,7 +233,7 @@ pub enum PlaceElem {
 }
 
 /// An lvalue: a base plus a projection path, with the resulting type cached.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Place {
     /// Base location.
     pub base: PlaceBase,
@@ -350,7 +350,7 @@ impl Builtin {
 /// The `mcu` machine traps with the check's [`Flid`] when the condition
 /// fails; an optimizer that proves the condition always holds deletes the
 /// whole statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum CheckKind {
     /// `ptr != NULL` (SAFE pointers).
     NonNull(Expr),
@@ -381,7 +381,7 @@ pub enum CheckKind {
 }
 
 /// A dynamic safety check statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Check {
     /// What to verify.
     pub kind: CheckKind,
@@ -402,7 +402,7 @@ pub enum AtomicStyle {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// `place = expr;` (also struct copies when `expr` is a struct load).
     Assign(Place, Expr),
@@ -465,7 +465,7 @@ pub enum Stmt {
 pub type Block = Vec<Stmt>;
 
 /// A local variable (parameter, user local, or compiler temporary).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Local {
     /// Name (temporaries are named `__t<N>`).
     pub name: String,
@@ -476,7 +476,7 @@ pub struct Local {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Function {
     /// Mangled whole-program name (e.g. `BlinkM$Timer$fired`).
     pub name: String,
@@ -544,7 +544,7 @@ impl Function {
 }
 
 /// How a global variable is initialized.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Init {
     /// Zero-initialized (C `.bss` semantics).
     Zero,
@@ -557,7 +557,7 @@ pub enum Init {
 }
 
 /// A global variable.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Global {
     /// Mangled whole-program name.
     pub name: String,
@@ -576,7 +576,7 @@ pub struct Global {
 }
 
 /// A whole program: the unit of every toolchain stage.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct Program {
     /// Struct table (indexed by [`StructId`]).
     pub structs: Vec<StructDef>,

@@ -15,7 +15,6 @@
 //! * [`types`] — the type system and byte-exact layout rules of the 16-bit
 //!   target (no padding, 2-byte thin pointers, CCured fat pointers occupy
 //!   2–3 words),
-//! * [`pretty`] — a C-like pretty printer for IR programs,
 //! * [`concurrency`] — the concurrency census every race analysis reads,
 //! * [`fold`] — constant-evaluation helpers shared by the optimizers,
 //! * [`visit`] — IR walking utilities for writing passes.
@@ -43,7 +42,6 @@ pub mod ir;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod pretty;
 pub mod types;
 pub mod visit;
 

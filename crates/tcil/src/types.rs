@@ -177,7 +177,7 @@ impl PtrKind {
 pub struct StructId(pub u32);
 
 /// A struct field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Field name.
     pub name: String,
@@ -186,7 +186,7 @@ pub struct Field {
 }
 
 /// A struct definition. Fields are laid out in order with no padding.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StructDef {
     /// Struct tag name.
     pub name: String,

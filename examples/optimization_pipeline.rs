@@ -47,7 +47,7 @@ fn main() {
         stats.kinds, stats.locks_inserted
     );
 
-    ccured::optimize::optimize_checks(&mut program);
+    tcil::checkopt::remove_local_checks(&mut program);
     measure(&program, "after CCured local optimizer");
 
     let inlined = cxprop::inline::run(&mut program, &InlineOptions::default());

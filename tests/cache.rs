@@ -56,6 +56,40 @@ fn cached_builds_match_uncached_across_every_preset_and_app() {
 }
 
 #[test]
+fn digests_are_equal_exactly_when_programs_are() {
+    // The digest is the IR's derived `Hash`, so over every program the
+    // preset grid holds — the 12 frontend programs and every preset ×
+    // app build's final program — two digests agree exactly when the
+    // derived `PartialEq` does, in both directions.
+    let session = BuildSession::new();
+    let mut programs = Vec::new();
+    for app in tosapps::APP_NAMES {
+        let spec = tosapps::spec(app).expect("known app");
+        let frontend = session.frontend(&spec).expect("frontend");
+        programs.push(frontend.shared_program().clone());
+        for name in PRESET_NAMES {
+            let config = Pipeline::preset(name).expect("known preset");
+            programs.push(session.build(&spec, &config).expect("build").program);
+        }
+    }
+    let digests: Vec<u64> = programs.iter().map(|p| ir_digest(p).0).collect();
+    let (mut equal, mut unequal) = (0, 0);
+    for (i, a) in programs.iter().enumerate() {
+        for (j, b) in programs.iter().enumerate().skip(i + 1) {
+            let same = a == b;
+            assert_eq!(digests[i] == digests[j], same, "programs {i} and {j}");
+            if same {
+                equal += 1;
+            } else {
+                unequal += 1;
+            }
+        }
+    }
+    // Both directions were exercised.
+    assert!(equal > 0 && unequal > 0, "{equal} equal, {unequal} unequal");
+}
+
+#[test]
 fn equivalent_spec_spellings_normalize_to_one_cache_key() {
     // CacheKey's spec component comes from `Pass::spec()`, which
     // renders options in one fixed order — so a Display-round-tripped

@@ -137,7 +137,7 @@ fn optimization_pipeline_core_path() {
     assert!(inserted > 0, "CCured inserts checks");
     compiles(&program);
 
-    ccured::optimize::optimize_checks(&mut program);
+    tcil::checkopt::remove_local_checks(&mut program);
     compiles(&program);
 
     let inlined = cxprop::inline::run(&mut program, &InlineOptions::default());
