@@ -5,7 +5,7 @@
 //! * sweeps the event-driven fleet simulator over `STOS_MOTES` ×
 //!   `STOS_FLEET_SEEDS` cells — lossy unit-disk grids with one mote
 //!   power-cycling mid-run — and reports duty cycle, sink delivery
-//!   rate, and scheduler throughput per cell;
+//!   rate, and windows granted per cell;
 //! * checks the event-driven engine against the lockstep `Network`
 //!   reference on a 3-mote lossless full mesh (byte-identical per-mote
 //!   observations);
@@ -19,12 +19,11 @@
 //! baseline (rows matched by `(motes, seed)`, so CI can sweep fewer
 //! cells than the committed artifact) and the `"counters"` object (each
 //! cell's windows granted) the same way, and this harness self-gates
-//! the invariants every run must meet. The `"dynamics"` object carries
-//! wall times.
+//! the invariants every run must meet. Cell wall times are printed in
+//! the table only: the report is a pure function of the build and the
+//! seeds.
 
-use bench::fleet::{
-    counters_json, dynamics_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY,
-};
+use bench::fleet::{counters_json, measure, pinned_json, run_campaign, sweep_cells, SWEEP_QUALITY};
 use bench::{emit_json, gate, grid, json, row, Knobs};
 use safe_tinyos::fleet::{lockstep_matches_event_driven, FleetSpec};
 use safe_tinyos::{BuildService, Pipeline};
@@ -94,7 +93,6 @@ fn main() {
             &pinned_json(&rows, seconds, campaign, equivalence_ok),
         )
         .raw("counters", &counters_json(&rows))
-        .raw("dynamics", &dynamics_json(&rows))
         .build();
     emit_json("fleet", &body).expect("write BENCH_fleet.json");
     gate::self_gate(&body);

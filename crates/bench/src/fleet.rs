@@ -3,8 +3,7 @@
 //! (the `fleet` binary drives it, the `fleet` contract in
 //! [`crate::gate`] checks the published artifact).
 //!
-//! The emitted JSON has three top-level objects with different CI
-//! contracts:
+//! The emitted JSON has two top-level objects, both pinned by CI:
 //!
 //! * `"pinned"` — per-cell simulation outcomes (duty cycle, sink
 //!   delivery, traffic and churn tallies), the fleet campaign's verdict
@@ -17,8 +16,10 @@
 //! * `"counters"` — each cell's windows granted (`pops`), the
 //!   scheduler's work counter. A pure function of the build and the
 //!   seeds like the pinned rows, and pinned the same way.
-//! * `"dynamics"` — wall times and pops per second. Machine-dependent,
-//!   never pinned.
+//!
+//! A cell's wall time ([`FleetRow::wall_ms`]) is printed in the
+//! harness's table and read by the repository benchmark; it is never
+//! part of the report.
 
 use std::time::Instant;
 
@@ -75,7 +76,7 @@ pub struct FleetRow {
     pub report: SinkReport,
     /// Scheduler and channel tallies.
     pub stats: FleetStats,
-    /// Wall time of the cell (dynamics only — never pinned).
+    /// Wall time of the cell (printed, never reported).
     pub wall_ms: f64,
 }
 
@@ -216,27 +217,6 @@ pub fn counters_json(rows: &[FleetRow]) -> String {
             .int("pops", r.stats.pops as i64)
             .build()
     });
-    json::Obj::new().raw("rows", &json::arr(cells)).build()
-}
-
-/// Serializes the machine-dependent `"dynamics"` object.
-pub fn dynamics_json(rows: &[FleetRow]) -> String {
-    let cells = rows
-        .iter()
-        .map(|r| {
-            let pops_per_sec = if r.wall_ms > 0.0 {
-                r.stats.pops as f64 * 1e3 / r.wall_ms
-            } else {
-                0.0
-            };
-            json::Obj::new()
-                .int("motes", r.motes as i64)
-                .int("seed", r.seed as i64)
-                .num("wall_ms", r.wall_ms)
-                .num("pops_per_sec", pops_per_sec)
-                .build()
-        })
-        .collect::<Vec<_>>();
     json::Obj::new().raw("rows", &json::arr(cells)).build()
 }
 

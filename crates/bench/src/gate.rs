@@ -8,12 +8,12 @@
 //!   neither report has is no drift; a contract that needs it says so
 //!   with an invariant.
 //! * **invariants**: named rules over one report (zero miscompiles, zero
-//!   watermark violations, kernel speedup ≥ floor, …), checked on the
+//!   watermark violations, engines identical, …), checked on the
 //!   committed and the fresh report alike.
 //!
-//! No contract compares a wall time with the committed one: the
-//! compiler's speed is judged by the repository benchmark (`stosbench`),
-//! over medians of repeated runs.
+//! No report carries a wall time, so no contract reads one: the
+//! toolchain's and the simulator's speed are judged by the repository
+//! benchmark (`stosbench`), over medians of repeated runs.
 //!
 //! The `gate <committed> <fresh>` binary runs [`gate`], and every
 //! self-gating harness runs [`self_gate`] on the report it just emitted,
@@ -23,10 +23,6 @@ use safe_tinyos::PRESET_NAMES;
 
 use crate::fault::{default_pipelines, NOHARDEN_STACK};
 use crate::json::{self, Value};
-
-/// Floor for the `sim_speed` gated-kernel aggregate speedup (Σ interp
-/// wall / Σ bt wall).
-pub const SPEEDUP_MIN: f64 = 10.0;
 
 type Check = Result<(), String>;
 
@@ -122,16 +118,13 @@ const CONTRACTS: &[Contract] = &[
     },
     Contract {
         figure: "sim_speed",
-        // Work counters: the kernels' at one `kernel_cycles`, the apps'
-        // (decode included) at one simulated `seconds`.
+        // Work counters: the kernels' (a fixed cycle count), and the
+        // apps' (decode included) at one simulated `seconds`.
         pinned: &[
-            Pin::When("counters.kernels", &["kernel_cycles"]),
+            Pin::Whole("counters.kernels"),
             Pin::When("counters.apps", &["seconds"]),
         ],
-        invariants: &[
-            ("engines-identical", True("engines_identical")),
-            ("kernel-speedup-floor", AtLeast("kernel_speedup", SPEEDUP_MIN)),
-        ],
+        invariants: &[("engines-identical", True("engines_identical"))],
     },
     Contract {
         figure: "fleet",
@@ -534,7 +527,7 @@ mod tests {
         }
     }
 
-    const SIM: &str = r#"{"figure":"sim_speed","kernel_speedup":11.7959,"speedup_min":10.0000,"engines_identical":true}"#;
+    const SIM: &str = r#"{"figure":"sim_speed","kernel_cycles":2000,"seconds":10,"engines_identical":true,"counters":{"kernels":[{"kernel":"count_loop","cycles":2000,"instructions":1333,"dispatches":334,"single_steps":0}],"apps":[{"app":"Blink","cycles":40000000,"awake_cycles":20919,"instructions":11274,"blocks":24,"fused_superinstructions":19,"dispatches":8114,"single_steps":0}]}}"#;
 
     const FIG3A: &str = r#"{"figure":"fig3a_code_size","apps":[{"app":"A","baseline_flash_bytes":1000,"delta_pct":{"safe-flid":9.5238}}],"counters":{"jobs":96,"frontend_compiles":12,"cure_unique":48,"passes":{"backend":{"hits":12,"misses":84,"bytes":200},"cure":{"hits":24,"misses":48,"bytes":100}},"warm_misses":0}}"#;
 
@@ -542,11 +535,11 @@ mod tests {
     fn extracts_top_level_numbers() {
         let v = json::parse(SIM).unwrap();
         assert_eq!(
-            v.path("kernel_speedup").and_then(Value::as_f64),
-            Some(11.7959)
+            v.path("kernel_cycles").and_then(Value::as_f64),
+            Some(2000.0)
         );
         assert_eq!(v.path("missing"), None);
-        assert_eq!(v.path("kernel_speedup.deeper"), None);
+        assert_eq!(v.path("kernel_cycles.deeper"), None);
         let v = json::parse(FIG3A).unwrap();
         assert_eq!(
             v.path("counters.passes.cure.misses")
@@ -557,9 +550,9 @@ mod tests {
 
     #[test]
     fn missing_fields_fail() {
-        let gutted = SIM.replace(r#""kernel_speedup":11.7959,"#, "");
-        assert!(fails(&gutted, SIM).contains("no `kernel_speedup`"));
-        assert!(fails(SIM, &gutted).contains("no `kernel_speedup`"));
+        let gutted = SIM.replace(r#""engines_identical":true,"#, "");
+        assert!(fails(&gutted, SIM).contains("no `engines_identical`"));
+        assert!(fails(SIM, &gutted).contains("no `engines_identical`"));
     }
 
     fn difftest(presets: &[&str], miscompiles: u32, csr: u32) -> String {
@@ -760,7 +753,7 @@ mod tests {
         assert!(fails(&unbounded, &unbounded).contains("every-cell-bounded"));
     }
 
-    const FLEET: &str = r#"{"figure":"fleet","pinned":{"fleet_seconds":4,"quality":{"loss_ppm":30000},"rows":[{"motes":10,"seed":1,"heard":5,"offered":9,"dropped":2,"reboots":1},{"motes":10,"seed":2,"heard":6,"offered":9,"dropped":3,"reboots":1},{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}],"campaign":{"motes":9,"victim":4,"sites":6,"detected":3,"crashed":1,"poisoned":1,"contained":0,"benign":1},"equivalence_ok":true},"counters":{"rows":[{"motes":10,"seed":1,"pops":20107},{"motes":10,"seed":2,"pops":19674},{"motes":100,"seed":1,"pops":418506}]},"dynamics":{"rows":[{"motes":10,"seed":1,"wall_ms":48.3,"pops_per_sec":416205.5}]}}"#;
+    const FLEET: &str = r#"{"figure":"fleet","pinned":{"fleet_seconds":4,"quality":{"loss_ppm":30000},"rows":[{"motes":10,"seed":1,"heard":5,"offered":9,"dropped":2,"reboots":1},{"motes":10,"seed":2,"heard":6,"offered":9,"dropped":3,"reboots":1},{"motes":100,"seed":1,"heard":50,"offered":90,"dropped":30,"reboots":1}],"campaign":{"motes":9,"victim":4,"sites":6,"detected":3,"crashed":1,"poisoned":1,"contained":0,"benign":1},"equivalence_ok":true},"counters":{"rows":[{"motes":10,"seed":1,"pops":20107},{"motes":10,"seed":2,"pops":19674},{"motes":100,"seed":1,"pops":418506}]}}"#;
 
     fn fleet_subset() -> String {
         FLEET
@@ -825,12 +818,6 @@ mod tests {
             "{subset}"
         );
         assert!(gate(FLEET, &subset).is_ok());
-        // Wall time and rate are dynamics, never pinned.
-        let slower = FLEET.replace(
-            r#""wall_ms":48.3,"pops_per_sec":416205.5"#,
-            r#""wall_ms":96.6,"pops_per_sec":208102.7"#,
-        );
-        assert!(gate(FLEET, &slower).is_ok());
         let uncounted = FLEET.replace(r#""counters":"#, r#""uncounted":"#);
         assert!(fails(FLEET, &uncounted).contains("fresh report has no pinned `counters`"));
     }
@@ -867,40 +854,39 @@ mod tests {
     }
 
     #[test]
-    fn sim_speed_gate_fails_below_the_floor_and_on_divergence() {
+    fn sim_speed_gate_fails_on_divergence() {
         assert!(gate(SIM, SIM).is_ok());
-        let slow = SIM.replace("11.7959", "9.5000");
-        assert!(fails(SIM, &slow).contains("`kernel_speedup` is 9.5, expected at least 10"));
-        // The floor is the contract's: a report declaring a lower one
-        // does not lower it.
-        let lowered = slow.replace(r#""speedup_min":10.0000"#, r#""speedup_min":0.1000"#);
-        assert!(fails(SIM, &lowered).contains("kernel-speedup-floor"));
         let diverged = SIM.replace("true", "false");
         assert!(fails(SIM, &diverged).contains("engines-identical"));
     }
 
-    const SIM_COUNTERS: &str = r#"{"figure":"sim_speed","kernel_cycles":2000,"seconds":10,"kernel_speedup":11.0,"engines_identical":true,"counters":{"kernels":[{"kernel":"count_loop","cycles":2000,"instructions":1333}],"apps":[{"app":"Blink","cycles":40000000,"awake_cycles":20919,"instructions":11274,"blocks":24,"fused_superinstructions":19}]}}"#;
-
     #[test]
     fn sim_speed_gate_pins_work_counters_at_equal_horizons() {
-        assert!(gate(SIM_COUNTERS, SIM_COUNTERS).is_ok());
-        let more_work = SIM_COUNTERS.replace(r#""instructions":1333"#, r#""instructions":1334"#);
-        let err = fails(SIM_COUNTERS, &more_work);
+        let more_work = SIM.replace(r#""instructions":1333"#, r#""instructions":1334"#);
+        let err = fails(SIM, &more_work);
         assert!(
             err.contains("`counters.kernels[0].instructions` is 1333 committed, 1334 fresh"),
             "{err}"
         );
-        let refused = SIM_COUNTERS.replace(
+        let dispatched = SIM.replace(r#""dispatches":334"#, r#""dispatches":335"#);
+        let err = fails(SIM, &dispatched);
+        assert!(
+            err.contains("`counters.kernels[0].dispatches` is 334 committed, 335 fresh"),
+            "{err}"
+        );
+        let refused = SIM.replace(
             r#""fused_superinstructions":19"#,
             r#""fused_superinstructions":18"#,
         );
-        assert!(fails(SIM_COUNTERS, &refused).contains("pinned `counters.apps` drifted"));
-        // Another horizon is another workload: its counters are not
-        // comparable, so they are not pinned.
+        assert!(fails(SIM, &refused).contains("pinned `counters.apps` drifted"));
+        // The kernels run a fixed cycle count: their counters are pinned
+        // whatever the report says it ran.
         let longer = more_work.replace(r#""kernel_cycles":2000"#, r#""kernel_cycles":4000"#);
-        assert!(gate(SIM_COUNTERS, &longer).is_ok());
+        assert!(fails(SIM, &longer).contains("pinned `counters.kernels` drifted"));
+        // Another app horizon is another workload: the apps' counters
+        // are not comparable, so they are not pinned.
         let shorter = refused.replace(r#""seconds":10"#, r#""seconds":2"#);
-        assert!(gate(SIM_COUNTERS, &shorter).is_ok());
+        assert!(gate(SIM, &shorter).is_ok());
     }
 
     fn fault_report(detected: &[u32]) -> String {
@@ -987,17 +973,26 @@ mod tests {
         assert!(input_error(FLEET, "[1]").contains("no \"figure\""));
     }
 
+    /// Every committed `BENCH_*.json`, as (file name, body).
+    fn committed_reports() -> Vec<(String, String)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut reports: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter_map(|path| {
+                let file = path.file_name()?.to_string_lossy().into_owned();
+                (file.starts_with("BENCH_") && file.ends_with(".json"))
+                    .then(|| (file, std::fs::read_to_string(&path).unwrap()))
+            })
+            .collect();
+        reports.sort();
+        reports
+    }
+
     #[test]
     fn committed_reports_pass_their_own_contracts() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut gated = Vec::new();
-        for entry in std::fs::read_dir(&root).unwrap() {
-            let path = entry.unwrap().path();
-            let file = path.file_name().unwrap().to_string_lossy().into_owned();
-            if !(file.starts_with("BENCH_") && file.ends_with(".json")) {
-                continue;
-            }
-            let body = std::fs::read_to_string(&path).unwrap();
+        for (file, body) in committed_reports() {
             match gate(&body, &body) {
                 Ok(_) => gated.push(file),
                 Err(GateError::Input(msg)) if msg.contains("no contract") => {}
@@ -1007,5 +1002,37 @@ mod tests {
         // races, stack, fleet, sim_speed, difftest, fault_injection,
         // fig2, fig3a, fig3b, ablations and runtime_footprint.
         assert_eq!(gated.len(), 11, "{gated:?}");
+    }
+
+    #[test]
+    fn committed_reports_carry_no_wall_time() {
+        fn timed(v: &Value, at: &str, found: &mut Vec<String>) {
+            match v {
+                Value::Obj(members) => {
+                    for (name, member) in members {
+                        let path = format!("{at}.{name}");
+                        if name.contains("wall")
+                            || name.ends_with("per_sec")
+                            || name.contains("speedup")
+                        {
+                            found.push(path.clone());
+                        }
+                        timed(member, &path, found);
+                    }
+                }
+                Value::Arr(items) => {
+                    for (i, item) in items.iter().enumerate() {
+                        timed(item, &format!("{at}[{i}]"), found);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut found = Vec::new();
+        for (file, body) in committed_reports() {
+            let report = json::parse(&body).unwrap_or_else(|e| panic!("{file}: {e}"));
+            timed(&report, &file, &mut found);
+        }
+        assert!(found.is_empty(), "timing members: {found:?}");
     }
 }

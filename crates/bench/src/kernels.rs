@@ -1,48 +1,39 @@
 //! Compute-kernel corpus for the `sim_speed` harness.
 //!
-//! Real Mica2 apps sleep most of the simulated day, so app-level wall
-//! time is dominated by the (engine-independent) sleep pump and caps
-//! the observable speedup well below what the translation engine
-//! delivers on actual code. These kernels isolate the execution
-//! engines on always-awake instruction streams shaped like the hot
-//! code the paper's apps run between sleeps.
-//!
-//! `gated` kernels carry the `sim_speed` ≥10× aggregate gate: they are
-//! the global-memory idioms (counters, flags, buffer windows — TinyOS
-//! state lives in statics) where block translation plus
-//! superinstruction fusion pays fully. The non-gated kernels
-//! (local-variable and pure stack arithmetic loops) are published for
-//! honesty: those shapes currently see ~5× because their tails have no
-//! fused read-modify-branch form yet.
+//! Real Mica2 apps sleep most of the simulated day, so their runs say
+//! little about the execution engines themselves. These kernels isolate
+//! the engines on always-awake instruction streams shaped like the hot
+//! code the paper's apps run between sleeps: the global-memory idioms
+//! (counters, flags, buffer windows — TinyOS state lives in statics)
+//! where block translation plus superinstruction fusion pays fully, and
+//! local-variable and pure stack arithmetic loops, whose tails have no
+//! fused read-modify-branch form yet. The harness reports each
+//! kernel's instructions and the block engine's op dispatches.
 
 use mcu::image::CodeFunction;
 use mcu::isa::{AluOp, Instr, Width};
 use mcu::{Image, Profile};
+
+/// Simulated cycles each kernel runs per engine.
+pub const CYCLES: u64 = 200_000_000;
 
 /// One benchmark kernel: a self-contained flash image whose entry
 /// function loops forever without sleeping or faulting.
 pub struct Kernel {
     /// Row label in the table and JSON.
     pub name: &'static str,
-    /// Whether this kernel's wall time counts toward the gated
-    /// aggregate speedup.
-    pub gated: bool,
     /// The image to simulate.
     pub image: Image,
 }
 
-fn kernel(name: &'static str, gated: bool, frame: u16, code: Vec<Instr>) -> Kernel {
+fn kernel(name: &'static str, frame: u16, code: Vec<Instr>) -> Kernel {
     let mut img = Image::new(Profile::mica2());
     let mut f = CodeFunction::new("main");
     f.frame_size = frame;
     f.code = code;
     let e = img.add_function(f);
     img.entry = Some(e);
-    Kernel {
-        name,
-        gated,
-        image: img,
-    }
+    Kernel { name, image: img }
 }
 
 fn ldg(addr: u16) -> Instr {
@@ -68,7 +59,7 @@ fn bin(op: AluOp) -> Instr {
     }
 }
 
-/// The full corpus, gated kernels first.
+/// The full corpus, global-memory kernels first.
 pub fn suite() -> Vec<Kernel> {
     let mut out = Vec::new();
 
@@ -76,7 +67,6 @@ pub fn suite() -> Vec<Kernel> {
     // packet-counter tail. Fuses to a single read-modify-branch op.
     out.push(kernel(
         "count_loop",
-        true,
         0,
         vec![
             ldg(0x0200),
@@ -104,13 +94,12 @@ pub fn suite() -> Vec<Kernel> {
         code.push(stg(a));
     }
     code.push(Instr::Jmp { target: 0 });
-    out.push(kernel("store_burst", true, 0, code));
+    out.push(kernel("store_burst", 0, code));
 
     // Flag store plus counter — a busy-signal loop mixing a constant
     // store superinstruction with the fused counting tail.
     out.push(kernel(
         "flag_count",
-        true,
         0,
         vec![
             Instr::PushI(1),
@@ -144,13 +133,12 @@ pub fn suite() -> Vec<Kernel> {
     code.push(bin(AluOp::Add));
     code.push(stg(0x0200));
     code.push(Instr::Jmp { target: 0 });
-    out.push(kernel("copy_window", true, 0, code));
+    out.push(kernel("copy_window", 0, code));
 
-    // Local-variable counting loop (frame slots, not globals). Not
-    // gated: no fused local read-modify-branch form yet, ~5×.
+    // Local-variable counting loop (frame slots, not globals): no
+    // fused local read-modify-branch form yet.
     out.push(kernel(
         "local_loop",
-        false,
         8,
         vec![
             Instr::LdLocal {
@@ -181,11 +169,10 @@ pub fn suite() -> Vec<Kernel> {
         ],
     ));
 
-    // Pure stack arithmetic, no RAM traffic. Not gated: dominated by
-    // evaluation-stack push/pop, ~5×.
+    // Pure stack arithmetic, no RAM traffic: dominated by
+    // evaluation-stack push/pop.
     out.push(kernel(
         "stack_arith",
-        false,
         0,
         vec![
             Instr::PushI(7),

@@ -15,13 +15,13 @@
 //! | `difftest` | differential oracle: generated programs and stock apps under every preset vs. the reference |
 //! | `race_analysis` | the static race census, its fixes, and a torn-update campaign |
 //! | `stack_analysis` | certified stack bounds against simulated watermarks |
-//! | `sim_speed` | interpreter vs. block-translation throughput, with their identity |
+//! | `sim_speed` | interpreter vs. block-translation identity, with the block engine's work |
 //! | `fleet` | multi-mote Surge fleets on a lossy radio grid, with churn and a fleet campaign |
 //! | `gate` | checks a report against its committed baseline ([`gate`]) |
 //!
 //! Each harness holds one [`BuildService`] with `STOS_THREADS` workers
 //! (one frontend compile per app, shared pass cache) and expands its
-//! app × configuration grid with [`grid`]. Reports carry no compile
+//! app × configuration grid with [`grid`]. Reports carry no wall
 //! times: they are byte-identical for any worker count.
 
 pub mod diff;
@@ -106,9 +106,8 @@ pub mod knobs {
     pub struct Knobs {
         /// Worker threads of each harness's `BuildService` (`1` = serial
         /// on the calling thread; `0` counts as 1). Figure tables and
-        /// reports are byte-identical for every value, apart from the
-        /// wall times of `sim_speed` and the `fleet` dynamics.
-        /// `STOS_THREADS`, default the available parallelism.
+        /// reports are byte-identical for every value. `STOS_THREADS`,
+        /// default the available parallelism.
         pub threads: usize,
         /// Simulated seconds for duty-cycle and fault-campaign runs:
         /// the paper uses 3 minutes; a smaller default keeps the
@@ -128,9 +127,6 @@ pub mod knobs {
         /// Torn-update injections per flagged target in the
         /// race-analysis campaign. `STOS_TORN`, default 4.
         pub torn_sites: usize,
-        /// Simulated cycles each `sim_speed` compute kernel runs per
-        /// engine. `STOS_KERNEL_CYCLES`, default 200M.
-        pub kernel_cycles: u64,
         /// Fleet sizes the `fleet` harness sweeps. The committed
         /// `BENCH_fleet.json` carries the full `10,100,1000` sweep; CI
         /// overrides with a smaller population via `STOS_MOTES`
@@ -199,7 +195,6 @@ pub mod knobs {
                 diff_seeds: num("STOS_DIFF_SEEDS", 50),
                 diff_base: num("STOS_DIFF_BASE", 1),
                 torn_sites: num("STOS_TORN", 4) as usize,
-                kernel_cycles: num("STOS_KERNEL_CYCLES", 200_000_000),
                 fleet_motes,
                 fleet_seeds: num("STOS_FLEET_SEEDS", 2),
                 fleet_seconds: num("STOS_FLEET_SECONDS", 4),

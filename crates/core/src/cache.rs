@@ -199,13 +199,6 @@ pub struct PassCounters {
     pub bytes: u64,
 }
 
-impl PassCounters {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
 /// Aggregated cache statistics, keyed by pass name (sorted, so reports
 /// are deterministic).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -73,18 +73,6 @@ impl Diagnostic {
             message: message.into(),
         }
     }
-
-    /// The diagnostic as one JSON object
-    /// (`{"severity":"warning","code":"R001","site":"f:3","message":"..."}`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"severity\":\"{}\",\"code\":\"{}\",\"site\":\"{}\",\"message\":\"{}\"}}",
-            self.severity.name(),
-            escape(&self.code),
-            escape(&self.site),
-            escape(&self.message)
-        )
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -100,32 +88,12 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// A list of diagnostics as a JSON array.
-pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn renders_display_and_json() {
+    fn renders_display() {
         let d = Diagnostic::new(
             Severity::Warning,
             "R002",
@@ -135,22 +103,6 @@ mod tests {
         assert_eq!(
             d.to_string(),
             "warning[R002] TimerM__fired:3: torn 16-bit write to `TimerM__interval`"
-        );
-        assert_eq!(
-            d.to_json(),
-            "{\"severity\":\"warning\",\"code\":\"R002\",\"site\":\"TimerM__fired:3\",\
-             \"message\":\"torn 16-bit write to `TimerM__interval`\"}"
-        );
-        assert_eq!(diagnostics_json(&[]), "[]");
-        assert!(diagnostics_json(&[d.clone(), d]).starts_with("[{"));
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        let d = Diagnostic::new(Severity::Error, "X\"1", "f:0", "a\\b\nc");
-        assert_eq!(
-            d.to_json(),
-            "{\"severity\":\"error\",\"code\":\"X\\\"1\",\"site\":\"f:0\",\"message\":\"a\\\\b\\nc\"}"
         );
     }
 

@@ -440,15 +440,6 @@ pub struct FleetGolden {
     pub sink: BTreeSet<u32>,
 }
 
-/// A full fleet campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetCampaignReport {
-    /// Per-site outcomes, in plan order.
-    pub results: Vec<FleetSiteResult>,
-    /// The outcome histogram.
-    pub counts: FleetVerdictCounts,
-}
-
 /// Enumerates the campaign's corruption plans: the same seeded site
 /// model as the single-mote campaigns ([`crate::run_campaign`]), aimed
 /// at the victim's checked index globals.
@@ -511,22 +502,6 @@ pub fn run_fleet_site(
         at_cycle: plan.at_cycle,
         verdict,
     }
-}
-
-/// Runs the whole campaign serially. Harnesses that want to shard call
-/// [`fleet_campaign_plans`] / [`fleet_golden`] / [`run_fleet_site`]
-/// directly; this wrapper is their single-threaded reference.
-pub fn run_fleet_campaign(build: &Build, cfg: &FleetCampaignConfig) -> FleetCampaignReport {
-    let golden = fleet_golden(build, cfg);
-    let results: Vec<FleetSiteResult> = fleet_campaign_plans(build, cfg)
-        .iter()
-        .map(|plan| run_fleet_site(build, cfg, plan, &golden))
-        .collect();
-    let mut counts = FleetVerdictCounts::default();
-    for r in &results {
-        counts.record(&r.verdict);
-    }
-    FleetCampaignReport { results, counts }
 }
 
 #[cfg(test)]

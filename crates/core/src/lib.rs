@@ -66,9 +66,8 @@ pub use campaign::{
 pub use diag::{Diagnostic, Severity};
 pub use difftest::{DiffCase, DiffConfig, DiffCounts, DiffVerdict, SubjectReport};
 pub use fleet::{
-    build_fleet, lockstep_matches_event_driven, run_fleet_campaign, sink_report,
-    FleetCampaignConfig, FleetCampaignReport, FleetSpec, FleetVerdict, FleetVerdictCounts,
-    SinkReport,
+    build_fleet, lockstep_matches_event_driven, sink_report, FleetCampaignConfig, FleetSpec,
+    FleetVerdict, FleetVerdictCounts, SinkReport,
 };
 pub use pipeline::{Pass, PassTimes, Pipeline, PRESET_NAMES};
 pub use service::{BuildRequest, BuildResult, BuildService};

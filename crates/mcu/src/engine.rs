@@ -613,7 +613,8 @@ impl Machine {
     /// reads and writes SRAM directly. It also runs the pure loop's
     /// frame slots, which `Block::local_span` proved SRAM, so that loop
     /// dispatches every op with one `match`: a second `match` in front
-    /// of the executor cost the gated kernels about 14%.
+    /// of the executor cost the global-memory compute kernels
+    /// (`bench::kernels`) about 14% more wall time.
     #[inline(always)]
     fn exec_pure<const R: bool, const C: bool>(&mut self, kind: &OpKind) -> Flow {
         match *kind {

@@ -440,11 +440,6 @@ impl Machine {
         self.stack_peak
     }
 
-    /// Whether the global interrupt-enable flag is set.
-    pub fn interrupts_enabled(&self) -> bool {
-        self.irq_enabled
-    }
-
     /// The earliest cycle at which the machine's device-event queue has
     /// work, clamped to the current cycle count so wake times never move
     /// backwards. `None` when the queue is empty.

@@ -624,11 +624,6 @@ impl Program {
         &self.functions[id.0 as usize]
     }
 
-    /// Mutable convenience accessor.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.functions[id.0 as usize]
-    }
-
     /// Convenience accessor.
     pub fn global(&self, id: GlobalId) -> &Global {
         &self.globals[id.0 as usize]

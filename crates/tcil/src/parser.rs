@@ -38,23 +38,6 @@ pub fn parse_unit(src: &str, dialect: Dialect) -> Result<Unit, CompileError> {
     Ok(Unit { items })
 }
 
-/// Parses a single block (used by the nesC frontend for function bodies
-/// that are re-parsed after textual assembly). Mostly useful in tests.
-pub fn parse_block(src: &str, dialect: Dialect) -> Result<Block, CompileError> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        dialect,
-    };
-    p.expect_punct("{")?;
-    let b = p.block_rest()?;
-    if !p.at_eof() {
-        return Err(p.err_here("trailing input after block"));
-    }
-    Ok(b)
-}
-
 const TYPE_KEYWORDS: &[(&str, IntKind)] = &[
     ("uint8_t", IntKind::U8),
     ("int8_t", IntKind::I8),

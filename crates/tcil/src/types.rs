@@ -45,16 +45,6 @@ impl IntKind {
         matches!(self, IntKind::I8 | IntKind::I16 | IntKind::I32)
     }
 
-    /// The unsigned kind of the same width.
-    pub fn unsigned(self) -> IntKind {
-        match self {
-            IntKind::I8 => IntKind::U8,
-            IntKind::I16 => IntKind::U16,
-            IntKind::I32 => IntKind::U32,
-            k => k,
-        }
-    }
-
     /// Wraps `v` to this type's range, exactly as a store+load through
     /// memory of this width would on the target.
     pub fn wrap(self, v: i64) -> i64 {
